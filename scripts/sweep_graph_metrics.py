@@ -8,7 +8,6 @@ the ceil(lambda2/2) <= r <= kappa <= N-1 chain.  Rows go to stdout as CSV.
 
 import argparse
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -42,16 +41,12 @@ def main():
     parser.add_argument("--count", type=int, default=100)
     parser.add_argument("--n-low", type=int, default=4)
     parser.add_argument("--n-high", type=int, default=10)
-    parser.add_argument("--jobs", type=int, default=4)
     args = parser.parse_args()
 
     print("seed,n,mu,lambda2_integral,lambda2_effective,r,kappa,chain_holds")
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        rows = pool.map(
-            lambda s: one_row(s, args.n_low, args.n_high), range(args.count)
-        )
-        for row in rows:
-            print(",".join(f"{x:.12g}" if isinstance(x, float) else str(x) for x in row))
+    for seed in range(args.count):
+        row = one_row(seed, args.n_low, args.n_high)
+        print(",".join(f"{x:.12g}" if isinstance(x, float) else str(x) for x in row))
 
 
 if __name__ == "__main__":

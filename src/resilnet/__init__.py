@@ -25,7 +25,6 @@ from .graphs import (
     algebraic_connectivity,
     check_bound_chain,
     complete_graph,
-    effective_edge_set,
     generate_r_robust_preferential,
     integral_laplacian,
     khop_neighbors,
@@ -54,7 +53,6 @@ from .observers import (
     ThresholdRule,
     design_gain,
     hypothesis_test,
-    observer_step,
     pbh_observability,
     residual_threshold,
     two_hop_view,

@@ -17,7 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .graphs import Graph, SwitchingNetwork, laplacian, projection_matrix
+from .graphs import (
+    Graph,
+    SwitchingNetwork,
+    algebraic_connectivity,
+    laplacian,
+    projection_matrix,
+)
 
 _GRID_RTOL = 1e-9
 
@@ -223,13 +229,9 @@ class DoSSchedule:
 def closed_loop_matrix(g: Graph, gains: Gains) -> np.ndarray:
     """A_sigma = [[0, I], [-alpha L, -gamma I]]; col(1, 0) is always in its
     nullspace."""
-    return closed_loop_from_laplacian(laplacian(g), gains)
-
-
-def closed_loop_from_laplacian(lap: np.ndarray, gains: Gains) -> np.ndarray:
-    n = lap.shape[0]
+    n = g.node_count
     top = np.hstack([np.zeros((n, n)), np.eye(n)])
-    bottom = np.hstack([-gains.alpha * lap, -gains.gamma * np.eye(n)])
+    bottom = np.hstack([-gains.alpha * laplacian(g), -gains.gamma * np.eye(n)])
     return np.vstack([top, bottom])
 
 
@@ -256,6 +258,8 @@ class SimulationTrace:
     ``segments`` lists the realized constant-topology intervals as
     ``(t0, t1, mode_index, edges, dos_active)``; they cover [0, horizon]
     exactly and are what graph metrics over the *realized* network use.
+    Consecutive steps with equal edges share one segment, which carries the
+    mode and DoS flag of its first step.
     """
 
     t: np.ndarray
@@ -337,6 +341,81 @@ def _rk4_step(a_mat, x, b_fun, t, h):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _walk(net, initial, dos, horizon, step_h, on_edges, step, removed=frozenset()):
+    """Walk the edge timeline of [0, horizon] in fixed steps and record the run.
+
+    The effective edges of a step are the timeline's edges minus ``removed``,
+    a set the caller may grow during the walk.  ``on_edges(edges, t, x)``
+    builds the caller's context whenever the effective edges change, and
+    ``step(context, x, k, t)`` returns the stacked state one step later.
+    Consecutive steps with equal effective edges form one realized segment.
+    """
+    n = net.node_count
+    if initial.node_count != n:
+        raise ConfigurationError("initial state dimension != network size")
+    if not (math.isfinite(step_h) and step_h > 0):
+        raise ConfigurationError(f"step must be positive and finite, got {step_h}")
+    horizon = net.horizon if horizon is None else horizon
+    if not 0 < horizon <= net.horizon + 1e-12:
+        raise ConfigurationError("horizon must lie in (0, network horizon]")
+    if not _on_grid(horizon, step_h):
+        raise ConfigurationError("horizon must be a multiple of the step")
+    steps = round(horizon / step_h)
+    timeline = build_edge_timeline(net, dos, horizon, step_h)
+
+    t_arr = np.arange(steps + 1) * step_h
+    p_arr = np.empty((steps + 1, n))
+    v_arr = np.empty((steps + 1, n))
+    mode_arr = np.empty(steps + 1, dtype=int)
+    dos_arr = np.zeros(steps + 1, dtype=bool)
+    x = initial.stacked().copy()
+    p_arr[0], v_arr[0] = x[:n], x[n:]
+
+    segments: list = []
+    seg_idx = 0
+    current = None
+    for k in range(steps):
+        t = k * step_h
+        while seg_idx + 1 < len(timeline) and t >= timeline[seg_idx][1] - 1e-12:
+            seg_idx += 1
+        _, _, mode, base_edges, dos_now = timeline[seg_idx]
+        # a timeline entry keeps one frozenset, so while nothing is removed
+        # the identity test settles most steps without comparing edges
+        edges = base_edges - removed if removed else base_edges
+        if edges is not current and edges != current:
+            current = edges
+            context = on_edges(edges, t, x)
+            segments.append([t, t + step_h, mode, edges, dos_now])
+        else:
+            segments[-1][1] = t + step_h
+        mode_arr[k] = mode
+        dos_arr[k] = dos_now
+        x = step(context, x, k, t)
+        p_arr[k + 1], v_arr[k + 1] = x[:n], x[n:]
+    mode_arr[steps] = timeline[-1][2]
+    dos_arr[steps] = timeline[-1][4]
+    return SimulationTrace(
+        t=t_arr,
+        p_tilde=p_arr,
+        v=v_arr,
+        mode_index=mode_arr,
+        dos_active=dos_arr,
+        segments=tuple(tuple(seg) for seg in segments),
+        step_h=step_h,
+    )
+
+
+def _forcing(attacks, n: int):
+    """Stacked deception input col(0, u_A(t)) of the closed loop."""
+
+    def forcing(t):
+        b = np.zeros(2 * n)
+        b[n:] = injection_vector(attacks, n, t)
+        return b
+
+    return forcing
+
+
 def simulate(
     net: SwitchingNetwork,
     gains: Gains,
@@ -352,53 +431,15 @@ def simulate(
     deception inputs are evaluated at the RK4 stage times.
     """
     n = net.node_count
-    if initial.node_count != n:
-        raise ConfigurationError("initial state dimension != network size")
-    horizon = net.horizon if horizon is None else horizon
-    if horizon > net.horizon + 1e-12:
-        raise ConfigurationError("horizon exceeds the network schedule")
-    if not _on_grid(horizon, step_h):
-        raise ConfigurationError("horizon must be a multiple of the step")
-    steps = round(horizon / step_h)
-    timeline = build_edge_timeline(net, dos, horizon, step_h)
-
-    t_arr = np.arange(steps + 1) * step_h
-    p_arr = np.empty((steps + 1, n))
-    v_arr = np.empty((steps + 1, n))
-    mode_arr = np.empty(steps + 1, dtype=int)
-    dos_arr = np.zeros(steps + 1, dtype=bool)
-    x = initial.stacked().copy()
-    p_arr[0], v_arr[0] = x[:n], x[n:]
-
-    def forcing(t):
-        b = np.zeros(2 * n)
-        b[n:] = injection_vector(attacks, n, t)
-        return b
-
-    seg_idx = 0
-    a_mat = None
-    for k in range(steps):
-        t = k * step_h
-        while seg_idx + 1 < len(timeline) and t >= timeline[seg_idx][1] - 1e-12:
-            seg_idx += 1
-            a_mat = None
-        t0, t1, mode, edges, dos_now = timeline[seg_idx]
-        if a_mat is None:
-            a_mat = closed_loop_matrix(Graph(n, tuple(edges)), gains)
-        mode_arr[k] = mode
-        dos_arr[k] = dos_now
-        x = _rk4_step(a_mat, x, forcing, t, step_h)
-        p_arr[k + 1], v_arr[k + 1] = x[:n], x[n:]
-    mode_arr[steps] = timeline[-1][2]
-    dos_arr[steps] = timeline[-1][4]
-    return SimulationTrace(
-        t=t_arr,
-        p_tilde=p_arr,
-        v=v_arr,
-        mode_index=mode_arr,
-        dos_active=dos_arr,
-        segments=timeline,
-        step_h=step_h,
+    forcing = _forcing(attacks, n)
+    return _walk(
+        net,
+        initial,
+        dos,
+        horizon,
+        step_h,
+        lambda edges, t, x: closed_loop_matrix(Graph(n, tuple(edges)), gains),
+        lambda a_mat, x, k, t: _rk4_step(a_mat, x, forcing, t, step_h),
     )
 
 
@@ -531,13 +572,10 @@ def consensus_metrics(trace: SimulationTrace, cooperative=None) -> ConsensusMetr
 def realized_disconnection_time(trace: SimulationTrace, window: float) -> float:
     """Worst-case time per window during which the realized instantaneous
     graph was disconnected (the measurable form of the DoS budget)."""
-    from .graphs import algebraic_connectivity, laplacian as lap_of
-
     disconnected = []
     n = trace.node_count
     for t0, t1, _, edges, _ in trace.segments:
-        g = Graph(n, tuple(edges))
-        if algebraic_connectivity(lap_of(g)) <= 0.0:
+        if algebraic_connectivity(laplacian(Graph(n, tuple(edges)))) <= 0.0:
             disconnected.append((t0, t1))
     if not disconnected:
         return 0.0

@@ -70,9 +70,6 @@ class Graph:
     def degree(self, i: int) -> int:
         return sum(1 for e in self.edges if i in e)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in set(self.edges)
-
     def is_connected(self) -> bool:
         return _components(self) == 1
 
@@ -179,9 +176,6 @@ class SwitchingNetwork:
             else:
                 break
         return idx
-
-    def graph_at(self, t: float) -> Graph:
-        return self.modes[self.mode_at(t)]
 
     def breakpoints(self) -> tuple:
         return tuple(t for t, _ in self.schedule)
@@ -346,25 +340,6 @@ def pe_margin(net: SwitchingNetwork, window: float, grid_points: int = 100) -> P
         delta_floor=delta_floor,
         equivalence_gap=gap,
     )
-
-
-def effective_edge_set(
-    net: SwitchingNetwork, window: float, delta: float, grid_points: int = 100
-) -> Graph:
-    """Edges whose time-averaged adjacency is >= delta for every window start."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    n = net.node_count
-    min_weights = np.full((n, n), math.inf)
-    for t in _window_starts(net, window, grid_points):
-        min_weights = np.minimum(min_weights, integral_adjacency(net, t, window))
-    edges = tuple(
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if min_weights[i, j] >= delta - 1e-12
-    )
-    return Graph(n, edges)
 
 
 # ---------------------------------------------------------------------------

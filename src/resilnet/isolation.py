@@ -20,8 +20,9 @@ from .dynamics import (
     SimulationTrace,
     StabilityConstants,
     SystemState,
+    _forcing,
     _rk4_step,
-    build_edge_timeline,
+    _walk,
     closed_loop_matrix,
     injection_vector,
     stability_constants,
@@ -74,6 +75,10 @@ class DetectorSettings:
     def __post_init__(self):
         if self.reinit_policy not in ("retain", "membership", "model"):
             raise ValueError(f"unknown reinit policy {self.reinit_policy!r}")
+        if self.dwell < 1:
+            raise ValueError("dwell must be >= 1")
+        if self.residual_log_stride < 1:
+            raise ValueError("residual_log_stride must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,11 +145,7 @@ def run_rescue(problem: RescueProblem) -> RescueResult:
     """
     net, gains, settings = problem.net, problem.gains, problem.detector
     n = net.node_count
-    horizon = problem.horizon if problem.horizon is not None else net.horizon
     h = problem.step_h
-    steps = round(horizon / h)
-    if abs(steps * h - horizon) > 1e-9 * max(1.0, horizon):
-        raise ConfigurationError("horizon must be a multiple of the step")
 
     consts = None
     x0_norm = float(np.linalg.norm(problem.initial.stacked()))
@@ -162,7 +163,6 @@ def run_rescue(problem: RescueProblem) -> RescueResult:
     )
     certified = settings.threshold.kind == "analytic"
 
-    base_timeline = build_edge_timeline(net, problem.dos, horizon, h)
     detectors = problem.cooperative
     removed: set = set()
     observers: dict[int, ObserverState] = {}
@@ -171,19 +171,7 @@ def run_rescue(problem: RescueProblem) -> RescueResult:
     flagged: dict[int, frozenset] = {i: frozenset() for i in detectors}
     events: list[IsolationEvent] = []
     residual_log: list = []
-
-    t_arr = np.arange(steps + 1) * h
-    p_arr = np.empty((steps + 1, n))
-    v_arr = np.empty((steps + 1, n))
-    mode_arr = np.empty(steps + 1, dtype=int)
-    dos_arr = np.zeros(steps + 1, dtype=bool)
-    x = problem.initial.stacked().copy()
-    p_arr[0], v_arr[0] = x[:n], x[n:]
-
-    def forcing(t):
-        b = np.zeros(2 * n)
-        b[n:] = injection_vector(problem.attacks, n, t)
-        return b
+    forcing = _forcing(problem.attacks, n)
 
     def observer_gain(view) -> ObserverGain:
         # the fast structured gain depends only on the view size; certified
@@ -206,58 +194,42 @@ def run_rescue(problem: RescueProblem) -> RescueResult:
             gain_cache[key] = gain
         return gain
 
-    realized_segments: list = []
-    seg_idx = 0
-    current_edges: frozenset | None = None
-    a_mat = None
-    graph_eff = None
-    neighbor_map: dict = {}
+    def on_edges(edges, t, x):
+        """Reconfigure every observer whose model changed; return the
+        closed-loop matrix and the detectors' 1-hop neighbors."""
+        graph_eff = Graph(n, tuple(sorted(edges)))
+        a_mat = closed_loop_matrix(graph_eff, gains)
+        neighbor_map = {i: graph_eff.neighbors(i) for i in detectors}
+        for i in detectors:
+            view = two_hop_view(graph_eff, i, gains, settings.one_hop_only)
+            obs = observers.get(i)
+            if (
+                obs is not None
+                and view.members == obs.view.members
+                and np.array_equal(view.a_model, obs.view.a_model)
+            ):
+                continue
+            gain = observer_gain(view)
+            if obs is None:
+                obs = ObserverState(view, gain, w_budget, t, settings.retain_grace)
+                observers[i] = obs
+                obs.reinit(view.measure(x[:n], x[n:]), t)
+            elif settings.reinit_policy != "model" and view.members == obs.view.members:
+                # pure edge change: swap the model, keep the estimate
+                obs.reconfigure(view, gain, keep_state=True)
+            elif settings.reinit_policy == "retain":
+                obs.remap(view, gain, view.measure(x[:n], x[n:]), t)
+            else:
+                obs.reconfigure(view, gain)
+                obs.reinit(view.measure(x[:n], x[n:]), t)
+        return a_mat, neighbor_map
 
-    for k in range(steps):
-        t = k * h
-        while seg_idx + 1 < len(base_timeline) and t >= base_timeline[seg_idx][1] - 1e-12:
-            seg_idx += 1
-        _, _, mode, base_edges, dos_now = base_timeline[seg_idx]
-        eff_edges = frozenset(e for e in base_edges if e not in removed)
-        if eff_edges != current_edges:
-            current_edges = eff_edges
-            graph_eff = Graph(n, tuple(sorted(eff_edges)))
-            a_mat = closed_loop_matrix(graph_eff, gains)
-            neighbor_map = {i: graph_eff.neighbors(i) for i in detectors}
-            for i in detectors:
-                view = two_hop_view(graph_eff, i, gains, settings.one_hop_only)
-                obs = observers.get(i)
-                if (
-                    obs is not None
-                    and view.members == obs.view.members
-                    and np.array_equal(view.a_model, obs.view.a_model)
-                ):
-                    continue
-                gain = observer_gain(view)
-                if obs is None:
-                    obs = ObserverState(view, gain, w_budget, t, settings.retain_grace)
-                    observers[i] = obs
-                    obs.reinit(view.measure(x[:n], x[n:]), t)
-                elif settings.reinit_policy != "model" and view.members == obs.view.members:
-                    # pure edge change: swap the model, keep the estimate
-                    obs.reconfigure(view, gain, keep_state=True)
-                elif settings.reinit_policy == "retain":
-                    obs.remap(view, gain, view.measure(x[:n], x[n:]), t)
-                else:
-                    obs.reconfigure(view, gain)
-                    obs.reinit(view.measure(x[:n], x[n:]), t)
-            realized_segments.append([t, t + h, mode, eff_edges, dos_now])
-        else:
-            realized_segments[-1][1] = t + h
-
-        mode_arr[k] = mode
-        dos_arr[k] = dos_now
-
+    def step(context, x, k, t):
+        """Plant step, then every detector's observer step and tests."""
+        a_mat, neighbor_map = context
         y_starts = {i: observers[i].view.measure(x[:n], x[n:]) for i in detectors}
         x = _rk4_step(a_mat, x, forcing, t, h)
-        p_arr[k + 1], v_arr[k + 1] = x[:n], x[n:]
         t_next = (k + 1) * h
-
         log_now = (k + 1) % settings.residual_log_stride == 0
         for i in detectors:
             obs = observers[i]
@@ -277,7 +249,7 @@ def run_rescue(problem: RescueProblem) -> RescueResult:
             )
             exceeded = np.abs(res) > eps
             new_flags = set()
-            for j, r, e, hit in zip(nbrs, res, eps, exceeded):
+            for j, hit in zip(nbrs, exceeded):
                 key = (i, j)
                 if hit:
                     dwell_counters[key] = dwell_counters.get(key, 0) + 1
@@ -287,9 +259,7 @@ def run_rescue(problem: RescueProblem) -> RescueResult:
                     dwell_counters[key] = 0
             prior = flagged[i]
             for j in sorted(new_flags - prior):
-                edge = (min(i, j), max(i, j))
-                if edge not in removed:
-                    removed.add(edge)
+                removed.add((min(i, j), max(i, j)))
                 events.append(
                     IsolationEvent(
                         t=t_next,
@@ -304,17 +274,10 @@ def run_rescue(problem: RescueProblem) -> RescueResult:
                 residual_log.append(
                     make_record(t_next, i, nbrs, res, eps, flagged[i])
                 )
+        return x
 
-    mode_arr[steps] = realized_segments[-1][2]
-    dos_arr[steps] = realized_segments[-1][4]
-    trace = SimulationTrace(
-        t=t_arr,
-        p_tilde=p_arr,
-        v=v_arr,
-        mode_index=mode_arr,
-        dos_active=dos_arr,
-        segments=tuple((a, b, m, e, d) for a, b, m, e, d in realized_segments),
-        step_h=h,
+    trace = _walk(
+        net, problem.initial, problem.dos, problem.horizon, h, on_edges, step, removed
     )
     run = RescueRun(
         problem=problem,
@@ -379,58 +342,36 @@ def dp_msr_run(problem: RescueProblem, cfg: DPMSRConfig) -> SimulationTrace:
     values, discards the f_max largest and smallest, and applies the control
     to the remainder.  Malicious agents run the untrimmed protocol plus their
     injection."""
-    net = problem.net
-    n = net.node_count
-    horizon = problem.horizon if problem.horizon is not None else net.horizon
-    ts = cfg.sample_time
-    steps = round(horizon / ts)
-    timeline = build_edge_timeline(net, problem.dos, horizon, ts)
+    n = problem.net.node_count
     malicious = problem.malicious
+    alpha, gamma, ts = cfg.gains.alpha, cfg.gains.gamma, cfg.sample_time
 
-    t_arr = np.arange(steps + 1) * ts
-    p_arr = np.empty((steps + 1, n))
-    v_arr = np.empty((steps + 1, n))
-    mode_arr = np.empty(steps + 1, dtype=int)
-    dos_arr = np.zeros(steps + 1, dtype=bool)
-    p = problem.initial.p_tilde.copy()
-    v = problem.initial.v.copy()
-    p_arr[0], v_arr[0] = p, v
+    def neighbor_lists(edges, t, x):
+        g = Graph(n, tuple(sorted(edges)))
+        return [g.neighbors(i) for i in range(n)]
 
-    seg_idx = 0
-    nbrs_of = None
-    for k in range(steps):
-        t = k * ts
-        while seg_idx + 1 < len(timeline) and t >= timeline[seg_idx][1] - 1e-12:
-            seg_idx += 1
-            nbrs_of = None
-        _, _, mode, edges, dos_now = timeline[seg_idx]
-        if nbrs_of is None:
-            g = Graph(n, tuple(sorted(edges)))
-            nbrs_of = [g.neighbors(i) for i in range(n)]
-        mode_arr[k] = mode
-        dos_arr[k] = dos_now
+    def step(nbrs_of, x, k, t):
+        p, v = x[:n], x[n:]
+        inj = injection_vector(problem.attacks, n, t)
         u = np.empty(n)
         for i in range(n):
             if i in malicious:
                 u[i] = (
-                    -cfg.gains.alpha * sum(p[i] - p[j] for j in nbrs_of[i])
-                    - cfg.gains.gamma * v[i]
-                    + injection_vector(problem.attacks, n, t)[i]
+                    -alpha * sum(p[i] - p[j] for j in nbrs_of[i])
+                    - gamma * v[i]
+                    + inj[i]
                 )
             else:
                 u[i] = _trimmed_control(p, v, nbrs_of[i], i, cfg.f_max, cfg.gains)
         # exact ZOH update of the double integrator
-        p = p + ts * v + 0.5 * ts * ts * u
-        v = v + ts * u
-        p_arr[k + 1], v_arr[k + 1] = p, v
-    mode_arr[steps] = timeline[-1][2]
-    dos_arr[steps] = timeline[-1][4]
-    return SimulationTrace(
-        t=t_arr,
-        p_tilde=p_arr,
-        v=v_arr,
-        mode_index=mode_arr,
-        dos_active=dos_arr,
-        segments=timeline,
-        step_h=ts,
+        return np.concatenate([p + ts * v + 0.5 * ts * ts * u, v + ts * u])
+
+    return _walk(
+        problem.net,
+        problem.initial,
+        problem.dos,
+        problem.horizon,
+        ts,
+        neighbor_lists,
+        step,
     )

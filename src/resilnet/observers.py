@@ -70,25 +70,22 @@ class TwoHopView:
             p_tilde, v
         ) + self.coupling_rest @ self.rest_state(p_tilde, v)
 
-    def b_attack(self, suspected) -> np.ndarray:
-        """Input columns of malicious members (analysis only)."""
-        cols = [j for j in suspected if j in self.members]
-        m = len(self.members)
-        b = np.zeros((2 * m, len(cols)))
-        for k, j in enumerate(cols):
-            b[m + self.member_index(j), k] = 1.0
-        return b
+
+def view_members(g: Graph, owner: int, one_hop_only: bool = False) -> tuple:
+    """Agents whose positions ``owner`` measures: itself, then its 1-hop (and,
+    unless ``one_hop_only``, 2-hop) neighbors in sorted order.  The order
+    keeps an estimate's numbering across mode switches that change edges
+    but not membership."""
+    reach = set(khop_neighbors(g, owner, 1))
+    if not one_hop_only:
+        reach |= khop_neighbors(g, owner, 2)
+    return (owner, *sorted(reach - {owner}))
 
 
 def _model_blocks(g: Graph, owner: int, one_hop_only: bool):
-    """Member ordering is (owner, then sorted ids) so that the estimate's
-    numbering survives mode switches that change edges but not membership."""
     one = khop_neighbors(g, owner, 1)
-    if one_hop_only:
-        member_set = {owner} | set(one)
-    else:
-        member_set = {owner} | set(one) | set(khop_neighbors(g, owner, 2))
-    members = (owner, *sorted(member_set - {owner}))
+    members = view_members(g, owner, one_hop_only)
+    member_set = set(members)
     rest = tuple(sorted(set(range(g.node_count)) - member_set))
     index = {v: k for k, v in enumerate(members)}
     m = len(members)
@@ -397,21 +394,6 @@ class ObserverState:
     def neighbor_residuals(self, y: np.ndarray, neighbors) -> np.ndarray:
         r = self.residual(y)
         return np.array([r[self.view.member_index(j)] for j in neighbors])
-
-
-def observer_step(
-    obs: ObserverState,
-    y: np.ndarray,
-    mode_changed: bool,
-    step_h: float,
-    y_end: np.ndarray | None = None,
-) -> np.ndarray:
-    """Advance one step (reinitializing first on a mode change) and return the
-    residual against the freshest measurement."""
-    if mode_changed:
-        obs.reinit(y, obs.t)
-    obs.step(y, step_h, y_end)
-    return obs.residual(y if y_end is None else y_end)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,11 @@ import numpy as np
 
 from .dynamics import SimulationTrace, consensus_metrics, realized_disconnection_time
 from .graphs import (
+    Graph,
     algebraic_connectivity,
     adversary_classification,
     check_bound_chain,
+    laplacian,
     pe_margin,
     R_ROBUSTNESS_EXACT_CAP,
     vertex_connectivity,
@@ -91,20 +93,17 @@ def lambda2_series(trace: SimulationTrace, window: float, points: int = 200):
     if horizon < window:
         return np.array([]), np.array([])
     n = trace.node_count
-    seg = trace.segments
+    laps = [
+        (a, b, laplacian(Graph(n, tuple(edges))))
+        for a, b, _, edges, _ in trace.segments
+    ]
     starts = np.linspace(0.0, horizon - window, points)
     out = np.empty(points)
     for idx, t0 in enumerate(starts):
         acc = np.zeros((n, n))
-        for a, b, _, edges, _ in seg:
+        for a, b, lap in laps:
             lo, hi = max(a, t0), min(b, t0 + window)
             if hi > lo:
-                lap = np.zeros((n, n))
-                for i, j in edges:
-                    lap[i, i] += 1.0
-                    lap[j, j] += 1.0
-                    lap[i, j] -= 1.0
-                    lap[j, i] -= 1.0
                 acc += (hi - lo) * lap
         out[idx] = algebraic_connectivity(acc / window)
     return starts, out

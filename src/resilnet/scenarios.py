@@ -440,15 +440,6 @@ def random_connected_graph(rng, n: int, extra_edge_prob: float = 0.35) -> Graph:
     return Graph(n, tuple(sorted(edges)))
 
 
-def random_two_mode_network(
-    rng, n: int, period: float = 0.5, horizon: float = 4.0, extra_edge_prob: float = 0.35
-) -> SwitchingNetwork:
-    overlay = random_connected_graph(rng, n, extra_edge_prob)
-    return split_edges_alternating(
-        overlay, period, horizon, int(rng.integers(0, 2**31 - 1))
-    )
-
-
 def network_union(net: SwitchingNetwork) -> Graph:
     return union_graph(net.modes)
 

@@ -16,17 +16,10 @@ import numpy as np
 import scipy.linalg
 
 from .dynamics import Gains, closed_loop_matrix
-from .graphs import RANK_RTOL, Graph, khop_neighbors
+from .graphs import RANK_RTOL, Graph
+from .observers import view_members
 
 PENCIL_RESIDUAL_TOL = 1e-8
-
-
-def _member_set(g: Graph, owner: int, one_hop_only: bool) -> tuple:
-    one = sorted(khop_neighbors(g, owner, 1))
-    if one_hop_only:
-        return (owner, *one)
-    extra = sorted(khop_neighbors(g, owner, 2) - {owner} - set(one))
-    return (owner, *one, *extra)
 
 
 def collective_measurement_matrix(
@@ -39,7 +32,7 @@ def collective_measurement_matrix(
     malicious = set(malicious)
     rows = []
     for i in sorted(set(range(n)) - malicious):
-        for j in _member_set(g, i, one_hop_only):
+        for j in view_members(g, i, one_hop_only):
             row = np.zeros(2 * n)
             row[j] = 1.0
             rows.append(row)

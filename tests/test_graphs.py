@@ -12,7 +12,6 @@ from resilnet.graphs import (
     adversary_classification,
     check_bound_chain,
     complete_graph,
-    effective_edge_set,
     generate_r_robust_preferential,
     integral_laplacian,
     khop_neighbors,
@@ -147,31 +146,6 @@ def test_pe_margin_spectral_equivalence(seed):
     )
     report = pe_margin(net, 1.0)
     assert report.equivalence_gap < 1e-9
-
-
-def test_effective_edge_set_static():
-    g = random_connected_graph(np.random.default_rng(0), 6)
-    net = static_network(g, 3.0)
-    assert effective_edge_set(net, 1.0, 1.0).edges == g.edges
-
-
-def test_effective_edge_set_duty_cycle_boundary():
-    # edge (0,1) active half of every window; (1,2) always active
-    g_on = Graph(3, ((0, 1), (1, 2)))
-    g_off = Graph(3, ((1, 2),))
-    sched = tuple((0.5 * k, k % 2) for k in range(8))
-    net = SwitchingNetwork((g_on, g_off), sched, 4.0)
-    assert (0, 1) not in effective_edge_set(net, 1.0, 0.6).edges
-    assert (0, 1) in effective_edge_set(net, 1.0, 0.5).edges  # ">= delta" is inclusive
-    with pytest.raises(ValueError):
-        effective_edge_set(net, 1.0, 0.0)
-
-
-def test_effective_edge_set_small_delta_recovers_union():
-    rng = np.random.default_rng(7)
-    overlay = random_connected_graph(rng, 7)
-    net = split_edges_alternating(overlay, 0.5, 4.0, 3)
-    assert effective_edge_set(net, 1.0, 1e-9).edges == overlay.edges
 
 
 def test_algebraic_connectivity_examples():

@@ -4,10 +4,15 @@ import pytest
 from resilnet.dynamics import (
     AttackSignal,
     DeceptionAttack,
+    DoSInterval,
+    DoSRandomSpec,
+    DoSSchedule,
     Gains,
     SystemState,
     consensus_metrics,
+    simulate,
 )
+from resilnet.errors import ConfigurationError
 from resilnet.graphs import Graph, complete_graph, static_network
 from resilnet.isolation import (
     DetectorSettings,
@@ -44,11 +49,19 @@ def _small_problem(rng, attacks=(), dos=None, horizon=6.0, threshold=None, **det
 
 
 def test_attack_free_run_no_events(rng):
-    # analytic thresholds carry the no-false-alarm guarantee
-    problem = _small_problem(rng, threshold=ThresholdRule(kind="analytic"))
+    # analytic thresholds carry the no-false-alarm guarantee; the DoS trials
+    # that drop nothing leave equal edges in consecutive timeline entries
+    dos = DoSSchedule((DoSInterval(1.0, 2.0, random=DoSRandomSpec(8, 0.3, 11)),))
+    problem = _small_problem(rng, dos=dos, threshold=ThresholdRule(kind="analytic"))
     result = run_rescue(problem)
     assert result.run.events == ()
     assert result.run.removed_edges == frozenset()
+    # with nothing isolated, the rescue run walks the plant-only run's timeline
+    plant = simulate(problem.net, GAINS, problem.initial, dos=dos)
+    for name in ("t", "p_tilde", "v", "mode_index", "dos_active"):
+        assert np.array_equal(getattr(result.trace, name), getattr(plant, name)), name
+    assert result.trace.segments == plant.segments
+    assert result.trace.step_h == plant.step_h
     metrics = consensus_metrics(result.trace)
     assert metrics.max_position_gap[-1] < 0.25 * metrics.max_position_gap[0]
     report = post_isolation_connectivity(result.run)
@@ -155,6 +168,11 @@ def test_dp_msr_config_validation():
         DPMSRConfig(f_max=-1)
     with pytest.raises(ValueError):
         DPMSRConfig(f_max=1, sample_time=0.0)
+    # a 1.0 s horizon is not a whole number of 7e-4 s samples
+    net = static_network(complete_graph(4), 1.0)
+    problem = RescueProblem(net=net, gains=GAINS, initial=SystemState(np.ones(4), np.zeros(4)))
+    with pytest.raises(ConfigurationError, match="multiple of the step"):
+        dp_msr_run(problem, DPMSRConfig(f_max=1, sample_time=7e-4, gains=GAINS))
 
 
 def test_dp_msr_attack_free_consensus(rng):

@@ -20,7 +20,6 @@ from resilnet.observers import (
     gain_matrix,
     hypothesis_test,
     make_record,
-    observer_step,
     pbh_observability,
     residual_threshold,
     two_hop_view,
@@ -224,12 +223,14 @@ def test_observer_step_detects_ramp():
     obs = _make_observer(g, 0)
     h = trace.step_h
     y0 = obs.view.measure(trace.p_tilde[0], trace.v[0])
-    residual = observer_step(obs, y0, True, h)
+    obs.reinit(y0, obs.t)
+    obs.step(y0, h)
     crossed = None
     for k in range(1, len(trace.t) - 1):
         y_start = obs.view.measure(trace.p_tilde[k], trace.v[k])
         y_end = obs.view.measure(trace.p_tilde[k + 1], trace.v[k + 1])
-        residual = observer_step(obs, y_start, False, h, y_end)
+        obs.step(y_start, h, y_end)
+        residual = obs.residual(y_end)
         if abs(residual[obs.view.member_index(2)]) > 0.95:
             crossed = trace.t[k + 1]
             break

@@ -183,16 +183,28 @@ def test_cli_dp_msr(tmp_path):
 
 
 def test_cli_malformed_config(tmp_path):
-    path = tmp_path / "bad.json"
-    d = config_to_dict(generate_example1(0))
-    d["network"]["generator"]["kind"] = "teleport"
-    with open(path, "w") as fh:
-        json.dump(d, fh)
-    proc = _run_cli(["rescue", "--config", str(path), "--out", str(tmp_path / "x")])
-    assert proc.returncode == 2
-    err = json.loads(proc.stderr)
-    assert err["error"] == "configuration"
-    assert "teleport" in err["message"]
+    # (section, key, value, error category, message fragment): each mutated
+    # document must exit 2 with a categorized error, never a traceback
+    cases = [
+        ("network.generator", "kind", "teleport", "configuration", "teleport"),
+        ("", "step_h", 0, "configuration", "step"),
+        ("detector", "residual_log_stride", 0, "invalid-parameter", "residual_log_stride"),
+    ]
+    for k, (section, key, value, category, fragment) in enumerate(cases):
+        path = tmp_path / f"bad{k}.json"
+        d = config_to_dict(generate_example1(0))
+        node = d
+        for part in filter(None, section.split(".")):
+            node = node[part]
+        node[key] = value
+        with open(path, "w") as fh:
+            json.dump(d, fh)
+        proc = _run_cli(["rescue", "--config", str(path), "--out", str(tmp_path / "x")])
+        assert proc.returncode == 2, key
+        err = json.loads(proc.stderr)
+        assert set(err) == {"error", "message"}
+        assert err["error"] == category
+        assert fragment in err["message"]
 
 
 def test_cli_determinism(tmp_path):
