@@ -52,7 +52,6 @@ from .observers import (
     ObserverState,
     ThresholdRule,
     design_gain,
-    hypothesis_test,
     pbh_observability,
     residual_threshold,
     two_hop_view,

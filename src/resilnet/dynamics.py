@@ -34,8 +34,8 @@ class Gains:
     gamma: float
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.gamma <= 0:
-            raise ValueError("control gains must be strictly positive")
+        if not (0 < self.alpha < math.inf and 0 < self.gamma < math.inf):
+            raise ValueError("control gains must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,7 +160,7 @@ class DoSRandomSpec:
 class DoSInterval:
     start: float
     duration: float
-    dropped_edges: tuple | None = None
+    dropped_edges: tuple[tuple[int, int], ...] | None = None
     random: DoSRandomSpec | None = None
 
     def __post_init__(self):
@@ -172,7 +172,7 @@ class DoSInterval:
 
 @dataclass(frozen=True)
 class DoSSchedule:
-    intervals: tuple
+    intervals: tuple[DoSInterval, ...]
 
     def realize(self, candidate_edges) -> tuple:
         """Expand to sorted ``(t0, t1, frozenset(dropped))`` sub-intervals."""

@@ -48,7 +48,7 @@ class Graph:
     """
 
     node_count: int
-    edges: tuple
+    edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         if self.node_count < 2:

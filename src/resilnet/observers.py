@@ -429,7 +429,7 @@ def residual_threshold(
 class ThresholdRule:
     """Threshold policy: the analytic bound, a constant, or a + b e^{-c t}."""
 
-    kind: str = "analytic"
+    kind: str = "constant"
     value: float = 0.95
     amplitude: float = 0.0
     rate: float = 1.0
@@ -479,16 +479,6 @@ class ResidualRecord:
     residuals: tuple
     thresholds: tuple
     verdicts: tuple  # "null" | "attacked"
-
-
-def hypothesis_test(record: ResidualRecord, prior_flags=frozenset()) -> frozenset:
-    """Flag neighbor j iff |r^{i,j}| strictly exceeds its threshold; verdicts
-    are sticky across calls via ``prior_flags``."""
-    flagged = set(prior_flags)
-    for j, r, eps in zip(record.neighbors, record.residuals, record.thresholds):
-        if abs(r) > eps:
-            flagged.add(j)
-    return frozenset(flagged)
 
 
 def make_record(

