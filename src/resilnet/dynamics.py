@@ -334,9 +334,10 @@ def build_edge_timeline(
 
 
 def _rk4_step(a_mat, x, b_fun, t, h):
+    b_mid = b_fun(t + 0.5 * h)
     k1 = a_mat @ x + b_fun(t)
-    k2 = a_mat @ (x + 0.5 * h * k1) + b_fun(t + 0.5 * h)
-    k3 = a_mat @ (x + 0.5 * h * k2) + b_fun(t + 0.5 * h)
+    k2 = a_mat @ (x + 0.5 * h * k1) + b_mid
+    k3 = a_mat @ (x + 0.5 * h * k2) + b_mid
     k4 = a_mat @ (x + h * k3) + b_fun(t + h)
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 

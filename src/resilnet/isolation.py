@@ -6,10 +6,19 @@ agent then steps its local observer against fresh measurements, tests each
 link whose residual exceeds it.  Isolation is a state-dependent switch: the
 pruned network is what both the plant and every observer see from the next
 tick on.  A trimming-based DP-MSR baseline is included for comparison runs.
+
+Between edge-set changes all observers run as one bank: their estimates are
+stacked in a zero-padded batch and advanced by one batched RK4 step, their
+measurements and per-neighbor residuals are gathered by index from the
+plant state, and the threshold test and dwell counters are array
+operations.  Each agent's ``ObserverState`` stays its reconfiguration
+record: on every edge-set change the bank writes the estimates, clocks and
+dwell counters back, the observers reconfigure, and a new bank is built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +88,13 @@ class DetectorSettings:
             raise ValueError("dwell must be >= 1")
         if self.residual_log_stride < 1:
             raise ValueError("residual_log_stride must be >= 1")
+        for name in ("gain_k1", "gain_kc", "pe_window"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0 <= self.retain_grace < math.inf:
+            raise ValueError("retain_grace must be finite and >= 0")
+        if self.w_budget is not None and not 0 < self.w_budget < math.inf:
+            raise ValueError("w_budget must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,6 +151,90 @@ def _auto_w_budget(problem: RescueProblem, consts: StabilityConstants | None) ->
     return max(2.0 * v0, float(np.sqrt(n)) * consts.kappa_x * x0)
 
 
+class _ObserverBank:
+    """Every detector's observer as one zero-padded batch, for one edge set.
+
+    Row k holds observer k's estimate in its first 2m entries (m = view
+    size), its A_bar = A_model - H C and its gain H in the leading blocks,
+    and zeros elsewhere, so padding never mixes into an estimate.  The
+    residual slots are the (detector, neighbor) pairs in neighbor-map order.
+    """
+
+    def __init__(self, detectors, observers, neighbor_map, dwell_counters, n):
+        self.observers = [observers[i] for i in detectors]
+        size = max((obs.view.size for obs in self.observers), default=0)
+        rows = len(self.observers)
+        self.a_bar = np.zeros((rows, 2 * size, 2 * size))
+        self.h_mat = np.zeros((rows, 2 * size, size + 1))
+        self.x_hat = np.zeros((rows, 2 * size, 1))
+        # plant-state index of every measurement: member positions, then the
+        # owner's velocity; padded entries read p~_0 into zero gain columns
+        self.gather = np.zeros((rows, size + 1, 1), dtype=int)
+        self.clock = np.array([obs.t for obs in self.observers], dtype=float)
+        self.pairs = []
+        self.logged = []  # (detector, neighbors, first slot, end slot)
+        slot_row, slot_state = [], []
+        for k, (i, obs) in enumerate(zip(detectors, self.observers)):
+            m = obs.view.size
+            self.a_bar[k, : 2 * m, : 2 * m] = obs._a_bar
+            self.h_mat[k, : 2 * m, : m + 1] = obs.gain.h_matrix
+            self.x_hat[k, : 2 * m, 0] = obs.x_hat
+            self.gather[k, :m, 0] = obs.view.members
+            self.gather[k, m, 0] = n + obs.view.owner
+            nbrs = neighbor_map[i]
+            if nbrs:
+                self.logged.append((i, nbrs, len(self.pairs), len(self.pairs) + len(nbrs)))
+            for j in nbrs:
+                self.pairs.append((i, j))
+                slot_row.append(k)
+                slot_state.append(k * 2 * size + obs.view.member_index(j))
+        self.slot_row = np.array(slot_row, dtype=int)
+        self.slot_state = np.array(slot_state, dtype=int)
+        self.slot_meas = np.array([j for _, j in self.pairs], dtype=int)
+        # a pair's counter survives the edge sets in which it is not a pair
+        self.dwell = np.array([dwell_counters.get(p, 0) for p in self.pairs], dtype=int)
+
+    def step(self, x_start: np.ndarray, x_end: np.ndarray, h: float) -> np.ndarray:
+        """``ObserverState.step`` for every row across one plant step from
+        ``x_start`` to ``x_end``; returns the residual of every slot."""
+        y_start, y_end = x_start[self.gather], x_end[self.gather]
+        hy = self.h_mat @ np.concatenate([y_start, 0.5 * (y_start + y_end), y_end], axis=2)
+        hy_start, hy_mid, hy_end = hy[:, :, 0:1], hy[:, :, 1:2], hy[:, :, 2:3]
+        a, x = self.a_bar, self.x_hat
+        k1 = a @ x + hy_start
+        k2 = a @ (x + 0.5 * h * k1) + hy_mid
+        k3 = a @ (x + 0.5 * h * k2) + hy_mid
+        k4 = a @ (x + h * k3) + hy_end
+        self.x_hat = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        self.clock += h
+        # a neighbor's residual is its measured position minus its estimate
+        return x_end[self.slot_meas] - self.x_hat.ravel()[self.slot_state]
+
+    def thresholds(self, rule: ThresholdRule, t: float, x0_norm: float, consts) -> np.ndarray:
+        """One threshold per detector, repeated over its slots; only the
+        analytic bound depends on the observer."""
+        if rule.kind != "analytic":
+            return np.full(len(self.pairs), rule.evaluate(t, None))
+        per_row = [
+            rule.evaluate(t, obs, t0=0.0, x0_norm=x0_norm, consts=consts)
+            for obs in self.observers
+        ]
+        return np.array(per_row)[self.slot_row]
+
+    def dwell_hits(self, residuals: np.ndarray, eps: np.ndarray, dwell: int) -> np.ndarray:
+        """Advance the dwell counters; return the slots that reached ``dwell``."""
+        exceeded = np.abs(residuals) > eps
+        self.dwell = np.where(exceeded, self.dwell + 1, 0)
+        return np.flatnonzero(self.dwell >= dwell)
+
+    def write_back(self, dwell_counters: dict):
+        """Return the estimates, clocks and dwell counters to their owners."""
+        for k, obs in enumerate(self.observers):
+            obs.x_hat = self.x_hat[k, : 2 * obs.view.size, 0].copy()
+            obs.t = float(self.clock[k])
+        dwell_counters.update(zip(self.pairs, self.dwell.tolist()))
+
+
 def run_rescue(problem: RescueProblem) -> RescueResult:
     """Algorithm core: plant step, observer steps, hypothesis tests, pruning.
 
@@ -166,6 +266,7 @@ def run_rescue(problem: RescueProblem) -> RescueResult:
     detectors = problem.cooperative
     removed: set = set()
     observers: dict[int, ObserverState] = {}
+    bank: _ObserverBank | None = None
     gain_cache: dict = {}
     dwell_counters: dict = {}
     flagged: dict[int, frozenset] = {i: frozenset() for i in detectors}
@@ -195,8 +296,12 @@ def run_rescue(problem: RescueProblem) -> RescueResult:
         return gain
 
     def on_edges(edges, t, x):
-        """Reconfigure every observer whose model changed; return the
-        closed-loop matrix and the detectors' 1-hop neighbors."""
+        """Hand the bank's state back, reconfigure every observer whose model
+        changed and rebuild the bank; return the closed-loop matrix and the
+        bank."""
+        nonlocal bank
+        if bank is not None:
+            bank.write_back(dwell_counters)
         graph_eff = Graph(n, tuple(sorted(edges)))
         a_mat = closed_loop_matrix(graph_eff, gains)
         neighbor_map = {i: graph_eff.neighbors(i) for i in detectors}
@@ -222,59 +327,38 @@ def run_rescue(problem: RescueProblem) -> RescueResult:
             else:
                 obs.reconfigure(view, gain)
                 obs.reinit(view.measure(x[:n], x[n:]), t)
-        return a_mat, neighbor_map
+        bank = _ObserverBank(detectors, observers, neighbor_map, dwell_counters, n)
+        return a_mat, bank
 
     def step(context, x, k, t):
-        """Plant step, then every detector's observer step and tests."""
-        a_mat, neighbor_map = context
-        y_starts = {i: observers[i].view.measure(x[:n], x[n:]) for i in detectors}
-        x = _rk4_step(a_mat, x, forcing, t, h)
+        """Plant step, then the bank's observer step and tests; Python runs
+        per pair only on a new verdict and per detector only on log steps."""
+        a_mat, bank = context
+        x_next = _rk4_step(a_mat, x, forcing, t, h)
         t_next = (k + 1) * h
-        log_now = (k + 1) % settings.residual_log_stride == 0
-        for i in detectors:
-            obs = observers[i]
-            y_end = obs.view.measure(x[:n], x[n:])
-            obs.step(y_starts[i], h, y_end)
-            nbrs = neighbor_map[i]
-            if not nbrs:
+        res = bank.step(x, x_next, h)
+        eps = bank.thresholds(settings.threshold, t_next, x0_norm, consts)
+        for s in bank.dwell_hits(res, eps, settings.dwell):
+            i, j = bank.pairs[s]
+            if j in flagged[i]:
                 continue
-            res = obs.neighbor_residuals(y_end, nbrs)
-            eps = np.array(
-                [
-                    settings.threshold.evaluate(
-                        t_next, obs, t0=0.0, x0_norm=x0_norm, consts=consts
-                    )
-                ]
-                * len(nbrs)
+            flagged[i] = flagged[i] | {j}
+            removed.add((min(i, j), max(i, j)))
+            events.append(
+                IsolationEvent(
+                    t=t_next,
+                    detector=i,
+                    isolated=j,
+                    residual=float(res[s]),
+                    threshold=float(eps[s]),
+                )
             )
-            exceeded = np.abs(res) > eps
-            new_flags = set()
-            for j, hit in zip(nbrs, exceeded):
-                key = (i, j)
-                if hit:
-                    dwell_counters[key] = dwell_counters.get(key, 0) + 1
-                    if dwell_counters[key] >= settings.dwell:
-                        new_flags.add(j)
-                else:
-                    dwell_counters[key] = 0
-            prior = flagged[i]
-            for j in sorted(new_flags - prior):
-                removed.add((min(i, j), max(i, j)))
-                events.append(
-                    IsolationEvent(
-                        t=t_next,
-                        detector=i,
-                        isolated=j,
-                        residual=float(res[nbrs.index(j)]),
-                        threshold=float(eps[nbrs.index(j)]),
-                    )
-                )
-            flagged[i] = frozenset(prior | new_flags)
-            if log_now:
+        if (k + 1) % settings.residual_log_stride == 0:
+            for i, nbrs, lo, hi in bank.logged:
                 residual_log.append(
-                    make_record(t_next, i, nbrs, res, eps, flagged[i])
+                    make_record(t_next, i, nbrs, res[lo:hi], eps[lo:hi], flagged[i])
                 )
-        return x
+        return x_next
 
     trace = _walk(
         net, problem.initial, problem.dos, problem.horizon, h, on_edges, step, removed

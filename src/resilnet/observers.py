@@ -438,6 +438,10 @@ class ThresholdRule:
     def __post_init__(self):
         if self.kind not in ("analytic", "constant", "exponential"):
             raise ValueError(f"unknown threshold kind {self.kind!r}")
+        # |r| > nan is never true: a NaN threshold would disable detection
+        for name in ("value", "amplitude", "rate", "offset"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"threshold {name} must be finite")
 
     def evaluate(
         self,

@@ -11,7 +11,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import SimulationTrace, consensus_metrics, realized_disconnection_time
+from .dynamics import (
+    SimulationTrace,
+    consensus_metrics,
+    realized_disconnection_time,
+    simulate,
+)
+from .errors import ConfigurationError
 from .graphs import (
     Graph,
     algebraic_connectivity,
@@ -20,9 +26,10 @@ from .graphs import (
     laplacian,
     pe_margin,
     R_ROBUSTNESS_EXACT_CAP,
+    remove_nodes,
     vertex_connectivity,
 )
-from .isolation import RescueResult, post_isolation_connectivity
+from .isolation import RescueResult, dp_msr_run, post_isolation_connectivity, run_rescue
 from .scenarios import ScenarioConfig, build_network, materialize, overlay_certificate
 
 
@@ -168,8 +175,6 @@ def graph_metrics(config: ScenarioConfig) -> dict:
     if malicious:
         f_total, f_local = adversary_classification(eff, malicious)
         out.update(adversary_f_total=f_total, adversary_f_local=f_local)
-        from .graphs import remove_nodes
-
         kept = remove_nodes(net, malicious)
         removed_report = pe_margin(kept.network, window)
         out.update(
@@ -225,8 +230,6 @@ def write_report(path, report: dict):
 def run_scenario(config: ScenarioConfig, out_dir) -> dict:
     """Full pipeline: rescue run, trace/event/residual CSVs, metric report,
     plot data.  Returns the report dict."""
-    from .isolation import run_rescue
-
     out_dir = Path(out_dir)
     problem = materialize(config)
     result = run_rescue(problem)
@@ -248,8 +251,6 @@ def run_scenario(config: ScenarioConfig, out_dir) -> dict:
 
 def run_plant_only(config: ScenarioConfig, out_dir) -> dict:
     """Plant simulation without detection (attacks and DoS still apply)."""
-    from .dynamics import simulate
-
     out_dir = Path(out_dir)
     problem = materialize(config)
     trace = simulate(
@@ -275,11 +276,7 @@ def run_plant_only(config: ScenarioConfig, out_dir) -> dict:
 
 
 def run_dp_msr(config: ScenarioConfig, out_dir) -> dict:
-    from .isolation import dp_msr_run
-
     if config.dp_msr is None:
-        from .errors import ConfigurationError
-
         raise ConfigurationError("scenario has no dp_msr section")
     out_dir = Path(out_dir)
     problem = materialize(config)

@@ -9,21 +9,36 @@ from resilnet.dynamics import (
     DoSSchedule,
     Gains,
     SystemState,
+    _forcing,
+    _rk4_step,
+    _walk,
+    closed_loop_matrix,
     consensus_metrics,
     simulate,
+    stability_constants,
 )
 from resilnet.errors import ConfigurationError
-from resilnet.graphs import Graph, complete_graph, static_network
+from resilnet.graphs import Graph, complete_graph, pe_margin, static_network
 from resilnet.isolation import (
     DetectorSettings,
     DPMSRConfig,
+    IsolationEvent,
     RescueProblem,
+    _auto_w_budget,
     dp_msr_run,
     isolation_complete,
     post_isolation_connectivity,
     run_rescue,
 )
-from resilnet.observers import ThresholdRule
+from resilnet.observers import (
+    ObserverGain,
+    ObserverState,
+    ThresholdRule,
+    design_gain,
+    gain_matrix,
+    make_record,
+    two_hop_view,
+)
 from resilnet.scenarios import (
     generate_example1,
     materialize,
@@ -107,6 +122,151 @@ def test_rescue_events_marked_on_live_edges_only(rng):
         pair = (min(event.detector, event.isolated), max(event.detector, event.isolated))
         assert pair not in seen  # no duplicate isolation of the same link
         seen.add(pair)
+
+
+def _per_agent_rescue(problem):
+    """Reference rescue loop, observer by observer: every detector measures
+    through its view, steps with ``ObserverState.step`` and tests
+    ``neighbor_residuals`` on every tick."""
+    net, gains, settings = problem.net, problem.gains, problem.detector
+    n, h = net.node_count, problem.step_h
+    certified = settings.threshold.kind == "analytic"
+    consts = None
+    if certified:
+        mu = pe_margin(net, settings.pe_window).mu
+        consts = stability_constants(mu, settings.pe_window, gains, n)
+    w_budget = settings.w_budget or _auto_w_budget(problem, consts)
+    x0_norm = float(np.linalg.norm(problem.initial.stacked()))
+    detectors = problem.cooperative
+    removed, observers, dwell, events, log = set(), {}, {}, [], []
+    flagged = {i: frozenset() for i in detectors}
+    forcing = _forcing(problem.attacks, n)
+
+    def gain_of(view):
+        if certified:
+            return design_gain(view, k_consensus=settings.gain_kc)
+        h_matrix = gain_matrix(view, settings.gain_k1, settings.gain_kc)
+        return ObserverGain(h_matrix, settings.gain_k1, None, None, None)
+
+    def on_edges(edges, t, x):
+        graph = Graph(n, tuple(sorted(edges)))
+        for i in detectors:
+            view = two_hop_view(graph, i, gains, settings.one_hop_only)
+            obs = observers.get(i)
+            y = view.measure(x[:n], x[n:])
+            if obs is None:
+                observers[i] = ObserverState(view, gain_of(view), w_budget, t, settings.retain_grace)
+                observers[i].reinit(y, t)
+            elif view.members == obs.view.members and np.array_equal(
+                view.a_model, obs.view.a_model
+            ):
+                continue
+            elif settings.reinit_policy != "model" and view.members == obs.view.members:
+                obs.reconfigure(view, gain_of(view), keep_state=True)
+            elif settings.reinit_policy == "retain":
+                obs.remap(view, gain_of(view), y, t)
+            else:
+                obs.reconfigure(view, gain_of(view))
+                obs.reinit(y, t)
+        a_mat = closed_loop_matrix(graph, gains)
+        return a_mat, {i: graph.neighbors(i) for i in detectors}
+
+    def step(context, x, k, t):
+        a_mat, neighbor_map = context
+        y_start = {i: observers[i].view.measure(x[:n], x[n:]) for i in detectors}
+        x = _rk4_step(a_mat, x, forcing, t, h)
+        t_next = (k + 1) * h
+        for i in detectors:
+            obs = observers[i]
+            y_end = obs.view.measure(x[:n], x[n:])
+            obs.step(y_start[i], h, y_end)
+            nbrs = neighbor_map[i]
+            if not nbrs:
+                continue
+            res = obs.neighbor_residuals(y_end, nbrs)
+            eps = settings.threshold.evaluate(
+                t_next, obs, t0=0.0, x0_norm=x0_norm, consts=consts
+            )
+            hits = set()
+            for j, r in zip(nbrs, res):
+                dwell[i, j] = dwell.get((i, j), 0) + 1 if abs(r) > eps else 0
+                if dwell[i, j] >= settings.dwell:
+                    hits.add(j)
+            for j in sorted(hits - flagged[i]):
+                removed.add((min(i, j), max(i, j)))
+                events.append(IsolationEvent(t_next, i, j, float(res[nbrs.index(j)]), eps))
+            flagged[i] = flagged[i] | hits
+            if (k + 1) % settings.residual_log_stride == 0:
+                log.append(make_record(t_next, i, nbrs, res, [eps] * len(nbrs), flagged[i]))
+        return x
+
+    trace = _walk(net, problem.initial, problem.dos, problem.horizon, h, on_edges, step, removed)
+    return trace, events, log
+
+
+@pytest.mark.parametrize(
+    "detector",
+    [
+        dict(dwell=3),
+        # exceedance runs this long straddle edge-set changes, so the pair
+        # counters must survive the bank's rebuilds
+        dict(dwell=200),
+        dict(threshold=ThresholdRule(kind="analytic")),
+        dict(reinit_policy="retain"),
+        dict(reinit_policy="membership"),
+        dict(reinit_policy="model"),
+    ],
+    ids=["constant-dwell3", "constant-dwell200", "analytic", "retain", "membership", "model"],
+)
+def test_rescue_bank_matches_per_agent_loop(rng, detector):
+    dos = DoSSchedule(
+        (DoSInterval(0.5, 2.0, random=DoSRandomSpec(10, 0.6, 5, scheme="event")),)
+    )
+    attacks = (DeceptionAttack(5, 0.0, AttackSignal("ramp", slope=4.0)),)
+    problem = _small_problem(rng, attacks, dos=dos, horizon=3.0, **detector)
+    result = run_rescue(problem)
+    trace, events, log = _per_agent_rescue(problem)
+    # every constant-threshold case isolates someone; the analytic bound
+    # stays above this run's residuals
+    assert bool(events) == (problem.detector.threshold.kind == "constant")
+
+    def key(e):
+        return (e.t, e.detector, e.isolated, e.threshold)
+
+    assert [key(e) for e in result.run.events] == [key(e) for e in events]
+    for got, want in zip(result.run.events, events):
+        assert got.residual == pytest.approx(want.residual, rel=0, abs=1e-12)
+    assert np.array_equal(result.trace.p_tilde, trace.p_tilde)
+    assert np.array_equal(result.trace.v, trace.v)
+    assert result.trace.segments == trace.segments
+    assert len(result.residual_log) == len(log)
+    for got, want in zip(result.residual_log, log):
+        assert (got.t, got.owner, got.neighbors) == (want.t, want.owner, want.neighbors)
+        assert got.thresholds == want.thresholds
+        assert got.verdicts == want.verdicts
+        assert np.allclose(got.residuals, want.residuals, rtol=0, atol=1e-12)
+
+
+def test_detector_settings_validation():
+    nan, inf = float("nan"), float("inf")
+    bad = [
+        *(
+            {name: value}
+            for name in ("gain_k1", "gain_kc", "pe_window")
+            for value in (0.0, -1.0, nan, inf)
+        ),
+        *({"retain_grace": value} for value in (-0.5, nan, inf)),
+        *({"w_budget": value} for value in (0.0, -1.0, nan, inf)),
+        {"dwell": 0},
+        {"residual_log_stride": 0},
+        {"reinit_policy": "sometimes"},
+    ]
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            DetectorSettings(**kwargs)
+    # the boundaries that stay valid
+    DetectorSettings(retain_grace=0.0, w_budget=None)
+    DetectorSettings(w_budget=2.5)
 
 
 def test_post_isolation_connectivity_negative_case(rng):

@@ -260,6 +260,14 @@ def test_threshold_rule_overrides():
         ThresholdRule(kind="analytic").evaluate(1.0, obs=None, consts=None)
 
 
+def test_threshold_rule_rejects_non_finite():
+    # |r| > nan is never true, so a NaN threshold would silently disable detection
+    for name in ("value", "amplitude", "rate", "offset"):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match=name):
+                ThresholdRule(kind="exponential", **{name: bad})
+
+
 def test_hypothesis_test_strict_and_sticky():
     again = make_record(
         t=2.0, owner=0, neighbors=(1, 2, 3),
