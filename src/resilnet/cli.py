@@ -92,7 +92,9 @@ def main(argv=None) -> int:
                 report = run_scenario(config, args.out)
             else:
                 report = run_dp_msr(config, args.out)
-        json.dump(report, sys.stdout, indent=2, sort_keys=True, default=float)
+        json.dump(
+            report, sys.stdout, indent=2, sort_keys=True, default=float, allow_nan=False
+        )
         print()
         return 0
     except ResilnetError as exc:

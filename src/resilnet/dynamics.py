@@ -7,6 +7,13 @@ linear system xdot = A_sigma x + B_A u_A with A_sigma = [[0, I], [-alpha L,
 -gamma I]].  Deception attacks enter through named waveforms; DoS attacks
 nullify scheduled edge subsets.  Integration is fixed-step RK4 with every
 topology boundary aligned to the step grid.
+
+Between two edge-set changes the closed loop is linear time-invariant, so one
+RK4 step is a matrix: x+ = R x + G0 b(t) + Gm b(t + h/2) + G1 b(t + h), with R
+RK4's stability polynomial in hA.  Each realized segment builds R and the
+attacker columns of G0, Gm, G1 once; the attack waveforms are sampled once per
+run on the half-step grid.  The method is RK4 either way; only rounding
+differs from the stage form.
 """
 
 from __future__ import annotations
@@ -26,6 +33,9 @@ from .graphs import (
 )
 
 _GRID_RTOL = 1e-9
+# a run stores (steps + 1) x node_count positions and as many velocities;
+# about 15x example2's 40 s trace
+_MAX_TRACE_CELLS = 5e7
 
 
 @dataclass(frozen=True)
@@ -84,12 +94,14 @@ class AttackSignal:
         if self.kind not in ("ramp", "constant", "sinusoid"):
             raise ValueError(f"unknown signal kind {self.kind!r}")
 
-    def __call__(self, t: float) -> float:
+    def __call__(self, t):
+        """Value at ``t``, a float or an array of times (a constant stays a
+        scalar and broadcasts)."""
         if self.kind == "ramp":
             return self.slope * t
         if self.kind == "constant":
             return self.value
-        return self.amplitude * math.sin(
+        return self.amplitude * np.sin(
             2.0 * math.pi * self.frequency * t + self.phase
         )
 
@@ -122,6 +134,24 @@ def injection_vector(attacks, n: int, t: float) -> np.ndarray:
     u = np.zeros(n)
     for atk in attacks:
         u[atk.agent] += atk.value(t)
+    return u
+
+
+def _attackers(attacks) -> tuple:
+    """The injecting agents in sorted order: the columns of the injection
+    samples and of the plant's forcing matrix."""
+    return tuple(sorted({atk.agent for atk in attacks}))
+
+
+def _injection_samples(attacks, steps: int, h: float) -> np.ndarray:
+    """Injections on the half-step grid of a run: row 2k at t = kh, row
+    2k + 1 at the RK4 midpoint, one column per ``_attackers`` entry."""
+    agents = _attackers(attacks)
+    t = np.arange(2 * steps + 1) * (0.5 * h)
+    u = np.zeros((t.size, len(agents)))
+    for atk in attacks:
+        live = t >= atk.activation_time
+        u[live, agents.index(atk.agent)] += atk.signal(t[live])
     return u
 
 
@@ -333,23 +363,57 @@ def build_edge_timeline(
     return tuple(timeline)
 
 
-def _rk4_step(a_mat, x, b_fun, t, h):
-    b_mid = b_fun(t + 0.5 * h)
-    k1 = a_mat @ x + b_fun(t)
-    k2 = a_mat @ (x + 0.5 * h * k1) + b_mid
-    k3 = a_mat @ (x + 0.5 * h * k2) + b_mid
-    k4 = a_mat @ (x + h * k3) + b_fun(t + h)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_matrices(a_mat: np.ndarray, h: float) -> tuple:
+    """RK4 on x' = A x + b(t) as x+ = R x + G0 b(t) + Gm b(t + h/2) + G1 b(t + h).
+
+    Returns (R, G0, Gm); G1 = h/6 I.  With a = hA, R = I + a + a^2/2 + a^3/6
+    + a^4/24 (RK4's stability polynomial), G0 = h/6 (I + a + a^2/2 + a^3/4)
+    and Gm = h/6 (4I + 2a + a^2/2) gather the two midpoint stages.
+    """
+    eye = np.eye(a_mat.shape[0])
+    a = h * a_mat
+    a2 = a @ a
+    a3 = a2 @ a
+    r = eye + a + a2 / 2.0 + a3 / 6.0 + (a2 @ a2) / 24.0
+    g0 = (h / 6.0) * (eye + a + a2 / 2.0 + a3 / 4.0)
+    gm = (h / 6.0) * (4.0 * eye + 2.0 * a + a2 / 2.0)
+    return r, g0, gm
 
 
-def _walk(net, initial, dos, horizon, step_h, on_edges, step, removed=frozenset()):
+def _plant_matrices(g: Graph, gains: Gains, agents: tuple, h: float) -> tuple:
+    """R and [G0 | Gm | G1] of the closed loop on ``g``, the forcing blocks
+    cut to the velocity columns of ``agents``."""
+    n = g.node_count
+    r, g0, gm = _rk4_matrices(closed_loop_matrix(g, gains), h)
+    cols = [n + i for i in agents]
+    g1 = np.zeros((2 * n, len(cols)))
+    g1[cols, np.arange(len(cols))] = h / 6.0
+    return r, np.hstack([g0[:, cols], gm[:, cols], g1])
+
+
+def _plant_step(plant: tuple, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One RK4 step of the closed loop; ``u`` holds the attackers'
+    injections at the step's start, midpoint and end, as ``_walk`` passes
+    them."""
+    r, g = plant
+    return r @ x + g @ u
+
+
+# an overflow is reported once, as the error at the end of the walk, rather
+# than as a warning per step
+@np.errstate(over="ignore", invalid="ignore")
+def _walk(
+    net, initial, attacks, dos, horizon, step_h, on_edges, step, removed=frozenset()
+):
     """Walk the edge timeline of [0, horizon] in fixed steps and record the run.
 
     The effective edges of a step are the timeline's edges minus ``removed``,
     a set the caller may grow during the walk.  ``on_edges(edges, t, x)``
     builds the caller's context whenever the effective edges change, and
-    ``step(context, x, k, t)`` returns the stacked state one step later.
-    Consecutive steps with equal effective edges form one realized segment.
+    ``step(context, x, k, u)`` returns the stacked state one step later;
+    ``u`` holds the attackers' injections at t_k, the midpoint and t_{k+1}
+    (rows 2k to 2k + 2 of ``_injection_samples``, flattened).  Consecutive
+    steps with equal effective edges form one realized segment.
     """
     n = net.node_count
     if initial.node_count != n:
@@ -359,6 +423,12 @@ def _walk(net, initial, dos, horizon, step_h, on_edges, step, removed=frozenset(
     horizon = net.horizon if horizon is None else horizon
     if not 0 < horizon <= net.horizon + 1e-12:
         raise ConfigurationError("horizon must lie in (0, network horizon]")
+    # checked before anything of the grid's size exists
+    if not (horizon / step_h + 1) * n <= _MAX_TRACE_CELLS:
+        raise ConfigurationError(
+            f"{horizon / step_h:.3g} steps of {n} agents exceed the "
+            f"{_MAX_TRACE_CELLS:.0e}-cell trace limit"
+        )
     if not _on_grid(horizon, step_h):
         raise ConfigurationError("horizon must be a multiple of the step")
     steps = round(horizon / step_h)
@@ -371,6 +441,8 @@ def _walk(net, initial, dos, horizon, step_h, on_edges, step, removed=frozenset(
     dos_arr = np.zeros(steps + 1, dtype=bool)
     x = initial.stacked().copy()
     p_arr[0], v_arr[0] = x[:n], x[n:]
+    samples = _injection_samples(attacks, steps, step_h).ravel()
+    columns = len(_attackers(attacks))
 
     segments: list = []
     seg_idx = 0
@@ -391,8 +463,16 @@ def _walk(net, initial, dos, horizon, step_h, on_edges, step, removed=frozenset(
             segments[-1][1] = t + step_h
         mode_arr[k] = mode
         dos_arr[k] = dos_now
-        x = step(context, x, k, t)
+        lo = 2 * k * columns
+        x = step(context, x, k, samples[lo : lo + 3 * columns])
         p_arr[k + 1], v_arr[k + 1] = x[:n], x[n:]
+    # no update turns a non-finite entry finite again, so the last state
+    # tells whether any step overflowed
+    if not np.isfinite(x).all():
+        finite = np.isfinite(p_arr).all(axis=1) & np.isfinite(v_arr).all(axis=1)
+        raise ConfigurationError(
+            f"the state is not finite from t = {t_arr[np.argmin(finite)]:.6g} on"
+        )
     mode_arr[steps] = timeline[-1][2]
     dos_arr[steps] = timeline[-1][4]
     return SimulationTrace(
@@ -404,17 +484,6 @@ def _walk(net, initial, dos, horizon, step_h, on_edges, step, removed=frozenset(
         segments=tuple(tuple(seg) for seg in segments),
         step_h=step_h,
     )
-
-
-def _forcing(attacks, n: int):
-    """Stacked deception input col(0, u_A(t)) of the closed loop."""
-
-    def forcing(t):
-        b = np.zeros(2 * n)
-        b[n:] = injection_vector(attacks, n, t)
-        return b
-
-    return forcing
 
 
 def simulate(
@@ -432,15 +501,18 @@ def simulate(
     deception inputs are evaluated at the RK4 stage times.
     """
     n = net.node_count
-    forcing = _forcing(attacks, n)
+    agents = _attackers(attacks)
     return _walk(
         net,
         initial,
+        attacks,
         dos,
         horizon,
         step_h,
-        lambda edges, t, x: closed_loop_matrix(Graph(n, tuple(edges)), gains),
-        lambda a_mat, x, k, t: _rk4_step(a_mat, x, forcing, t, step_h),
+        lambda edges, t, x: _plant_matrices(
+            Graph(n, tuple(edges)), gains, agents, step_h
+        ),
+        lambda plant, x, k, u: _plant_step(plant, x, u),
     )
 
 

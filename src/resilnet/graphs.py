@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -64,11 +65,21 @@ class Graph:
             a[i, j] = a[j, i] = 1.0
         return a
 
+    @cached_property
+    def _neighbor_lists(self) -> tuple:
+        """Sorted neighbors of every node, built on first use.  Not a field:
+        equality, hashing and the scenario codec see ``edges`` only."""
+        nbrs = [[] for _ in range(self.node_count)]
+        for i, j in self.edges:
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+        return tuple(tuple(sorted(a)) for a in nbrs)
+
     def neighbors(self, i: int) -> tuple:
-        return tuple(sorted({j for e in self.edges for j in e if i in e} - {i}))
+        return self._neighbor_lists[i]
 
     def degree(self, i: int) -> int:
-        return sum(1 for e in self.edges if i in e)
+        return len(self._neighbor_lists[i])
 
     def is_connected(self) -> bool:
         return _components(self) == 1
@@ -112,10 +123,7 @@ def union_graph(graphs) -> Graph:
 
 def _components(g: Graph) -> int:
     seen = [False] * g.node_count
-    nbrs = {i: [] for i in range(g.node_count)}
-    for i, j in g.edges:
-        nbrs[i].append(j)
-        nbrs[j].append(i)
+    nbrs = g._neighbor_lists
     count = 0
     for root in range(g.node_count):
         if seen[root]:

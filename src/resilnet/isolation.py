@@ -7,13 +7,17 @@ link whose residual exceeds it.  Isolation is a state-dependent switch: the
 pruned network is what both the plant and every observer see from the next
 tick on.  A trimming-based DP-MSR baseline is included for comparison runs.
 
-Between edge-set changes all observers run as one bank: their estimates are
-stacked in a zero-padded batch and advanced by one batched RK4 step, their
-measurements and per-neighbor residuals are gathered by index from the
-plant state, and the threshold test and dwell counters are array
-operations.  Each agent's ``ObserverState`` stays its reconfiguration
-record: on every edge-set change the bank writes the estimates, clocks and
-dwell counters back, the observers reconfigure, and a new bank is built.
+Between edge-set changes all observers run as one bank.  An observer's
+model is linear time-invariant there and its measurement is interpolated
+linearly across a plant step, so its RK4 step is one matrix: x^+ = R_o x^ +
+F0 y_start + F1 y_end, built when the observer's model changes and cached by
+model and gain.  The bank stacks [R_o | F0 | F1] in a zero-padded batch and
+advances every estimate with one batched product; measurements and
+per-neighbor residuals are gathered by index from the plant state, and the
+threshold test and dwell counters are array operations.  Each agent's
+``ObserverState`` stays its reconfiguration record: on every edge-set change
+the bank writes the estimates, clocks and dwell counters back, the observers
+reconfigure, and a new bank is built.
 """
 
 from __future__ import annotations
@@ -29,11 +33,11 @@ from .dynamics import (
     SimulationTrace,
     StabilityConstants,
     SystemState,
-    _forcing,
-    _rk4_step,
+    _attackers,
+    _plant_matrices,
+    _plant_step,
+    _rk4_matrices,
     _walk,
-    closed_loop_matrix,
-    injection_vector,
     stability_constants,
 )
 from .errors import ConfigurationError
@@ -151,72 +155,90 @@ def _auto_w_budget(problem: RescueProblem, consts: StabilityConstants | None) ->
     return max(2.0 * v0, float(np.sqrt(n)) * consts.kappa_x * x0)
 
 
+def _observer_step_matrices(a_bar: np.ndarray, h_gain: np.ndarray, h: float) -> tuple:
+    """(R_o, F0, F1) of x^' = A_bar x^ + H y(t) with y linear across a step of
+    length h: x^+ = R_o x^ + F0 y_start + F1 y_end is the RK4 step of
+    ``ObserverState.step``.  The midpoint measurement (y_start + y_end)/2
+    splits Gm evenly: F0 = (G0 + Gm/2) H and F1 = (G1 + Gm/2) H."""
+    r, g0, gm = _rk4_matrices(a_bar, h)
+    half = gm / 2.0
+    return r, (g0 + half) @ h_gain, (h / 6.0) * h_gain + half @ h_gain
+
+
 class _ObserverBank:
     """Every detector's observer as one zero-padded batch, for one edge set.
 
-    Row k holds observer k's estimate in its first 2m entries (m = view
-    size), its A_bar = A_model - H C and its gain H in the leading blocks,
-    and zeros elsewhere, so padding never mixes into an estimate.  The
-    residual slots are the (detector, neighbor) pairs in neighbor-map order.
+    Row k of ``z`` stacks observer k's estimate (2m entries, m = view size),
+    the measurement at the start of the step and the one at its end (m + 1
+    entries each), each part zero-padded to the largest view.  Row k of
+    ``step_mat`` holds [R_o | F0 | F1] on the same padding with zeros
+    elsewhere, so padding never mixes into an estimate.  The residual slots
+    are the (detector, neighbor) pairs in neighbor-map order.
     """
 
-    def __init__(self, detectors, observers, neighbor_map, dwell_counters, n):
+    def __init__(
+        self, detectors, observers, step_matrices, neighbor_map, dwell_counters, n, rule
+    ):
         self.observers = [observers[i] for i in detectors]
         size = max((obs.view.size for obs in self.observers), default=0)
         rows = len(self.observers)
-        self.a_bar = np.zeros((rows, 2 * size, 2 * size))
-        self.h_mat = np.zeros((rows, 2 * size, size + 1))
-        self.x_hat = np.zeros((rows, 2 * size, 1))
-        # plant-state index of every measurement: member positions, then the
-        # owner's velocity; padded entries read p~_0 into zero gain columns
-        self.gather = np.zeros((rows, size + 1, 1), dtype=int)
+        est, meas = 2 * size, size + 1
+        self.est = est
+        self.step_mat = np.zeros((rows, est, est + 2 * meas))
+        self.z = np.zeros((rows, est + 2 * meas, 1))
+        # index into col(x_start, x_end) of every measurement: member
+        # positions, then the owner's velocity; padded entries read p~_0
+        # into zero columns
+        self.gather = np.zeros((rows, 2 * meas, 1), dtype=int)
         self.clock = np.array([obs.t for obs in self.observers], dtype=float)
         self.pairs = []
         self.logged = []  # (detector, neighbors, first slot, end slot)
         slot_row, slot_state = [], []
         for k, (i, obs) in enumerate(zip(detectors, self.observers)):
             m = obs.view.size
-            self.a_bar[k, : 2 * m, : 2 * m] = obs._a_bar
-            self.h_mat[k, : 2 * m, : m + 1] = obs.gain.h_matrix
-            self.x_hat[k, : 2 * m, 0] = obs.x_hat
-            self.gather[k, :m, 0] = obs.view.members
-            self.gather[k, m, 0] = n + obs.view.owner
+            r, f0, f1 = step_matrices[i]
+            self.step_mat[k, : 2 * m, : 2 * m] = r
+            self.step_mat[k, : 2 * m, est : est + m + 1] = f0
+            self.step_mat[k, : 2 * m, est + meas : est + meas + m + 1] = f1
+            self.z[k, : 2 * m, 0] = obs.x_hat
+            measured = np.array([*obs.view.members, n + obs.view.owner])
+            self.gather[k, : m + 1, 0] = measured
+            self.gather[k, meas : meas + m + 1, 0] = 2 * n + measured
             nbrs = neighbor_map[i]
             if nbrs:
                 self.logged.append((i, nbrs, len(self.pairs), len(self.pairs) + len(nbrs)))
             for j in nbrs:
                 self.pairs.append((i, j))
                 slot_row.append(k)
-                slot_state.append(k * 2 * size + obs.view.member_index(j))
+                slot_state.append(k * self.z.shape[1] + obs.view.member_index(j))
         self.slot_row = np.array(slot_row, dtype=int)
         self.slot_state = np.array(slot_state, dtype=int)
         self.slot_meas = np.array([j for _, j in self.pairs], dtype=int)
         # a pair's counter survives the edge sets in which it is not a pair
         self.dwell = np.array([dwell_counters.get(p, 0) for p in self.pairs], dtype=int)
+        self.rule = rule
+        # a constant rule's thresholds never change
+        self.eps = np.full(len(self.pairs), rule.value) if rule.kind == "constant" else None
 
     def step(self, x_start: np.ndarray, x_end: np.ndarray, h: float) -> np.ndarray:
         """``ObserverState.step`` for every row across one plant step from
         ``x_start`` to ``x_end``; returns the residual of every slot."""
-        y_start, y_end = x_start[self.gather], x_end[self.gather]
-        hy = self.h_mat @ np.concatenate([y_start, 0.5 * (y_start + y_end), y_end], axis=2)
-        hy_start, hy_mid, hy_end = hy[:, :, 0:1], hy[:, :, 1:2], hy[:, :, 2:3]
-        a, x = self.a_bar, self.x_hat
-        k1 = a @ x + hy_start
-        k2 = a @ (x + 0.5 * h * k1) + hy_mid
-        k3 = a @ (x + 0.5 * h * k2) + hy_mid
-        k4 = a @ (x + h * k3) + hy_end
-        self.x_hat = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        z, est = self.z, self.est
+        z[:, est:] = np.concatenate((x_start, x_end))[self.gather]
+        z[:, :est] = self.step_mat @ z
         self.clock += h
         # a neighbor's residual is its measured position minus its estimate
-        return x_end[self.slot_meas] - self.x_hat.ravel()[self.slot_state]
+        return x_end[self.slot_meas] - z.ravel()[self.slot_state]
 
-    def thresholds(self, rule: ThresholdRule, t: float, x0_norm: float, consts) -> np.ndarray:
+    def thresholds(self, t: float, x0_norm: float, consts) -> np.ndarray:
         """One threshold per detector, repeated over its slots; only the
         analytic bound depends on the observer."""
-        if rule.kind != "analytic":
-            return np.full(len(self.pairs), rule.evaluate(t, None))
+        if self.eps is not None:
+            return self.eps
+        if self.rule.kind == "exponential":
+            return np.full(len(self.pairs), self.rule.evaluate(t, None))
         per_row = [
-            rule.evaluate(t, obs, t0=0.0, x0_norm=x0_norm, consts=consts)
+            self.rule.evaluate(t, obs, t0=0.0, x0_norm=x0_norm, consts=consts)
             for obs in self.observers
         ]
         return np.array(per_row)[self.slot_row]
@@ -230,7 +252,7 @@ class _ObserverBank:
     def write_back(self, dwell_counters: dict):
         """Return the estimates, clocks and dwell counters to their owners."""
         for k, obs in enumerate(self.observers):
-            obs.x_hat = self.x_hat[k, : 2 * obs.view.size, 0].copy()
+            obs.x_hat = self.z[k, : 2 * obs.view.size, 0].copy()
             obs.t = float(self.clock[k])
         dwell_counters.update(zip(self.pairs, self.dwell.tolist()))
 
@@ -268,11 +290,13 @@ def run_rescue(problem: RescueProblem) -> RescueResult:
     observers: dict[int, ObserverState] = {}
     bank: _ObserverBank | None = None
     gain_cache: dict = {}
+    step_cache: dict = {}
+    step_matrices: dict[int, tuple] = {}
     dwell_counters: dict = {}
     flagged: dict[int, frozenset] = {i: frozenset() for i in detectors}
     events: list[IsolationEvent] = []
     residual_log: list = []
-    forcing = _forcing(problem.attacks, n)
+    agents = _attackers(problem.attacks)
 
     def observer_gain(view) -> ObserverGain:
         # the fast structured gain depends only on the view size; certified
@@ -295,15 +319,23 @@ def run_rescue(problem: RescueProblem) -> RescueResult:
             gain_cache[key] = gain
         return gain
 
+    def observer_step_matrices(obs) -> tuple:
+        key = (obs.view.a_model.tobytes(), obs.gain.h_matrix.tobytes())
+        mats = step_cache.get(key)
+        if mats is None:
+            mats = _observer_step_matrices(obs._a_bar, obs.gain.h_matrix, h)
+            step_cache[key] = mats
+        return mats
+
     def on_edges(edges, t, x):
         """Hand the bank's state back, reconfigure every observer whose model
-        changed and rebuild the bank; return the closed-loop matrix and the
-        bank."""
+        changed and rebuild the bank; return the plant's step matrices and
+        the bank."""
         nonlocal bank
         if bank is not None:
             bank.write_back(dwell_counters)
         graph_eff = Graph(n, tuple(sorted(edges)))
-        a_mat = closed_loop_matrix(graph_eff, gains)
+        plant = _plant_matrices(graph_eff, gains, agents, h)
         neighbor_map = {i: graph_eff.neighbors(i) for i in detectors}
         for i in detectors:
             view = two_hop_view(graph_eff, i, gains, settings.one_hop_only)
@@ -327,17 +359,21 @@ def run_rescue(problem: RescueProblem) -> RescueResult:
             else:
                 obs.reconfigure(view, gain)
                 obs.reinit(view.measure(x[:n], x[n:]), t)
-        bank = _ObserverBank(detectors, observers, neighbor_map, dwell_counters, n)
-        return a_mat, bank
+            step_matrices[i] = observer_step_matrices(obs)
+        bank = _ObserverBank(
+            detectors, observers, step_matrices, neighbor_map, dwell_counters, n,
+            settings.threshold,
+        )
+        return plant, bank
 
-    def step(context, x, k, t):
+    def step(context, x, k, u):
         """Plant step, then the bank's observer step and tests; Python runs
         per pair only on a new verdict and per detector only on log steps."""
-        a_mat, bank = context
-        x_next = _rk4_step(a_mat, x, forcing, t, h)
+        plant, bank = context
+        x_next = _plant_step(plant, x, u)
         t_next = (k + 1) * h
         res = bank.step(x, x_next, h)
-        eps = bank.thresholds(settings.threshold, t_next, x0_norm, consts)
+        eps = bank.thresholds(t_next, x0_norm, consts)
         for s in bank.dwell_hits(res, eps, settings.dwell):
             i, j = bank.pairs[s]
             if j in flagged[i]:
@@ -361,7 +397,15 @@ def run_rescue(problem: RescueProblem) -> RescueResult:
         return x_next
 
     trace = _walk(
-        net, problem.initial, problem.dos, problem.horizon, h, on_edges, step, removed
+        net,
+        problem.initial,
+        problem.attacks,
+        problem.dos,
+        problem.horizon,
+        h,
+        on_edges,
+        step,
+        removed,
     )
     run = RescueRun(
         problem=problem,
@@ -427,23 +471,24 @@ def dp_msr_run(problem: RescueProblem, cfg: DPMSRConfig) -> SimulationTrace:
     to the remainder.  Malicious agents run the untrimmed protocol plus their
     injection."""
     n = problem.net.node_count
-    malicious = problem.malicious
+    # inj[column[i]] is attacker i's injection at the sample time, the first
+    # of the three instants the walker samples per step
+    column = {agent: c for c, agent in enumerate(_attackers(problem.attacks))}
     alpha, gamma, ts = cfg.gains.alpha, cfg.gains.gamma, cfg.sample_time
 
     def neighbor_lists(edges, t, x):
         g = Graph(n, tuple(sorted(edges)))
         return [g.neighbors(i) for i in range(n)]
 
-    def step(nbrs_of, x, k, t):
+    def step(nbrs_of, x, k, inj):
         p, v = x[:n], x[n:]
-        inj = injection_vector(problem.attacks, n, t)
         u = np.empty(n)
         for i in range(n):
-            if i in malicious:
+            if i in column:
                 u[i] = (
                     -alpha * sum(p[i] - p[j] for j in nbrs_of[i])
                     - gamma * v[i]
-                    + inj[i]
+                    + inj[column[i]]
                 )
             else:
                 u[i] = _trimmed_control(p, v, nbrs_of[i], i, cfg.f_max, cfg.gains)
@@ -453,6 +498,7 @@ def dp_msr_run(problem: RescueProblem, cfg: DPMSRConfig) -> SimulationTrace:
     return _walk(
         problem.net,
         problem.initial,
+        problem.attacks,
         problem.dos,
         problem.horizon,
         ts,

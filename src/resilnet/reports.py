@@ -218,7 +218,7 @@ def write_report(path, report: dict):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, default=float)
+        json.dump(report, fh, indent=2, sort_keys=True, default=float, allow_nan=False)
         fh.write("\n")
 
 

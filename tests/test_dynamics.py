@@ -12,14 +12,18 @@ from resilnet.dynamics import (
     DoSSchedule,
     Gains,
     SystemState,
+    _walk,
     closed_loop_matrix,
     consensus_metrics,
     control_input,
     damping_condition_holds,
     output_series,
     output_vector,
+    constant,
+    ramp,
     realized_disconnection_time,
     simulate,
+    sinusoid,
     stability_constants,
 )
 from resilnet.errors import ConfigurationError
@@ -146,6 +150,59 @@ def test_simulate_step_halving_order():
     fine = simulate(net, gains, init, step_h=5e-4)
     diff = np.abs(coarse.final_state().stacked() - fine.final_state().stacked())
     assert np.max(diff) < 1e-8 * (1.0 + np.max(np.abs(fine.final_state().stacked())))
+
+
+def _stage_rk4_step(a_mat, x, b_fun, t, h):
+    """Stage-form RK4 step of x' = A x + b(t), the reference for the step
+    matrices."""
+    b_mid = b_fun(t + 0.5 * h)
+    k1 = a_mat @ x + b_fun(t)
+    k2 = a_mat @ (x + 0.5 * h * k1) + b_mid
+    k3 = a_mat @ (x + 0.5 * h * k2) + b_mid
+    k4 = a_mat @ (x + h * k3) + b_fun(t + h)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@pytest.mark.parametrize(
+    "signal",
+    [ramp(0.8), constant(-1.5), sinusoid(2.0, 0.7, 0.3)],
+    ids=["ramp", "constant", "sinusoid"],
+)
+def test_simulate_step_matrices_match_stage_rk4(signal):
+    rng = np.random.default_rng(12)
+    net = split_edges_alternating(random_connected_graph(rng, 6), 0.5, 3.0, 4)
+    init = SystemState(rng.uniform(-5, 5, 6), rng.uniform(-1, 1, 6))
+    gains = Gains(1.0, 3.0)
+    h = 1e-3
+    # activations a quarter step past a grid point, so that the grid and the
+    # stage times agree on which samples are live; agent 1 carries two
+    attacks = (
+        DeceptionAttack(1, 0.40025, signal),
+        DeceptionAttack(4, 1.25075, ramp(-0.7)),
+        DeceptionAttack(1, 2.00025, constant(0.2)),
+    )
+    dos = DoSSchedule((DoSInterval(0.5, 1.0, random=DoSRandomSpec(8, 0.5, 3)),))
+    trace = simulate(net, gains, init, attacks, dos, step_h=h)
+    n = init.node_count
+
+    def forcing(t):
+        b = np.zeros(2 * n)
+        for atk in attacks:
+            b[n + atk.agent] += atk.value(t)
+        return b
+
+    ref = _walk(
+        net, init, attacks, dos, None, h,
+        lambda edges, t, x: closed_loop_matrix(Graph(n, tuple(edges)), gains),
+        lambda a_mat, x, k, u: _stage_rk4_step(a_mat, x, forcing, k * h, h),
+    )
+    got = np.hstack([trace.p_tilde, trace.v])
+    want = np.hstack([ref.p_tilde, ref.v])
+    assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
+    assert trace.segments == ref.segments
+    # the attacks move the run by far more than the tolerance
+    free = simulate(net, gains, init, dos=dos, step_h=h)
+    assert np.max(np.abs(free.v - trace.v)) > 1e-3
 
 
 def test_simulate_rejects_misaligned_breakpoints():

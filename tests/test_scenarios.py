@@ -6,12 +6,14 @@ import operator
 import signal
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from resilnet.dynamics import DoSSchedule, DoSInterval, DoSRandomSpec
+from resilnet.dynamics import DoSSchedule, DoSInterval, DoSRandomSpec, simulate
 from resilnet.errors import ConfigurationError
 from resilnet.graphs import pe_margin, r_robustness
+from resilnet.isolation import dp_msr_run, run_rescue
 from resilnet.scenarios import (
     ScenarioConfig,
     build_network,
@@ -278,6 +280,7 @@ def test_cli_malformed_config(tmp_path):
         (("initial", "kind"), "unifrom", "configuration", "unifrom"),
         (("gains", "alpha"), math.nan, "configuration", "scenario.gains.alpha"),
         (("network", "horizon"), math.inf, "configuration", "scenario.network.horizon"),
+        (("step_h",), 1e-9, "configuration", "trace limit"),
     ]
     for k, (field_path, value, category, fragment) in enumerate(cases):
         path = tmp_path / f"bad{k}.json"
@@ -290,6 +293,47 @@ def test_cli_malformed_config(tmp_path):
         assert set(err) == {"error", "message"}
         assert err["error"] == category
         assert fragment in err["message"]
+
+
+def test_step_count_cap_allocates_nothing():
+    # 3e10 steps of 8 agents: every run rejects the document before any
+    # array of the grid's size exists
+    d = config_to_dict(generate_example1(0))
+    d["step_h"] = d["dp_msr"]["sample_time"] = 1e-9
+    config = config_from_dict(d)
+    problem = materialize(config)
+    runs = (
+        lambda: simulate(problem.net, problem.gains, problem.initial, step_h=problem.step_h),
+        lambda: run_rescue(problem),
+        lambda: dp_msr_run(problem, config.dp_msr),
+    )
+    tracemalloc.start()
+    try:
+        for run in runs:
+            with pytest.raises(ConfigurationError, match="trace limit"):
+                run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_cli_non_finite_run(tmp_path):
+    # a ramp this steep overflows the state within 2 s: the run must exit 2,
+    # not 0 with a NaN trace and a report holding bare NaN
+    d = config_to_dict(generate_example1(0))
+    d["network"]["horizon"] = 2.0
+    d["attacks"][0]["signal"]["slope"] = 1e308
+    path = tmp_path / "overflow.json"
+    with open(path, "w") as fh:
+        json.dump(d, fh)
+    out = tmp_path / "out"
+    proc = _run_cli(["simulate", "--config", str(path), "--out", str(out)])
+    assert proc.returncode == 2
+    err = json.loads(proc.stderr)
+    assert err["error"] == "configuration"
+    assert "not finite from t = 1.798" in err["message"]
+    assert not (out / "report.json").exists()
 
 
 def test_cli_determinism(tmp_path):
