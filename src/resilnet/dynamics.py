@@ -36,6 +36,9 @@ _GRID_RTOL = 1e-9
 # a run stores (steps + 1) x node_count positions and as many velocities;
 # about 15x example2's 40 s trace
 _MAX_TRACE_CELLS = 5e7
+# steps whose injections are sampled at once: a block, not the whole run, so
+# that the samples never add to a long run's peak memory
+_SAMPLE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -143,11 +146,12 @@ def _attackers(attacks) -> tuple:
     return tuple(sorted({atk.agent for atk in attacks}))
 
 
-def _injection_samples(attacks, steps: int, h: float) -> np.ndarray:
-    """Injections on the half-step grid of a run: row 2k at t = kh, row
-    2k + 1 at the RK4 midpoint, one column per ``_attackers`` entry."""
+def _injection_samples(attacks, first: int, last: int, h: float) -> np.ndarray:
+    """Injections on the half-step grid of steps ``first`` to ``last``: row
+    2j at t = (first + j) h, row 2j + 1 at the RK4 midpoint after it, one
+    column per ``_attackers`` entry."""
     agents = _attackers(attacks)
-    t = np.arange(2 * steps + 1) * (0.5 * h)
+    t = np.arange(2 * first, 2 * last + 1) * (0.5 * h)
     u = np.zeros((t.size, len(agents)))
     for atk in attacks:
         live = t >= atk.activation_time
@@ -412,8 +416,8 @@ def _walk(
     builds the caller's context whenever the effective edges change, and
     ``step(context, x, k, u)`` returns the stacked state one step later;
     ``u`` holds the attackers' injections at t_k, the midpoint and t_{k+1}
-    (rows 2k to 2k + 2 of ``_injection_samples``, flattened).  Consecutive
-    steps with equal effective edges form one realized segment.
+    (three rows of ``_injection_samples``, flattened).  Consecutive steps
+    with equal effective edges form one realized segment.
     """
     n = net.node_count
     if initial.node_count != n:
@@ -441,7 +445,6 @@ def _walk(
     dos_arr = np.zeros(steps + 1, dtype=bool)
     x = initial.stacked().copy()
     p_arr[0], v_arr[0] = x[:n], x[n:]
-    samples = _injection_samples(attacks, steps, step_h).ravel()
     columns = len(_attackers(attacks))
 
     segments: list = []
@@ -463,7 +466,10 @@ def _walk(
             segments[-1][1] = t + step_h
         mode_arr[k] = mode
         dos_arr[k] = dos_now
-        lo = 2 * k * columns
+        if k % _SAMPLE_BLOCK == 0:
+            last = min(k + _SAMPLE_BLOCK, steps)
+            samples = _injection_samples(attacks, k, last, step_h).ravel()
+        lo = 2 * (k % _SAMPLE_BLOCK) * columns
         x = step(context, x, k, samples[lo : lo + 3 * columns])
         p_arr[k + 1], v_arr[k + 1] = x[:n], x[n:]
     # no update turns a non-finite entry finite again, so the last state

@@ -397,15 +397,8 @@ def run_rescue(problem: RescueProblem) -> RescueResult:
         return x_next
 
     trace = _walk(
-        net,
-        problem.initial,
-        problem.attacks,
-        problem.dos,
-        problem.horizon,
-        h,
-        on_edges,
-        step,
-        removed,
+        net, problem.initial, problem.attacks, problem.dos, problem.horizon, h,
+        on_edges, step, removed,
     )
     run = RescueRun(
         problem=problem,

@@ -170,7 +170,8 @@ def _stage_rk4_step(a_mat, x, b_fun, t, h):
 )
 def test_simulate_step_matrices_match_stage_rk4(signal):
     rng = np.random.default_rng(12)
-    net = split_edges_alternating(random_connected_graph(rng, 6), 0.5, 3.0, 4)
+    # 5 000 steps: longer than one block of injection samples
+    net = split_edges_alternating(random_connected_graph(rng, 6), 0.5, 5.0, 4)
     init = SystemState(rng.uniform(-5, 5, 6), rng.uniform(-1, 1, 6))
     gains = Gains(1.0, 3.0)
     h = 1e-3
