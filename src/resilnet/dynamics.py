@@ -11,8 +11,8 @@ topology boundary aligned to the step grid.
 Between two edge-set changes the closed loop is linear time-invariant, so one
 RK4 step is a matrix: x+ = R x + G0 b(t) + Gm b(t + h/2) + G1 b(t + h), with R
 RK4's stability polynomial in hA.  Each realized segment builds R and the
-attacker columns of G0, Gm, G1 once; the attack waveforms are sampled once per
-run on the half-step grid.  The method is RK4 either way; only rounding
+attacker columns of G0, Gm, G1 once; the attack waveforms are sampled as
+arrays on the half-step grid.  The method is RK4 either way; only rounding
 differs from the stage form.
 """
 
