@@ -243,10 +243,14 @@ class _ObserverBank:
         ]
         return np.array(per_row)[self.slot_row]
 
-    def dwell_hits(self, residuals: np.ndarray, eps: np.ndarray, dwell: int) -> np.ndarray:
-        """Advance the dwell counters; return the slots that reached ``dwell``."""
+    def dwell_hits(self, residuals: np.ndarray, eps: np.ndarray, dwell: int):
+        """Advance the dwell counters in place; return the slots that reached
+        ``dwell``.  Only a slot over its threshold can reach it."""
         exceeded = np.abs(residuals) > eps
-        self.dwell = np.where(exceeded, self.dwell + 1, 0)
+        self.dwell += 1
+        self.dwell *= exceeded
+        if not exceeded.any():
+            return ()
         return np.flatnonzero(self.dwell >= dwell)
 
     def write_back(self, dwell_counters: dict):

@@ -492,7 +492,7 @@ def make_record(
         t=t,
         owner=owner,
         neighbors=tuple(neighbors),
-        residuals=tuple(float(r) for r in residuals),
-        thresholds=tuple(float(e) for e in thresholds),
+        residuals=tuple(np.asarray(residuals, dtype=float).tolist()),
+        thresholds=tuple(np.asarray(thresholds, dtype=float).tolist()),
         verdicts=tuple("attacked" if j in flagged else "null" for j in neighbors),
     )

@@ -2,11 +2,21 @@
 
 Numeric CSV cells use 12 significant digits with a mandatory header row;
 metric reports are flat key->value JSON documents.  A long-format (t, series,
-value) CSV feeds external plotting."""
+value) CSV feeds external plotting.
+
+The trace, residual and plot writers format whole rows, not cells: each file
+has one ``%``-format row template (``"%.12g," * (1 + 2N) + "%d,%d\n"`` for
+the trace) applied to rows read with ``ndarray.tolist()`` a block of at most
+``_BLOCK`` rows at a time, so no Python list of a whole trace is ever built.
+``"%.12g" % x`` is ``f"{float(x):.12g}"`` for every float, signed zeros,
+infinities, NaN and subnormals included, and ``"%d"`` prints an integral
+float as its integer, so the bytes are those of the per-cell ``fmt``, which
+``write_csv`` keeps for rows of mixed cells."""
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +42,9 @@ from .graphs import (
 from .isolation import RescueResult, dp_msr_run, post_isolation_connectivity, run_rescue
 from .scenarios import ScenarioConfig, build_network, materialize, overlay_certificate
 
+# rows formatted per block: bounds the Python floats alive at once
+_BLOCK = 1024
+
 
 def fmt(x) -> str:
     if isinstance(x, str):
@@ -43,11 +56,26 @@ def fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
-def write_csv(path, header, rows):
+@contextmanager
+def _csv_file(path, header):
+    """Open ``path`` for writing, parent directories made, header written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
+        yield fh
+
+
+def _write_rows(fh, template, blocks):
+    """Write every row of every float block as ``template % row``; a block
+    holds at most ``_BLOCK`` rows, so only its Python floats exist at once."""
+    for block in blocks:
+        fh.writelines(template % tuple(row) for row in block.tolist())
+
+
+def write_csv(path, header, rows):
+    """Write rows of mixed cells (str, bool, int, float) through ``fmt``."""
+    with _csv_file(path, header) as fh:
         for row in rows:
             fh.write(",".join(fmt(x) for x in row) + "\n")
 
@@ -60,17 +88,20 @@ def write_trace_csv(path, trace: SimulationTrace):
         + [f"v_{i}" for i in range(n)]
         + ["active_mode", "dos_active"]
     )
-
-    def rows():
-        for k in range(len(trace.t)):
-            yield (
-                [trace.t[k]]
-                + list(trace.p_tilde[k])
-                + list(trace.v[k])
-                + [int(trace.mode_index[k]), bool(trace.dos_active[k])]
-            )
-
-    write_csv(path, header, rows())
+    # mode index and DoS flag ride in the float block; %d prints them as ints
+    columns = (
+        trace.t[:, None],
+        trace.p_tilde,
+        trace.v,
+        trace.mode_index[:, None],
+        trace.dos_active[:, None],
+    )
+    blocks = (
+        np.hstack([c[lo : lo + _BLOCK] for c in columns])
+        for lo in range(0, len(trace.t), _BLOCK)
+    )
+    with _csv_file(path, header) as fh:
+        _write_rows(fh, "%.12g," * (1 + 2 * n) + "%d,%d\n", blocks)
 
 
 def write_events_csv(path, events):
@@ -82,14 +113,14 @@ def write_events_csv(path, events):
 
 
 def write_residuals_csv(path, residual_log):
-    def rows():
+    header = ["t", "owner", "neighbor", "residual", "threshold", "verdict"]
+    with _csv_file(path, header) as fh:
         for rec in residual_log:
-            for j, r, eps, verdict in zip(
-                rec.neighbors, rec.residuals, rec.thresholds, rec.verdicts
-            ):
-                yield [rec.t, rec.owner, j, r, eps, verdict]
-
-    write_csv(path, ["t", "owner", "neighbor", "residual", "threshold", "verdict"], rows())
+            head = "%.12g,%d," % (rec.t, rec.owner)
+            fh.writelines(
+                head + "%d,%.12g,%.12g,%s\n" % cells
+                for cells in zip(rec.neighbors, rec.residuals, rec.thresholds, rec.verdicts)
+            )
 
 
 def lambda2_series(trace: SimulationTrace, window: float, points: int = 200):
@@ -119,22 +150,34 @@ def lambda2_series(trace: SimulationTrace, window: float, points: int = 200):
 def write_long_csv(path, trace: SimulationTrace, residual_log=(), window: float | None = None):
     """Plot-ready long format: consensus trajectories, residual/threshold
     pairs, and the sliding lambda_2 series."""
+    n = trace.node_count
+    steps = np.arange(0, len(trace.t), max(1, len(trace.t) // 3000))
 
-    def rows():
-        stride = max(1, len(trace.t) // 3000)
-        for k in range(0, len(trace.t), stride):
-            for i in range(trace.node_count):
-                yield [trace.t[k], f"p_tilde_{i}", trace.p_tilde[k, i]]
+    def trajectory_blocks():
+        # row k interleaves (t_k, p_tilde_k[i]) over the agents
+        for lo in range(0, len(steps), _BLOCK):
+            k = steps[lo : lo + _BLOCK]
+            block = np.empty((len(k), n, 2))
+            block[:, :, 0] = trace.t[k, None]
+            block[:, :, 1] = trace.p_tilde[k]
+            yield block.reshape(len(k), 2 * n)
+
+    with _csv_file(path, ["t", "series", "value"]) as fh:
+        _write_rows(
+            fh,
+            "".join(f"%.12g,p_tilde_{i},%.12g\n" for i in range(n)),
+            trajectory_blocks(),
+        )
         for rec in residual_log:
-            for j, r, eps in zip(rec.neighbors, rec.residuals, rec.thresholds):
-                yield [rec.t, f"residual_{rec.owner}_{j}", abs(r)]
-                yield [rec.t, f"threshold_{rec.owner}_{j}", eps]
+            t, i = "%.12g" % rec.t, rec.owner
+            fh.writelines(
+                "%s,residual_%d_%d,%.12g\n%s,threshold_%d_%d,%.12g\n"
+                % (t, i, j, abs(r), t, i, j, eps)
+                for j, r, eps in zip(rec.neighbors, rec.residuals, rec.thresholds)
+            )
         if window is not None:
             ts, lam = lambda2_series(trace, window)
-            for t, val in zip(ts, lam):
-                yield [t, "lambda2_window", val]
-
-    write_csv(path, ["t", "series", "value"], rows())
+            _write_rows(fh, "%.12g,lambda2_window,%.12g\n", [np.column_stack((ts, lam))])
 
 
 # ---------------------------------------------------------------------------

@@ -82,18 +82,6 @@ class PencilKernelReport:
     def all_empty(self) -> bool:
         return all(d == 0 for d in self.kernel_dims)
 
-    def to_dict(self) -> dict:
-        """Flat document: lambda samples, kernel dimensions, basis norms."""
-        return {
-            "lambda_real": [float(l.real) for l in self.lambdas],
-            "lambda_imag": [float(l.imag) for l in self.lambdas],
-            "kernel_dims": [int(d) for d in self.kernel_dims],
-            "basis_norms": [
-                float(np.linalg.norm(b)) if b.size else 0.0 for b in self.bases
-            ],
-            "all_empty": self.all_empty,
-        }
-
 
 def sample_lambdas(modes, gains: Gains, n_samples: int = 20, seed: int = 0) -> tuple:
     """Seeded complex probes with real parts in [-5, 5], plus every mode's

@@ -1,0 +1,164 @@
+"""The row-template CSV writers against the per-cell writer they replaced:
+the bytes of every file must be equal."""
+
+import numpy as np
+import pytest
+
+from resilnet import reports
+from resilnet.dynamics import (
+    AttackSignal,
+    DeceptionAttack,
+    DoSInterval,
+    DoSRandomSpec,
+    DoSSchedule,
+    Gains,
+    SimulationTrace,
+    SystemState,
+)
+from resilnet.isolation import DetectorSettings, IsolationEvent, RescueProblem, run_rescue
+from resilnet.observers import ThresholdRule, make_record
+from resilnet.scenarios import random_connected_graph, split_edges_alternating
+
+
+def _fmt(x) -> str:
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (bool, np.bool_)):
+        return "1" if x else "0"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return f"{float(x):.12g}"
+
+
+def _write_cells(path, header, rows):
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(x) for x in row) + "\n")
+
+
+def _reference_files(out, trace, events, residual_log, window):
+    """The four CSVs as the per-cell writer wrote them."""
+    n = trace.node_count
+    _write_cells(
+        out / "trace.csv",
+        ["t"] + [f"p_tilde_{i}" for i in range(n)] + [f"v_{i}" for i in range(n)]
+        + ["active_mode", "dos_active"],
+        (
+            [trace.t[k]] + list(trace.p_tilde[k]) + list(trace.v[k])
+            + [int(trace.mode_index[k]), bool(trace.dos_active[k])]
+            for k in range(len(trace.t))
+        ),
+    )
+    _write_cells(
+        out / "events.csv",
+        ["t", "detector", "isolated", "residual_value", "threshold"],
+        ([e.t, e.detector, e.isolated, e.residual, e.threshold] for e in events),
+    )
+    _write_cells(
+        out / "residuals.csv",
+        ["t", "owner", "neighbor", "residual", "threshold", "verdict"],
+        (
+            [rec.t, rec.owner, j, r, eps, verdict]
+            for rec in residual_log
+            for j, r, eps, verdict in zip(
+                rec.neighbors, rec.residuals, rec.thresholds, rec.verdicts
+            )
+        ),
+    )
+
+    def long_rows():
+        stride = max(1, len(trace.t) // 3000)
+        for k in range(0, len(trace.t), stride):
+            for i in range(n):
+                yield [trace.t[k], f"p_tilde_{i}", trace.p_tilde[k, i]]
+        for rec in residual_log:
+            for j, r, eps in zip(rec.neighbors, rec.residuals, rec.thresholds):
+                yield [rec.t, f"residual_{rec.owner}_{j}", abs(r)]
+                yield [rec.t, f"threshold_{rec.owner}_{j}", eps]
+        for t, val in zip(*reports.lambda2_series(trace, window)):
+            yield [t, "lambda2_window", val]
+
+    _write_cells(out / "plot_data.csv", ["t", "series", "value"], long_rows())
+
+
+def _rescue_inputs():
+    """A short rescue run: ramp attacker, event-scheme DoS, two modes."""
+    rng = np.random.default_rng(20240817)
+    horizon = 4.0
+    overlay = random_connected_graph(rng, 6, 0.6)
+    net = split_edges_alternating(overlay, 0.5, horizon, 5)
+    dos = DoSSchedule((DoSInterval(0.5, 2.0, random=DoSRandomSpec(12, 0.6, 3, scheme="event")),))
+    problem = RescueProblem(
+        net=net,
+        gains=Gains(1.0, 3.0),
+        initial=SystemState(rng.uniform(-5, 5, 6), np.zeros(6)),
+        attacks=(DeceptionAttack(5, 0.0, AttackSignal("ramp", slope=0.9)),),
+        dos=dos,
+        horizon=horizon,
+        detector=DetectorSettings(
+            threshold=ThresholdRule(kind="exponential", amplitude=10.0, rate=1.0, offset=0.95)
+        ),
+    )
+    result = run_rescue(problem)
+    assert result.run.events
+    # more than one formatting block, the last one partial
+    assert len(result.trace.t) % reports._BLOCK != 0
+    assert len(result.trace.t) > 2 * reports._BLOCK
+    return result.trace, result.run.events, result.residual_log
+
+
+EDGE_VALUES = (-0.0, 5e-324, 1e300, 123456789012.5, -2.5e-7, np.inf, -np.inf, np.nan)
+
+
+def _edge_value_inputs():
+    """A hand-built trace and log holding signed zero, a subnormal, huge and
+    long-mantissa values, non-finite values, three modes and both DoS flags."""
+    steps = 9
+    t = np.arange(steps) * 0.375
+    values = np.array(EDGE_VALUES + (0.1,))
+    p_tilde = np.stack([np.roll(values, k)[:3] for k in range(steps)])
+    v = -p_tilde[::-1]
+    edges = ((0, 1), (1, 2))
+    trace = SimulationTrace(
+        t=t,
+        p_tilde=p_tilde,
+        v=v,
+        mode_index=np.array([0, 0, 1, 1, 2, 2, 2, 0, 1]),
+        dos_active=np.array([False, True, True, False, False, True, False, False, True]),
+        segments=(
+            (0.0, 1.0, 0, edges, False),
+            (1.0, 2.0, 1, edges[:1], True),
+            (2.0, 3.0, 2, edges, False),
+        ),
+        step_h=0.375,
+    )
+    events = tuple(
+        IsolationEvent(t=float(t[k]), detector=k % 3, isolated=(k + 1) % 3, residual=x, threshold=y)
+        for k, (x, y) in enumerate(zip(EDGE_VALUES, EDGE_VALUES[::-1]))
+    )
+    log = tuple(
+        make_record(
+            float(t[k]), k % 3, (1, 2, 7), np.roll(values, k)[:3], np.roll(values, -k)[:3],
+            frozenset({2}) if k % 2 else frozenset(),
+        )
+        for k in range(steps)
+    )
+    return trace, events, log
+
+
+@pytest.mark.parametrize("make_inputs", [_rescue_inputs, _edge_value_inputs], ids=["rescue", "edge_values"])
+def test_writers_match_per_cell_format(make_inputs, tmp_path):
+    trace, events, log = make_inputs()
+    window = 1.0
+    ref, out = tmp_path / "ref", tmp_path / "out"
+    ref.mkdir()
+    _reference_files(ref, trace, events, log, window)
+    reports.write_trace_csv(out / "trace.csv", trace)
+    reports.write_events_csv(out / "events.csv", events)
+    reports.write_residuals_csv(out / "residuals.csv", log)
+    reports.write_long_csv(out / "plot_data.csv", trace, log, window=window)
+    for name in ("trace.csv", "events.csv", "residuals.csv", "plot_data.csv"):
+        expected = (ref / name).read_bytes()
+        assert (out / name).read_bytes() == expected, name
+    assert b"lambda2_window" in (ref / "plot_data.csv").read_bytes()
