@@ -14,8 +14,6 @@ from .dynamics import (
     SystemState,
     closed_loop_matrix,
     consensus_metrics,
-    control_input,
-    output_vector,
     simulate,
     stability_constants,
 )
@@ -29,7 +27,6 @@ from .graphs import (
     integral_laplacian,
     khop_neighbors,
     laplacian,
-    partition_laplacian,
     path_graph,
     pe_margin,
     projection_matrix,

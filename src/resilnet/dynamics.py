@@ -133,13 +133,6 @@ class DeceptionAttack:
         return self.signal(t) if t >= self.activation_time else 0.0
 
 
-def injection_vector(attacks, n: int, t: float) -> np.ndarray:
-    u = np.zeros(n)
-    for atk in attacks:
-        u[atk.agent] += atk.value(t)
-    return u
-
-
 def _attackers(attacks) -> tuple:
     """The injecting agents in sorted order: the columns of the injection
     samples and of the plant's forcing matrix."""
@@ -244,19 +237,9 @@ class DoSSchedule:
                 raise ConfigurationError("DoS intervals must not overlap")
         return tuple(out)
 
-    def total_declared_duration(self, t: float, window: float) -> float:
-        """Declared attack time inside [t, t+window] (realized disconnection
-        time is measured on the simulated trace instead)."""
-        total = 0.0
-        for iv in self.intervals:
-            lo = max(t, iv.start)
-            hi = min(t + window, iv.start + iv.duration)
-            total += max(0.0, hi - lo)
-        return total
-
 
 # ---------------------------------------------------------------------------
-# Closed-loop matrices and control
+# Closed-loop matrix
 # ---------------------------------------------------------------------------
 
 
@@ -267,17 +250,6 @@ def closed_loop_matrix(g: Graph, gains: Gains) -> np.ndarray:
     top = np.hstack([np.zeros((n, n)), np.eye(n)])
     bottom = np.hstack([-gains.alpha * laplacian(g), -gains.gamma * np.eye(n)])
     return np.vstack([top, bottom])
-
-
-def control_input(
-    state: SystemState, g: Graph, gains: Gains, attacks=(), t: float | None = None
-) -> np.ndarray:
-    """Per-agent control: nominal 1-hop consensus term plus any active
-    injection."""
-    t = state.t if t is None else t
-    lap = laplacian(g)
-    u = -gains.alpha * (lap @ state.p_tilde) - gains.gamma * state.v
-    return u + injection_vector(attacks, state.node_count, t)
 
 
 # ---------------------------------------------------------------------------
@@ -522,13 +494,6 @@ def simulate(
     )
 
 
-def output_vector(state: SystemState) -> np.ndarray:
-    """Consensus output Y = col(Q p~, v); zero iff all pairwise formation
-    errors and velocities vanish."""
-    q = projection_matrix(state.node_count)
-    return np.concatenate([q @ state.p_tilde, state.v])
-
-
 def output_series(trace: SimulationTrace) -> np.ndarray:
     q = projection_matrix(trace.node_count)
     return np.hstack([trace.p_tilde @ q.T, trace.v])
@@ -604,20 +569,6 @@ def stability_constants(
         window_T=window,
         n_agents=n_agents,
     )
-
-
-def damping_condition_holds(consts: StabilityConstants, gains: Gains) -> bool:
-    """Positive-definiteness of the Lyapunov damping matrix (the sufficient
-    'large gamma' condition; deliberately conservative)."""
-    n = consts.n_agents
-    off = -(gains.alpha / gains.gamma) * (consts.beta + 1.0 / consts.lambda_chi) * n / 2.0
-    m = np.array(
-        [
-            [1.0 - consts.lambda_x / consts.lambda_chi, off],
-            [off, consts.beta * (gains.gamma - gains.alpha * n / gains.gamma - consts.lambda_x)],
-        ]
-    )
-    return bool(m[0, 0] > 0 and np.linalg.det(m) > 0)
 
 
 # ---------------------------------------------------------------------------

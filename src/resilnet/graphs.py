@@ -2,9 +2,8 @@
 
 The module covers the static side of the toolkit: simple undirected graphs,
 finite mode libraries with piecewise-constant switching schedules,
-connectivity in the integral ("persistently exciting") sense, exact
-r-robustness and vertex-connectivity computation, and the proximity-based
-Laplacian partition used by the local observers.
+connectivity in the integral ("persistently exciting") sense, and exact
+r-robustness and vertex-connectivity computation.
 """
 
 from __future__ import annotations
@@ -451,107 +450,6 @@ def khop_neighbors(g: Graph, i: int, k: int) -> frozenset:
     return frozenset(two)
 
 
-@dataclass(frozen=True, eq=False)
-class LaplacianPartition:
-    """Proximity-based partition of the Laplacian from node ``owner``'s view.
-
-    Node ordering is [ {owner} + 1-hop | 2-hop-only | rest ]; ``lprime`` is
-    the star Laplacian of the owner with its 1-hop neighbors, ``lrest`` is
-    the block encoding the 2-hop nodes' connections back into the 1-hop set,
-    and the tilde blocks absorb everything the owner cannot infer from those
-    proximity graphs: l11 = lprime + ltilde and l22 = lrest + ldoubletilde.
-    """
-
-    owner: int
-    one_hop_set: tuple  # owner first, then its sorted 1-hop neighbors
-    two_hop_set: tuple  # 2-hop reachable nodes outside the 1-hop set
-    rest_set: tuple
-    l11: np.ndarray
-    l12: np.ndarray
-    l21: np.ndarray
-    l22: np.ndarray
-    l23: np.ndarray
-    l32: np.ndarray
-    l33: np.ndarray
-    lprime: np.ndarray
-    ltilde: np.ndarray
-    ldoubletilde: np.ndarray
-    lrest: np.ndarray
-
-    @property
-    def ordering(self) -> tuple:
-        return self.one_hop_set + self.two_hop_set + self.rest_set
-
-    def two_hop_members(self) -> tuple:
-        return self.one_hop_set + self.two_hop_set
-
-    def two_hop_laplacian(self) -> np.ndarray:
-        """Laplacian of the 2-hop proximity graph on ``two_hop_members()``."""
-        top = np.hstack([self.l11, self.l12])
-        bottom = np.hstack([self.l21, self.lrest])
-        return np.vstack([top, bottom])
-
-    def reassemble(self) -> np.ndarray:
-        """Permute the blocks back to the original node ordering (bit-exact)."""
-        blocks = np.block(
-            [
-                [self.l11, self.l12, np.zeros((len(self.one_hop_set), len(self.rest_set)))],
-                [self.l21, self.l22, self.l23],
-                [np.zeros((len(self.rest_set), len(self.one_hop_set))), self.l32, self.l33],
-            ]
-        )
-        order = np.array(self.ordering)
-        inv = np.empty_like(order)
-        inv[order] = np.arange(order.size)
-        return blocks[np.ix_(inv, inv)]
-
-
-def partition_laplacian(g: Graph, owner: int) -> LaplacianPartition:
-    if not 0 <= owner < g.node_count:
-        raise ValueError(f"node {owner} out of range")
-    one = sorted(khop_neighbors(g, owner, 1))
-    v_prime = (owner, *one)
-    two_only = tuple(sorted(khop_neighbors(g, owner, 2) - set(v_prime)))
-    rest = tuple(
-        sorted(set(range(g.node_count)) - set(v_prime) - set(two_only))
-    )
-    order = np.array(v_prime + two_only + rest)
-    lap = laplacian(g)[np.ix_(order, order)]
-    n1, n2 = len(v_prime), len(two_only)
-    l11 = lap[:n1, :n1]
-    l12 = lap[:n1, n1 : n1 + n2]
-    l21 = lap[n1 : n1 + n2, :n1]
-    l22 = lap[n1 : n1 + n2, n1 : n1 + n2]
-    l23 = lap[n1 : n1 + n2, n1 + n2 :]
-    l32 = lap[n1 + n2 :, n1 : n1 + n2]
-    l33 = lap[n1 + n2 :, n1 + n2 :]
-    lprime = np.zeros((n1, n1))
-    lprime[0, 0] = len(one)
-    for k in range(1, n1):
-        lprime[k, k] = 1.0
-        lprime[0, k] = lprime[k, 0] = -1.0
-    # 2-hop nodes' degrees within the 2-hop proximity graph count only their
-    # edges back into the 1-hop set
-    lrest = np.diag(-l21.sum(axis=1)) if n2 else np.zeros((0, 0))
-    return LaplacianPartition(
-        owner=owner,
-        one_hop_set=v_prime,
-        two_hop_set=two_only,
-        rest_set=rest,
-        l11=l11,
-        l12=l12,
-        l21=l21,
-        l22=l22,
-        l23=l23,
-        l32=l32,
-        l33=l33,
-        lprime=lprime,
-        ltilde=l11 - lprime,
-        ldoubletilde=l22 - lrest,
-        lrest=lrest,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Bound chain and removal resilience
 # ---------------------------------------------------------------------------
@@ -571,10 +469,8 @@ class BoundChainReport:
     noncomplete_bound_holds: bool
 
 
-def check_bound_chain(
-    net: SwitchingNetwork, window: float, grid_points: int = 100
-) -> BoundChainReport:
-    report = pe_margin(net, window, grid_points)
+def check_bound_chain(report: PEReport) -> BoundChainReport:
+    """Check the chain on the effective graph of a ``pe_margin`` report."""
     eff = report.effective_graph
     r = r_robustness(eff)
     kappa = vertex_connectivity(eff)

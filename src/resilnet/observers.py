@@ -18,7 +18,7 @@ import scipy.linalg
 
 from .dynamics import Gains
 from .errors import ConfigurationError, DesignFailureError
-from .graphs import RANK_RTOL, Graph, khop_neighbors, laplacian
+from .graphs import RANK_RTOL, Graph, khop_neighbors
 
 GAIN_LADDER = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0)
 HURWITZ_MARGIN = 0.1
@@ -29,21 +29,19 @@ class TwoHopView:
     """An agent's locally reconstructible subsystem in one communication mode.
 
     ``members`` (owner first) are the agents whose positions the owner
-    measures; ``a_model`` is the known part of their joint dynamics.  The
-    coupling blocks collect everything acting on the members that the owner
-    cannot see (edges among 2-hop nodes and into the remainder); they are
-    analysis-only and never enter the observer.
+    measures; ``a_model`` is the known part of their joint dynamics and
+    ``c_meas`` picks the measured entries (member positions, owner
+    velocity) out of the member state.  Couplings the model leaves out
+    (edges between two strictly-2-hop nodes and into deeper nodes) act as
+    an unknown perturbation the observer never uses;
+    ``stealth.view_coupling`` evaluates it for analysis.
     """
 
     owner: int
     members: tuple
-    rest: tuple
     a_model: np.ndarray
     c_meas: np.ndarray
-    coupling_members: np.ndarray
-    coupling_rest: np.ndarray
     gains: Gains
-    one_hop_only: bool = False
 
     @property
     def size(self) -> int:
@@ -59,16 +57,6 @@ class TwoHopView:
     def member_state(self, p_tilde: np.ndarray, v: np.ndarray) -> np.ndarray:
         idx = np.array(self.members)
         return np.concatenate([p_tilde[idx], v[idx]])
-
-    def rest_state(self, p_tilde: np.ndarray, v: np.ndarray) -> np.ndarray:
-        idx = np.array(self.rest, dtype=int)
-        return np.concatenate([p_tilde[idx], v[idx]])
-
-    def coupling(self, p_tilde: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """True value of the unknown perturbation rho(x_I, x_R)."""
-        return self.coupling_members @ self.member_state(
-            p_tilde, v
-        ) + self.coupling_rest @ self.rest_state(p_tilde, v)
 
 
 def view_members(g: Graph, owner: int, one_hop_only: bool = False) -> tuple:
@@ -86,14 +74,8 @@ def _model_blocks(g: Graph, owner: int, one_hop_only: bool):
     one = khop_neighbors(g, owner, 1)
     members = view_members(g, owner, one_hop_only)
     member_set = set(members)
-    rest = tuple(sorted(set(range(g.node_count)) - member_set))
     index = {v: k for k, v in enumerate(members)}
     m = len(members)
-    lap = laplacian(g)
-    order = np.array(members + rest)
-    perm = lap[np.ix_(order, order)]
-    lmm = perm[:m, :m]
-    lmr = perm[:m, m:]
     # the model keeps only the edges the owner can infer: its own star, plus
     # (for the 2-hop view) edges among 1-hop neighbors and from 1-hop out to
     # 2-hop nodes -- never edges between two strictly-2-hop nodes
@@ -111,14 +93,14 @@ def _model_blocks(g: Graph, owner: int, one_hop_only: bool):
         l_model[b, b] += 1.0
         l_model[a, b] -= 1.0
         l_model[b, a] -= 1.0
-    return members, rest, l_model, lmm, lmr
+    return members, l_model
 
 
 def two_hop_view(
     g: Graph, owner: int, gains: Gains, one_hop_only: bool = False
 ) -> TwoHopView:
-    members, rest, l_model, lmm, lmr = _model_blocks(g, owner, one_hop_only)
-    m, r = len(members), len(rest)
+    members, l_model = _model_blocks(g, owner, one_hop_only)
+    m = len(members)
     a_model = np.block(
         [
             [np.zeros((m, m)), np.eye(m)],
@@ -128,20 +110,8 @@ def two_hop_view(
     c_meas = np.zeros((m + 1, 2 * m))
     c_meas[:m, :m] = np.eye(m)
     c_meas[m, m] = 1.0  # owner velocity; owner is first in the ordering
-    coupling_members = np.zeros((2 * m, 2 * m))
-    coupling_members[m:, :m] = -gains.alpha * (lmm - l_model)
-    coupling_rest = np.zeros((2 * m, 2 * r))
-    coupling_rest[m:, :r] = -gains.alpha * lmr
     return TwoHopView(
-        owner=owner,
-        members=members,
-        rest=rest,
-        a_model=a_model,
-        c_meas=c_meas,
-        coupling_members=coupling_members,
-        coupling_rest=coupling_rest,
-        gains=gains,
-        one_hop_only=one_hop_only,
+        owner=owner, members=members, a_model=a_model, c_meas=c_meas, gains=gains
     )
 
 
@@ -291,7 +261,6 @@ class ObserverState:
         self.w_budget = float(w_budget)
         self.retain_grace = float(retain_grace)
         self.x_hat = np.zeros(2 * view.size)
-        self.last_reinit = float(t0)
         self.last_model_change = float(t0)
         self.t = float(t0)
         self._departed: dict = {}
@@ -323,7 +292,6 @@ class ObserverState:
         self.x_hat = np.zeros(2 * m)
         self.x_hat[:m] = y[:m]
         self.x_hat[m] = y[m]
-        self.last_reinit = float(t)
         self.last_model_change = float(t)
         self.t = float(t)
 

@@ -204,7 +204,7 @@ def graph_metrics(config: ScenarioConfig) -> dict:
     if cert is not None:
         out["certified_r"] = cert.certified_r
     if eff.node_count <= R_ROBUSTNESS_EXACT_CAP:
-        chain = check_bound_chain(net, window)
+        chain = check_bound_chain(report)
         out.update(
             r_robustness=chain.r,
             vertex_connectivity=chain.kappa,

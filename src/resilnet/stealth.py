@@ -17,7 +17,7 @@ import scipy.linalg
 
 from .dynamics import Gains, closed_loop_matrix
 from .graphs import RANK_RTOL, Graph
-from .observers import view_members
+from .observers import TwoHopView, view_members
 
 PENCIL_RESIDUAL_TOL = 1e-8
 
@@ -234,6 +234,18 @@ def subspace_distance(b1: np.ndarray, b2: np.ndarray) -> float:
         return q @ q.conj().T
 
     return float(np.linalg.norm(projector(b1) - projector(b2), 2))
+
+
+def view_coupling(
+    g: Graph, view: TwoHopView, p_tilde: np.ndarray, v: np.ndarray
+) -> np.ndarray:
+    """True value of the unknown perturbation rho(x_I, x_R) on ``view``'s
+    member rows: the closed loop on ``g`` minus the view's model, ordered
+    like ``view.member_state``."""
+    idx = np.array(view.members)
+    full = closed_loop_matrix(g, view.gains) @ np.concatenate([p_tilde, v])
+    local = view.a_model @ view.member_state(p_tilde, v)
+    return full[np.concatenate([idx, g.node_count + idx])] - local
 
 
 def coupling_bound(

@@ -1,0 +1,48 @@
+"""The benchmark's tracer wraps resilnet functions and methods by name; a
+rename or deletion of one of them must fail here, not only in a traced
+benchmark run."""
+
+import sys
+from pathlib import Path
+
+import resilnet
+from resilnet import reports  # noqa: F401  -- the tracer wraps its writers
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _package_bindings(classes):
+    """Every attribute of every loaded resilnet module and of ``classes``,
+    by identity."""
+    out = {}
+    for name, mod in list(sys.modules.items()):
+        if name == "resilnet" or name.startswith("resilnet."):
+            for key, value in vars(mod).items():
+                out[(name, key)] = value
+    for cls in classes:
+        for key, value in vars(cls).items():
+            out[(cls.__name__, key)] = value
+    return out
+
+
+def test_tracer_installs_and_restores(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    classes = {getattr(resilnet.observers, cls) for cls, _ in tracer.METHODS.values()}
+    before = _package_bindings(classes)
+    t = tracer.Tracer()
+    try:
+        t.install(resilnet)
+        during = _package_bindings(classes)
+        wrapped = {key for key, value in before.items() if during[key] is not value}
+        for span, targets in tracer.FUNCTIONS.items():
+            for module, attr in targets:
+                assert (f"resilnet.{module}", attr) in wrapped, span
+        for span, (cls_name, attr) in tracer.METHODS.items():
+            assert (cls_name, attr) in wrapped, span
+    finally:
+        t.uninstall()
+    after = _package_bindings(classes)
+    assert after.keys() == before.keys()
+    assert all(after[key] is before[key] for key in before)

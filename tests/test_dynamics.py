@@ -11,14 +11,12 @@ from resilnet.dynamics import (
     DoSRandomSpec,
     DoSSchedule,
     Gains,
+    SimulationTrace,
     SystemState,
     _walk,
     closed_loop_matrix,
     consensus_metrics,
-    control_input,
-    damping_condition_holds,
     output_series,
-    output_vector,
     constant,
     ramp,
     realized_disconnection_time,
@@ -53,24 +51,6 @@ def test_attack_signals():
     atk = DeceptionAttack(agent=1, activation_time=3.0, signal=AttackSignal("ramp", slope=1.0))
     assert atk.value(2.9) == 0.0
     assert atk.value(4.0) == pytest.approx(4.0)
-
-
-def test_control_input_equilibrium_and_hand_case():
-    g = complete_graph(3)
-    state = SystemState(np.full(3, 2.5), np.zeros(3))
-    assert np.allclose(control_input(state, g, Gains(1.0, 1.0)), 0.0)
-    two = Graph(2, ((0, 1),))
-    state2 = SystemState(np.array([1.0, 0.0]), np.zeros(2))
-    u = control_input(state2, two, Gains(1.0, 1.0))
-    assert np.allclose(u, [-1.0, 1.0])
-
-
-def test_control_input_with_ramp_injection():
-    g = complete_graph(3)
-    state = SystemState(np.zeros(3), np.zeros(3), t=4.0)
-    attacks = (DeceptionAttack(1, 0.0, AttackSignal("ramp", slope=0.3)),)
-    u = control_input(state, g, Gains(1.0, 3.0), attacks)
-    assert np.allclose(u, [0.0, 1.2, 0.0])
 
 
 def test_closed_loop_matrix_empty_graph_spectrum():
@@ -242,16 +222,23 @@ def test_dos_event_scheme_drops_at_most_one_link():
 
 
 def test_output_vector_cases():
-    state = SystemState(np.full(4, 3.3), np.zeros(4))
-    assert np.allclose(output_vector(state), 0.0, atol=1e-12)
-    p = np.array([1.0, 0.0, 0.0, 0.0])
-    state2 = SystemState(p, np.zeros(4))
-    y = output_vector(state2)
-    assert np.linalg.norm(y) ** 2 == pytest.approx(np.linalg.norm(p - p.mean()) ** 2)
-    state3 = SystemState(np.full(4, -1.0), np.array([0.5, -0.5, 0.25, 0.0]))
-    assert np.linalg.norm(output_vector(state3)) == pytest.approx(
-        np.linalg.norm(state3.v)
+    """Each row of ``output_series`` is the consensus output Y = col(Q p~, v)."""
+    p = np.array([[3.3] * 4, [1.0, 0.0, 0.0, 0.0], [-1.0] * 4])
+    v = np.array([[0.0] * 4, [0.0] * 4, [0.5, -0.5, 0.25, 0.0]])
+    trace = SimulationTrace(
+        t=np.arange(3.0),
+        p_tilde=p,
+        v=v,
+        mode_index=np.zeros(3, dtype=int),
+        dos_active=np.zeros(3, dtype=bool),
+        segments=(),
+        step_h=1.0,
     )
+    y = output_series(trace)
+    assert y.shape == (3, 3 + 4)
+    assert np.allclose(y[0], 0.0, atol=1e-12)
+    assert np.linalg.norm(y[1]) ** 2 == pytest.approx(np.linalg.norm(p[1] - p[1].mean()) ** 2)
+    assert np.linalg.norm(y[2]) == pytest.approx(np.linalg.norm(v[2]))
 
 
 def test_stability_constants_formulas():
@@ -272,15 +259,6 @@ def test_stability_constants_small_mu_limit():
     tiny = stability_constants(1e-9, 1.0, Gains(1.0, 3.0), 5)
     assert tiny.eta == pytest.approx(0.0, abs=1e-9)
     assert tiny.lambda_chi == pytest.approx(0.0, abs=1e-9)
-
-
-def test_damping_condition_requires_large_gamma():
-    gains = Gains(1.0, 8.0)
-    consts = stability_constants(2.0, 1.0, gains, 8)
-    assert not damping_condition_holds(consts, gains)
-    big = Gains(1.0, 2000.0)
-    consts_big = stability_constants(2.0, 1.0, big, 8)
-    assert damping_condition_holds(consts_big, big)
 
 
 def test_consensus_metrics_equilibrium():

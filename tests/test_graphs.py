@@ -16,7 +16,6 @@ from resilnet.graphs import (
     integral_laplacian,
     khop_neighbors,
     laplacian,
-    partition_laplacian,
     path_graph,
     pe_margin,
     projection_matrix,
@@ -191,14 +190,14 @@ def test_r_robustness_star_and_path():
 
 def test_check_bound_chain_k3_tight():
     net = static_network(complete_graph(3), 3.0)
-    report = check_bound_chain(net, 1.0)
+    report = check_bound_chain(pe_margin(net, 1.0))
     assert (math.ceil(report.mu_hat / 2), report.r, report.kappa, report.upper) == (2, 2, 2, 2)
     assert report.chain_holds and report.is_complete
 
 
 def test_check_bound_chain_star():
     net = static_network(star_graph(5), 3.0)
-    report = check_bound_chain(net, 1.0)
+    report = check_bound_chain(pe_margin(net, 1.0))
     assert report.r == 1 and report.kappa == 1 and report.upper == 4
     assert math.ceil(report.mu_hat / 2 - 1e-12) <= report.r
     assert report.chain_holds and report.noncomplete_bound_holds
@@ -279,54 +278,12 @@ FIG_STYLE_EDGES = (
 )
 
 
-def test_partition_ten_node_topology():
-    """A 10-node topology exercising the caption conventions: 1-hop
-    neighbors joined by edges land in the tilde block, and overlap nodes sit
-    in both hop sets while the partition's middle group keeps only the
-    strictly-2-hop nodes."""
+def test_khop_neighbors_ten_node_topology():
+    """A 10-node topology where 1-hop neighbors joined by an edge (1-2, 3-4)
+    also sit in the 2-hop set, next to the strictly-2-hop nodes 5 and 6."""
     g = Graph(10, FIG_STYLE_EDGES)
     assert khop_neighbors(g, 0, 1) == frozenset({1, 2, 3, 4})
     assert khop_neighbors(g, 0, 2) == frozenset({1, 2, 3, 4, 5, 6})
-    part = partition_laplacian(g, 0)
-    assert part.one_hop_set == (0, 1, 2, 3, 4)
-    assert part.two_hop_set == (5, 6)
-    assert part.rest_set == (7, 8, 9)
-    # edge (1,2) between 1-hop neighbors is encoded by the tilde block
-    assert part.ltilde[1, 2] == -1.0
-    assert part.ltilde[3, 4] == -1.0
-    ones = np.ones(part.ltilde.shape[1] + part.l12.shape[1])
-    assert np.allclose(np.hstack([part.ltilde, part.l12]) @ ones, 0.0, atol=1e-12)
-    ones2 = np.ones(part.ldoubletilde.shape[1] + part.l23.shape[1])
-    assert np.allclose(np.hstack([part.ldoubletilde, part.l23]) @ ones2, 0.0, atol=1e-12)
-
-
-def test_partition_star_center_has_zero_tilde():
-    g = star_graph(5)
-    part = partition_laplacian(g, 0)
-    assert np.count_nonzero(part.ltilde) == 0
-    assert np.array_equal(part.l11, part.lprime)
-
-
-def test_partition_complete_graph_empty_rest():
-    part = partition_laplacian(complete_graph(5), 2)
-    assert part.rest_set == ()
-    assert part.l23.shape[1] == 0
-
-
-@given(st.integers(0, 2_000))
-def test_partition_roundtrip_bit_exact(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(4, 11))
-    g = random_connected_graph(rng, n)
-    owner = int(rng.integers(0, n))
-    part = partition_laplacian(g, owner)
-    assert np.array_equal(part.reassemble(), laplacian(g))
-    assert np.array_equal(part.l11, part.lprime + part.ltilde)
-    assert np.array_equal(part.l22, part.lrest + part.ldoubletilde)
-    # the 2-hop proximity Laplacian is itself a valid PSD Laplacian
-    l2hop = part.two_hop_laplacian()
-    assert np.allclose(l2hop @ np.ones(l2hop.shape[0]), 0.0, atol=1e-12)
-    assert np.linalg.eigvalsh(l2hop)[0] > -1e-9
 
 
 def test_generate_r_robust_seed_clique():

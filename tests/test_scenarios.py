@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from resilnet.dynamics import DoSSchedule, DoSInterval, DoSRandomSpec, simulate
+from resilnet.dynamics import DoSSchedule, DoSInterval, simulate
 from resilnet.errors import ConfigurationError
 from resilnet.graphs import pe_margin, r_robustness
 from resilnet.isolation import dp_msr_run, run_rescue
@@ -182,15 +182,6 @@ def test_blinking_split_union(rng):
     net = split_edges_blinking(overlay, 0.5, 3.0, 4, blink_fraction=0.3)
     assert network_union(net).edges == overlay.edges
     assert net.modes[0].edges != net.modes[1].edges
-
-
-def test_dos_declared_duration():
-    dos = DoSSchedule(
-        (DoSInterval(2.0, 3.0, random=DoSRandomSpec(10, 0.3, 0)),)
-    )
-    assert dos.total_declared_duration(0.0, 1.0) == 0.0
-    assert dos.total_declared_duration(2.5, 1.0) == pytest.approx(1.0)
-    assert dos.total_declared_duration(4.5, 1.0) == pytest.approx(0.5)
 
 
 # ---------------------------------------------------------------------------

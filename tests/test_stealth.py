@@ -13,6 +13,7 @@ from resilnet.stealth import (
     pencil_matrix,
     stealth_pencil_kernel,
     subspace_distance,
+    view_coupling,
     zero_dynamics_search,
 )
 
@@ -146,5 +147,5 @@ def test_coupling_bound_dominates_simulation(rng):
         bound = coupling_bound(t, 0.0, gains.alpha, consts.kappa_x, consts.lambda_x, consts.kappa_u, x0)
         for owner in range(n):
             view = two_hop_view(g, owner, gains)
-            rho = view.coupling(trace.p_tilde[k], trace.v[k])
+            rho = view_coupling(g, view, trace.p_tilde[k], trace.v[k])
             assert np.linalg.norm(rho) <= bound * (1 + 1e-9)
