@@ -10,10 +10,10 @@ topology boundary aligned to the step grid.
 
 Between two edge-set changes the closed loop is linear time-invariant, so one
 RK4 step is a matrix: x+ = R x + G0 b(t) + Gm b(t + h/2) + G1 b(t + h), with R
-RK4's stability polynomial in hA.  Each realized segment builds R and the
-attacker columns of G0, Gm, G1 once; the attack waveforms are sampled as
-arrays on the half-step grid.  The method is RK4 either way; only rounding
-differs from the stage form.
+RK4's stability polynomial in hA.  ``simulate`` builds R and the attacker
+columns of G0, Gm, G1 once per distinct edge set of a run; the attack
+waveforms are sampled as arrays on the half-step grid.  The method is RK4
+either way; only rounding differs from the stage form.
 """
 
 from __future__ import annotations
@@ -480,6 +480,18 @@ def simulate(
     """
     n = net.node_count
     agents = _attackers(attacks)
+    # step matrices by effective edge set: a DoS blink or a schedule that
+    # returns to a mode realizes an earlier edge set again
+    plants = {}
+
+    def on_edges(edges, t, x):
+        plant = plants.get(edges)
+        if plant is None:
+            plant = plants[edges] = _plant_matrices(
+                Graph(n, tuple(edges)), gains, agents, step_h
+            )
+        return plant
+
     return _walk(
         net,
         initial,
@@ -487,9 +499,7 @@ def simulate(
         dos,
         horizon,
         step_h,
-        lambda edges, t, x: _plant_matrices(
-            Graph(n, tuple(edges)), gains, agents, step_h
-        ),
+        on_edges,
         lambda plant, x, k, u: _plant_step(plant, x, u),
     )
 

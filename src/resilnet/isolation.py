@@ -455,10 +455,18 @@ class DPMSRConfig:
             raise ValueError("sample_time must be positive")
 
 
-def _trimmed_control(p: np.ndarray, v: np.ndarray, nbrs, i: int, f: int, gains: Gains):
-    diffs = sorted(((p[i] - p[j], j) for j in nbrs), key=lambda x: (x[0], x[1]))
-    kept = diffs[f : len(diffs) - f] if len(diffs) > 2 * f else []
-    return -gains.alpha * sum(d for d, _ in kept) - gains.gamma * v[i]
+def _trimmed_control(p, v, nbrs, i: int, f: int, gains: Gains):
+    """MSR control of agent ``i``: its relative positions to ``nbrs`` sorted,
+    the ``f`` largest and ``f`` smallest dropped, the rest added left to
+    right.  Equal values are interchangeable, so sorting by value alone keeps
+    the kept sum.  The explicit ``+=`` matters: from Python 3.12 builtin
+    ``sum`` compensates rounding on floats."""
+    pi = p[i]
+    diffs = sorted([pi - p[j] for j in nbrs])
+    total = 0.0
+    for d in diffs[f : len(diffs) - f]:
+        total += d
+    return -gains.alpha * total - gains.gamma * v[i]
 
 
 def dp_msr_run(problem: RescueProblem, cfg: DPMSRConfig) -> SimulationTrace:
@@ -466,12 +474,15 @@ def dp_msr_run(problem: RescueProblem, cfg: DPMSRConfig) -> SimulationTrace:
     trimming: each cooperative agent sorts its neighbors' relative-position
     values, discards the f_max largest and smallest, and applies the control
     to the remainder.  Malicious agents run the untrimmed protocol plus their
-    injection."""
+    injection.  The controls are computed on Python floats, read with one
+    ``tolist()`` per step."""
     n = problem.net.node_count
-    # inj[column[i]] is attacker i's injection at the sample time, the first
-    # of the three instants the walker samples per step
+    # inj[columns[i]] is attacker i's injection at the sample time, the first
+    # of the three instants the walker samples per step; None for the others
     column = {agent: c for c, agent in enumerate(_attackers(problem.attacks))}
-    alpha, gamma, ts = cfg.gains.alpha, cfg.gains.gamma, cfg.sample_time
+    columns = [column.get(i) for i in range(n)]
+    f, gains, ts = cfg.f_max, cfg.gains, cfg.sample_time
+    alpha, gamma = gains.alpha, gains.gamma
 
     def neighbor_lists(edges, t, x):
         g = Graph(n, tuple(sorted(edges)))
@@ -479,16 +490,17 @@ def dp_msr_run(problem: RescueProblem, cfg: DPMSRConfig) -> SimulationTrace:
 
     def step(nbrs_of, x, k, inj):
         p, v = x[:n], x[n:]
-        u = np.empty(n)
-        for i in range(n):
-            if i in column:
-                u[i] = (
-                    -alpha * sum(p[i] - p[j] for j in nbrs_of[i])
-                    - gamma * v[i]
-                    + inj[column[i]]
-                )
-            else:
-                u[i] = _trimmed_control(p, v, nbrs_of[i], i, cfg.f_max, cfg.gains)
+        pl, vl, injl = p.tolist(), v.tolist(), inj.tolist()
+        u = []
+        for i, c in enumerate(columns):
+            if c is None:
+                u.append(_trimmed_control(pl, vl, nbrs_of[i], i, f, gains))
+                continue
+            pi, total = pl[i], 0.0
+            for j in nbrs_of[i]:
+                total += pi - pl[j]
+            u.append(-alpha * total - gamma * vl[i] + injl[c])
+        u = np.array(u)
         # exact ZOH update of the double integrator
         return np.concatenate([p + ts * v + 0.5 * ts * ts * u, v + ts * u])
 

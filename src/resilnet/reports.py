@@ -29,8 +29,10 @@ from .dynamics import (
 )
 from .errors import ConfigurationError
 from .graphs import (
+    _WINDOW_BLOCK,
     Graph,
-    algebraic_connectivity,
+    _lambda2_stack,
+    _window_means,
     adversary_classification,
     check_bound_chain,
     laplacian,
@@ -131,19 +133,22 @@ def lambda2_series(trace: SimulationTrace, window: float, points: int = 200):
     if horizon < window:
         return np.array([]), np.array([])
     n = trace.node_count
-    laps = [
-        (a, b, laplacian(Graph(n, tuple(edges))))
-        for a, b, _, edges, _ in trace.segments
+    # one Laplacian per distinct edge set, indexed by the segments
+    index = {}
+    segments = [
+        (a, b, index.setdefault(edges, len(index))) for a, b, _, edges, _ in trace.segments
     ]
+    laps = np.stack([laplacian(Graph(n, tuple(edges))) for edges in index])
     starts = np.linspace(0.0, horizon - window, points)
     out = np.empty(points)
-    for idx, t0 in enumerate(starts):
-        acc = np.zeros((n, n))
-        for a, b, lap in laps:
-            lo, hi = max(a, t0), min(b, t0 + window)
-            if hi > lo:
-                acc += (hi - lo) * lap
-        out[idx] = algebraic_connectivity(acc / window)
+    for first in range(0, points, _WINDOW_BLOCK):
+        pieces = []
+        for t0 in starts[first : first + _WINDOW_BLOCK].tolist():
+            t1 = t0 + window
+            pieces.append(
+                [(min(b, t1) - max(a, t0), k) for a, b, k in segments if min(b, t1) > max(a, t0)]
+            )
+        out[first : first + _WINDOW_BLOCK] = _lambda2_stack(_window_means(laps, pieces, window))
     return starts, out
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from resilnet import dynamics
 from resilnet.dynamics import (
     AttackSignal,
     DeceptionAttack,
@@ -13,6 +14,9 @@ from resilnet.dynamics import (
     Gains,
     SimulationTrace,
     SystemState,
+    _attackers,
+    _plant_matrices,
+    _plant_step,
     _walk,
     closed_loop_matrix,
     consensus_metrics,
@@ -184,6 +188,43 @@ def test_simulate_step_matrices_match_stage_rk4(signal):
     # the attacks move the run by far more than the tolerance
     free = simulate(net, gains, init, dos=dos, step_h=h)
     assert np.max(np.abs(free.v - trace.v)) > 1e-3
+
+
+def test_simulate_builds_step_matrices_once_per_edge_set(monkeypatch):
+    g = complete_graph(4)
+    net = static_network(g, 4.0)
+    # edge (0, 1) blinks off on [1, 2) and [3, 4): edge sets A, B, A, B
+    dos = DoSSchedule(
+        (
+            DoSInterval(1.0, 1.0, dropped_edges=((0, 1),)),
+            DoSInterval(3.0, 1.0, dropped_edges=((0, 1),)),
+        )
+    )
+    init = SystemState(np.array([1.0, -2.0, 0.5, 0.0]), np.array([0.3, 0.0, -0.1, 0.2]))
+    gains = Gains(1.0, 2.0)
+    attacks = (DeceptionAttack(2, 0.5, ramp(0.4)),)
+    h = 1e-3
+    builds = []
+
+    def counted(graph, gains):
+        builds.append(graph.edges)
+        return closed_loop_matrix(graph, gains)
+
+    monkeypatch.setattr(dynamics, "closed_loop_matrix", counted)
+    trace = simulate(net, gains, init, attacks, dos, step_h=h)
+    assert [len(seg[3]) for seg in trace.segments] == [6, 5, 6, 5]
+    assert builds == [g.edges, g.edges[1:]]
+    # the walk that builds the step matrices on every segment
+    agents = _attackers(attacks)
+    ref = _walk(
+        net, init, attacks, dos, None, h,
+        lambda edges, t, x: _plant_matrices(Graph(4, tuple(edges)), gains, agents, h),
+        lambda plant, x, k, u: _plant_step(plant, x, u),
+    )
+    assert len(builds) == 2 + 4
+    assert trace.p_tilde.tobytes() == ref.p_tilde.tobytes()
+    assert trace.v.tobytes() == ref.v.tobytes()
+    assert trace.segments == ref.segments
 
 
 def test_simulate_rejects_misaligned_breakpoints():

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, strategies as st
 
 from resilnet.errors import CapabilityError, ConfigurationError
 from resilnet.graphs import (
+    _WINDOW_BLOCK,
+    ZERO_TOL,
     Graph,
     SwitchingNetwork,
     algebraic_connectivity,
@@ -24,8 +27,14 @@ from resilnet.graphs import (
     star_graph,
     static_network,
     vertex_connectivity,
+    _window_starts,
 )
-from resilnet.scenarios import random_connected_graph, split_edges_alternating
+from resilnet.scenarios import (
+    build_network,
+    generate_example2,
+    random_connected_graph,
+    split_edges_alternating,
+)
 
 
 def test_graph_rejects_self_loops_and_duplicates():
@@ -145,6 +154,110 @@ def test_pe_margin_spectral_equivalence(seed):
     )
     report = pe_margin(net, 1.0)
     assert report.equivalence_gap < 1e-9
+
+
+def _lambda2(lap):
+    """``algebraic_connectivity`` as one eigensolve and one SVD of one matrix."""
+    lam2 = float(np.linalg.eigvalsh(lap)[1])
+    scale = max(1.0, float(np.linalg.norm(lap, 2)))
+    return 0.0 if abs(lam2) <= ZERO_TOL * scale else lam2
+
+
+def _reference_pe_margin(net, window, grid_points=100):
+    """``pe_margin`` one window at a time, with the mean Laplacian and
+    adjacency of each window summed segment by segment: the loop that the
+    stacked window blocks replaced."""
+    n = net.node_count
+    q = projection_matrix(n)
+
+    def mean(build, t):
+        acc = np.zeros((n, n))
+        for a, b, m in net.segments(t, t + window):
+            acc += (b - a) * build(net.modes[m])
+        return acc / window
+
+    mu = lam2_at_min = math.inf
+    gap = 0.0
+    min_weights = np.full((n, n), math.inf)
+    for t in _window_starts(net, window, grid_points):
+        lbar = mean(laplacian, t)
+        lam_min = float(np.linalg.eigvalsh(q @ lbar @ q.T)[0])
+        lam2 = _lambda2(lbar)
+        gap = max(gap, abs(max(lam_min, 0.0) - lam2))
+        if lam_min < mu:
+            mu, lam2_at_min = lam_min, lam2
+        min_weights = np.minimum(min_weights, mean(Graph.adjacency, t))
+    if abs(mu) <= ZERO_TOL * max(1.0, float(n)):
+        mu = 0.0
+    positive = min_weights > ZERO_TOL
+    edges = tuple((i, j) for i in range(n) for j in range(i + 1, n) if positive[i, j])
+    weights = np.where(positive, min_weights, 0.0)
+    delta_floor = float(min(weights[i, j] for i, j in edges)) if edges else 0.0
+    return (max(mu, 0.0), window, edges, weights, lam2_at_min, delta_floor, gap)
+
+
+def _bits(report_fields):
+    """Every field as bytes, so that -0.0 and 0.0 differ."""
+    mu, window, edges, weights, lam2, delta_floor, gap = report_fields
+    return struct.pack("<5d", mu, window, lam2, delta_floor, gap), edges, weights.tobytes()
+
+
+def _assert_pe_margin_bitwise(net, window):
+    report = pe_margin(net, window)
+    got = (
+        report.mu,
+        report.window_T,
+        report.effective_graph.edges,
+        report.effective_weights,
+        report.lambda2_integral,
+        report.delta_floor,
+        report.equivalence_gap,
+    )
+    assert _bits(got) == _bits(_reference_pe_margin(net, window))
+
+
+def _random_switching(rng, n, mode_count, horizon, edgeless=False):
+    """Modes of random density, mode 0 edgeless on request, on a schedule
+    whose breakpoints lie on a 0.25 grid, so that the ends of windows of
+    length 0.5 or 1.0 land on breakpoints."""
+    modes = tuple(
+        Graph(n, ()) if edgeless and k == 0
+        else random_connected_graph(rng, n, rng.uniform(0.0, 0.6))
+        for k in range(mode_count)
+    )
+    grid = np.arange(1, int(horizon / 0.25)) * 0.25
+    cuts = sorted(rng.choice(grid, size=int(rng.integers(0, len(grid) // 2 + 1)), replace=False))
+    # mode 0 (the edgeless one, if any) is active from t = 0
+    schedule = [(0.0, 0)] + [(float(t), int(rng.integers(mode_count))) for t in cuts]
+    return SwitchingNetwork(modes, tuple(schedule), horizon)
+
+
+@given(st.integers(0, 10_000))
+def test_pe_margin_matches_per_window_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 13))
+    mode_count = int(rng.integers(1, 5))
+    horizon = float(rng.choice([2.0, 3.0, 4.0]))
+    net = _random_switching(rng, n, mode_count, horizon, edgeless=bool(rng.integers(2)))
+    for window in (0.5, 1.0, horizon):
+        _assert_pe_margin_bitwise(net, window)
+    assert len(_window_starts(net, 0.5)) > _WINDOW_BLOCK
+
+
+def test_pe_margin_matches_per_window_loop_edge_cases():
+    rng = np.random.default_rng(7)
+    # an edgeless mode, window == horizon (a single window start), and
+    # window ends on every breakpoint
+    edgeless = _random_switching(rng, 5, 3, 2.0, edgeless=True)
+    assert any(not g.edges for g in edgeless.modes)
+    for window in (0.25, 0.5, 2.0):
+        _assert_pe_margin_bitwise(edgeless, window)
+    _assert_pe_margin_bitwise(static_network(Graph(3, ()), 1.0), 1.0)
+    # example2's 84-node network
+    net = build_network(generate_example2(0).network)
+    assert net.node_count == 84
+    assert len(_window_starts(net, 1.0)) > _WINDOW_BLOCK
+    _assert_pe_margin_bitwise(net, 1.0)
 
 
 def test_algebraic_connectivity_examples():

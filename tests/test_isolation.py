@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from resilnet.dynamics import (
     DoSSchedule,
     Gains,
     SystemState,
+    _attackers,
     _walk,
     closed_loop_matrix,
     consensus_metrics,
@@ -23,6 +26,7 @@ from resilnet.isolation import (
     IsolationEvent,
     RescueProblem,
     _auto_w_budget,
+    _trimmed_control,
     dp_msr_run,
     isolation_complete,
     post_isolation_connectivity,
@@ -374,15 +378,94 @@ def test_dp_msr_attack_free_consensus(rng):
 
 def test_dp_msr_trimming_drops_extremes():
     # star hub with 4 neighbors: values sorted, extremes removed
-    from resilnet.isolation import _trimmed_control
-
     p = np.array([0.0, 5.0, -4.0, 1.0, -1.0])
     v = np.zeros(5)
-    u = _trimmed_control(p, v, (1, 2, 3, 4), 0, 1, GAINS)
-    # diffs: p0-pj = -5, 4, -1, 1; trim -5 and 4; keep -1, 1 -> sum 0
-    assert u == pytest.approx(0.0)
-    u2 = _trimmed_control(p, v, (1, 2), 0, 1, GAINS)
-    assert u2 == pytest.approx(0.0)  # fewer than 2f+1 neighbors: all trimmed
+    for pv in ((p, v), (p.tolist(), v.tolist())):
+        u = _trimmed_control(*pv, (1, 2, 3, 4), 0, 1, GAINS)
+        # diffs: p0-pj = -5, 4, -1, 1; trim -5 and 4; keep -1, 1 -> sum 0
+        assert u == pytest.approx(0.0)
+        u2 = _trimmed_control(*pv, (1, 2), 0, 1, GAINS)
+        assert u2 == pytest.approx(0.0)  # fewer than 2f+1 neighbors: all trimmed
+    # ties at the trim boundary keep equal values, whichever copy is dropped
+    p = [0.0, 0.1, -0.3, 0.1, 0.2, -0.3]
+    v = [0.5, 0.0, 0.0, 0.0, 0.0, 0.0]
+    # diffs sorted: -0.2, -0.1, -0.1, 0.3, 0.3; kept and added left to right
+    assert _trimmed_control(p, v, (1, 2, 3, 4, 5), 0, 1, GAINS) == -1.0 * (-0.1 + -0.1 + 0.3) - 3.0 * 0.5
+
+
+def _reference_dp_msr(problem, cfg):
+    """``dp_msr_run`` with the step it had on numpy scalars: neighbors sorted
+    by (value, index) and the kept values added by builtin ``sum``, which
+    does not compensate ``np.float64`` items."""
+    n = problem.net.node_count
+    column = {agent: c for c, agent in enumerate(_attackers(problem.attacks))}
+    alpha, gamma, ts, f = cfg.gains.alpha, cfg.gains.gamma, cfg.sample_time, cfg.f_max
+
+    def trimmed(p, v, nbrs, i):
+        diffs = sorted(((p[i] - p[j], j) for j in nbrs), key=lambda x: (x[0], x[1]))
+        kept = diffs[f : len(diffs) - f] if len(diffs) > 2 * f else []
+        return -alpha * sum(d for d, _ in kept) - gamma * v[i]
+
+    def neighbor_lists(edges, t, x):
+        g = Graph(n, tuple(sorted(edges)))
+        return [g.neighbors(i) for i in range(n)]
+
+    def step(nbrs_of, x, k, inj):
+        p, v = x[:n], x[n:]
+        u = np.empty(n)
+        for i in range(n):
+            if i in column:
+                u[i] = (
+                    -alpha * sum(p[i] - p[j] for j in nbrs_of[i])
+                    - gamma * v[i]
+                    + inj[column[i]]
+                )
+            else:
+                u[i] = trimmed(p, v, nbrs_of[i], i)
+        return np.concatenate([p + ts * v + 0.5 * ts * ts * u, v + ts * u])
+
+    return _walk(
+        problem.net, problem.initial, problem.attacks, problem.dos, problem.horizon,
+        ts, neighbor_lists, step,
+    )
+
+
+def _dp_msr_cases():
+    config = generate_example1(0)
+    problem = materialize(config)
+    # example1's DoS barrage covers [0, 10)
+    yield "example1", replace(problem, horizon=12.0), config.dp_msr
+    overlay = network_union(problem.net)
+    attacked = RescueProblem(
+        net=static_network(overlay, 6.0),
+        gains=problem.gains,
+        initial=problem.initial,
+        attacks=problem.attacks,
+    )
+    yield "attacked_overlay", attacked, config.dp_msr
+    yield "no_attackers", replace(attacked, attacks=()), config.dp_msr
+    # nodes 0 and 1 (degree 1 and 2) keep no neighbor for f >= 1, and no
+    # node keeps one for f = 2
+    g = Graph(6, ((0, 1), (1, 2), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)))
+    rng = np.random.default_rng(31)
+    small = RescueProblem(
+        net=static_network(g, 2.0),
+        gains=GAINS,
+        initial=SystemState(rng.uniform(-5, 5, 6), rng.uniform(-1, 1, 6)),
+        attacks=(DeceptionAttack(5, 0.2, AttackSignal("sinusoid", amplitude=2.0, frequency=1.5)),),
+    )
+    for f in (0, 1, 2):
+        yield f"f_max{f}", small, DPMSRConfig(f_max=f, sample_time=1e-3, gains=GAINS)
+
+
+@pytest.mark.parametrize("case", list(_dp_msr_cases()), ids=lambda c: c[0])
+def test_dp_msr_matches_numpy_scalar_step(case):
+    _, problem, cfg = case
+    got = dp_msr_run(problem, cfg)
+    want = _reference_dp_msr(problem, cfg)
+    assert got.p_tilde.tobytes() == want.p_tilde.tobytes()
+    assert got.v.tobytes() == want.v.tobytes()
+    assert got.segments == want.segments
 
 
 def test_dp_msr_fails_against_two_total():
