@@ -29,7 +29,6 @@ ZERO_TOL = 1e-9
 RANK_RTOL = 1e-12
 
 R_ROBUSTNESS_EXACT_CAP = 12
-VERTEX_CONNECTIVITY_EXACT_CAP = 12
 # window means stacked at once by pe_margin and reports.lambda2_series: a
 # block, not every window, so that the stack stays small on large networks
 _WINDOW_BLOCK = 32
@@ -390,29 +389,84 @@ def pe_margin(net: SwitchingNetwork, window: float, grid_points: int = 100) -> P
 # ---------------------------------------------------------------------------
 
 
+class _SplitNetwork:
+    """Unit-capacity vertex-split network of a graph, for local vertex
+    connectivity by augmenting paths.  Node v becomes v_in = 2v and
+    v_out = 2v + 1, joined by the arc v_in -> v_out; each edge {u, v}
+    becomes the arcs u_out -> v_in and v_out -> u_in.  ``heads[x]`` lists
+    the arcs out of x in the residual network (reverse arcs included) and
+    ``capacity`` holds every arc's capacity (0 for a reverse arc)."""
+
+    def __init__(self, g: Graph):
+        self.nbrs = g._neighbor_lists
+        self.heads = []
+        self.capacity = {}
+        for v, nbrs in enumerate(self.nbrs):
+            self.heads.append((2 * v + 1, *(2 * u + 1 for u in nbrs)))
+            self.heads.append((2 * v, *(2 * u for u in nbrs)))
+            self.capacity[2 * v, 2 * v + 1] = 1
+            self.capacity[2 * v + 1, 2 * v] = 0
+            for u in nbrs:
+                self.capacity[2 * v + 1, 2 * u] = 1
+                self.capacity[2 * u, 2 * v + 1] = 0
+
+    def local_connectivity(self, s: int, t: int, bound: int) -> int:
+        """Internally vertex-disjoint paths between non-adjacent s and t,
+        counted up to ``bound``.  Each common neighbor w is one path
+        s-w-t; breadth-first augmenting paths from s_out to t_in add the
+        rest, one unit of flow each."""
+        heads = self.heads
+        residual = self.capacity.copy()
+        source, sink = 2 * s + 1, 2 * t
+        common = sorted(set(self.nbrs[s]) & set(self.nbrs[t]))[:bound]
+        for w in common:
+            for arc in ((source, 2 * w), (2 * w, 2 * w + 1), (2 * w + 1, sink)):
+                residual[arc] = 0
+                residual[arc[::-1]] = 1
+        flow = len(common)
+        while flow < bound:
+            parent = {source: None}
+            frontier = [source]
+            while frontier and sink not in parent:
+                reached = []
+                for x in frontier:
+                    for y in heads[x]:
+                        if y not in parent and residual[x, y]:
+                            parent[y] = x
+                            reached.append(y)
+                frontier = reached
+            if sink not in parent:
+                break
+            y = sink
+            while parent[y] is not None:
+                x = parent[y]
+                residual[x, y] -= 1
+                residual[y, x] += 1
+                y = x
+            flow += 1
+        return flow
+
+
 def vertex_connectivity(g: Graph) -> int:
-    """Exact vertex connectivity; complete graphs return N-1 by convention.
+    """Exact vertex connectivity: 0 when disconnected, N-1 when complete.
 
-    Brute force over cut candidates up to N=12; max-flow (networkx) above.
+    Even's algorithm: kappa is the least local connectivity over
+    non-adjacent pairs (v_i, v_j), and it suffices to take i <= kappa.  A
+    minimum cut S misses one of v_0..v_kappa, and the first such v_i has a
+    node of higher index on the other side of S.  Each local connectivity
+    is a unit-capacity max flow (``_SplitNetwork``), stopped once it
+    reaches the best cut so far; the minimum degree starts the bound.
     """
-    n = g.node_count
-    if not g.is_connected():
-        return 0
-    if len(g.edges) == n * (n - 1) // 2:
-        return n - 1
-    if n > VERTEX_CONNECTIVITY_EXACT_CAP:
-        import networkx as nx
-
-        h = nx.Graph()
-        h.add_nodes_from(range(n))
-        h.add_edges_from(g.edges)
-        return int(nx.node_connectivity(h))
-    for k in range(1, n - 1):
-        for cut in itertools.combinations(range(n), k):
-            remainder = g.subgraph(set(range(n)) - set(cut))
-            if not remainder.is_connected():
-                return k
-    return n - 1
+    network = _SplitNetwork(g)
+    best = min(len(a) for a in network.nbrs)
+    i = 0
+    while i <= best:
+        adjacent = set(network.nbrs[i])
+        for j in range(i + 1, g.node_count):
+            if j not in adjacent:
+                best = min(best, network.local_connectivity(i, j, best))
+        i += 1
+    return best
 
 
 def r_robustness(g: Graph) -> int:

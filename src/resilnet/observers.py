@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .dynamics import Gains
 from .errors import ConfigurationError, DesignFailureError
@@ -22,6 +21,9 @@ from .graphs import RANK_RTOL, Graph, khop_neighbors
 
 GAIN_LADDER = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0)
 HURWITZ_MARGIN = 0.1
+# Newton steps allowed to the Lyapunov sign iteration; with determinant
+# scaling the observer matrices reach -I in about ten
+LYAPUNOV_MAX_STEPS = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,11 +159,50 @@ def gain_matrix(view: TwoHopView, k1: float, k_consensus: float = 1.5) -> np.nda
     return h
 
 
+def _lyapunov(a: np.ndarray) -> np.ndarray:
+    """P with A^T P + P A = -I, by Roberts' sign-function iteration.
+
+    Newton's iteration for sign(M), M = [[A, 0], [I, -A^T]], kept on the
+    two blocks that differ: from Z = A and Y = I,
+
+        Z <- (Z/c + c Z^-1) / 2,   Y <- (Y/c + c Z^-T Y Z^-1) / 2,
+
+    with determinant scaling c = |det Z|^(1/n), taken from ``slogdet`` so
+    that no order overflows.  sign(M) commutes with M, so when A is Hurwitz
+    Z tends to -I and Y to 2P.  The step taken from a Z with
+    ||Z + I||_1 <= 1e-13 n is the last.  An A that is not Hurwitz sends Z
+    to another sign matrix, or nowhere, and raises DesignFailureError.
+    """
+    n = a.shape[0]
+    eye = np.eye(n)
+    z, y = a, eye
+    for _ in range(LYAPUNOV_MAX_STEPS):
+        sign, logdet = np.linalg.slogdet(z)
+        if sign == 0:
+            raise DesignFailureError("sign iteration met a singular Z: not Hurwitz")
+        c = math.exp(logdet / n)
+        z_inv = np.linalg.inv(z)
+        y = 0.5 * (y / c + c * (z_inv.T @ y @ z_inv))
+        if np.linalg.norm(z + eye, 1) <= 1e-13 * n:
+            # Z had converged, so this last step brought Y to rounding level
+            return 0.5 * y
+        z_next = 0.5 * (z / c + c * z_inv)
+        # Z settled on a sign matrix S != -I: S + I has an eigenvalue 2
+        settled = np.linalg.norm(z_next - z, 1) <= 1e-10 * np.linalg.norm(z_next, 1)
+        if settled and np.linalg.norm(z_next + eye, 1) >= 1.0:
+            raise DesignFailureError("matrix is not Hurwitz: sign(A) is not -I")
+        z = z_next
+    raise DesignFailureError(
+        f"Lyapunov sign iteration did not converge in {LYAPUNOV_MAX_STEPS} steps"
+    )
+
+
 def decay_envelope(a_bar: np.ndarray) -> tuple:
     """Certified (kappa_e, lambda_e) with ||exp(A t)|| <= kappa_e e^{-lambda_e t}.
 
     Normal matrices get the exact envelope (kappa_e = 1, spectral abscissa);
-    otherwise the Lyapunov solution of A^T P + P A = -I yields lambda_e =
+    otherwise the Lyapunov solution of A^T P + P A = -I (``_lyapunov``, a
+    scaled Newton sign-function iteration in numpy) yields lambda_e =
     1 / (2 lambda_max(P)) and kappa_e = sqrt(cond(P)).
     """
     scale = max(1.0, float(np.linalg.norm(a_bar, "fro")))
@@ -170,7 +211,7 @@ def decay_envelope(a_bar: np.ndarray) -> tuple:
         if abscissa >= 0:
             raise DesignFailureError("matrix is not Hurwitz")
         return 1.0, -abscissa
-    p = scipy.linalg.solve_continuous_lyapunov(a_bar.T, -np.eye(a_bar.shape[0]))
+    p = _lyapunov(a_bar)
     p = 0.5 * (p + p.T)
     eigs = np.linalg.eigvalsh(p)
     if eigs[0] <= 0:
@@ -223,6 +264,8 @@ def validate_envelope(
     Returns (ok, worst_excess); stepping by a precomputed propagator keeps
     the cost at one small matmul + SVD per grid point.
     """
+    import scipy.linalg  # loaded only here and by the stealth analysis
+
     dt = t_max / (points - 1)
     prop = scipy.linalg.expm(a_bar * dt)
     cur = np.eye(a_bar.shape[0])

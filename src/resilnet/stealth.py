@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .dynamics import Gains, closed_loop_matrix
 from .graphs import RANK_RTOL, Graph
@@ -193,6 +192,8 @@ def zero_dynamics_search(
     g_mat[: 2 * n, : 2 * n] = a
     g_mat[: 2 * n, 2 * n :] = b
     g_mat[2 * n :, : 2 * n] = -c
+    import scipy.linalg  # generalized eig; loaded only by this analysis
+
     for _ in range(3):
         w = rng.standard_normal((cols, rows))
         try:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import struct
 
@@ -284,7 +285,47 @@ def test_vertex_connectivity_disconnected_and_large():
     big = complete_graph(16)
     assert vertex_connectivity(big) == 15
     ring = Graph(16, tuple((i, (i + 1) % 16) if i < (i + 1) % 16 else ((i + 1) % 16, i) for i in range(16)))
-    assert vertex_connectivity(ring) == 2  # networkx max-flow path
+    assert vertex_connectivity(ring) == 2  # a ring is 2-connected at any size
+
+
+def _random_graph(rng, n):
+    p = rng.uniform(0.1, 0.9)
+    pairs = itertools.combinations(range(n), 2)
+    return Graph(n, tuple(e for e in pairs if rng.random() < p))
+
+
+def _brute_force_connectivity(g):
+    """The smallest vertex cut, by trying every node set in size order."""
+    n = g.node_count
+    for k in range(n - 1):
+        for cut in itertools.combinations(range(n), k):
+            if not g.subgraph(set(range(n)) - set(cut)).is_connected():
+                return k
+    return n - 1
+
+
+def test_vertex_connectivity_matches_brute_force(rng):
+    for _ in range(150):
+        g = _random_graph(rng, int(rng.integers(2, 13)))
+        assert vertex_connectivity(g) == _brute_force_connectivity(g), g
+
+
+def test_vertex_connectivity_matches_networkx(rng):
+    nx = pytest.importorskip("networkx")
+
+    def reference(g):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.node_count))
+        h.add_edges_from(g.edges)
+        return nx.node_connectivity(h)
+
+    for _ in range(40):
+        g = _random_graph(rng, int(rng.integers(13, 41)))
+        assert vertex_connectivity(g) == reference(g), g
+    net = build_network(generate_example2(0).network)
+    eff = pe_margin(net, 1.0).effective_graph
+    assert eff.node_count == 84
+    assert vertex_connectivity(eff) == reference(eff) == 2
 
 
 def test_r_robustness_examples():

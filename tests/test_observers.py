@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from resilnet.dynamics import Gains, SystemState, simulate
-from resilnet.errors import ConfigurationError
+from resilnet.errors import ConfigurationError, DesignFailureError
 from resilnet.graphs import (
     Graph,
     complete_graph,
@@ -15,6 +15,7 @@ from resilnet.graphs import (
 from resilnet.observers import (
     ObserverState,
     ThresholdRule,
+    _lyapunov,
     decay_envelope,
     design_gain,
     gain_matrix,
@@ -24,7 +25,7 @@ from resilnet.observers import (
     two_hop_view,
     validate_envelope,
 )
-from resilnet.scenarios import random_connected_graph
+from resilnet.scenarios import generate_example2, materialize, random_connected_graph
 from resilnet.stealth import view_coupling
 
 GAINS = Gains(1.0, 3.0)
@@ -114,6 +115,68 @@ def test_decay_envelope_scalar_and_symmetric():
     assert lam == pytest.approx(0.5)
     with pytest.raises(Exception):
         decay_envelope(np.array([[1.0]]))
+
+
+def _scipy_envelope(a):
+    """P from scipy's Bartels-Stewart solver and the envelope it yields."""
+    p = scipy.linalg.solve_continuous_lyapunov(a.T, -np.eye(a.shape[0]))
+    eigs = np.linalg.eigvalsh(0.5 * (p + p.T))
+    return p, np.sqrt(eigs[-1] / eigs[0]), 1.0 / (2.0 * eigs[-1])
+
+
+def _assert_lyapunov_matches_scipy(a):
+    p_ref, kappa_ref, lambda_ref = _scipy_envelope(a)
+    p = _lyapunov(a)
+    assert np.linalg.norm(p - p_ref) <= 1e-10 * np.linalg.norm(p_ref)
+    kappa, lam = decay_envelope(a)
+    assert kappa == pytest.approx(kappa_ref, rel=1e-12, abs=0)
+    assert lam == pytest.approx(lambda_ref, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("coupling", [0.0, 1.0, 3.0])
+def test_lyapunov_matches_scipy_random(rng, coupling):
+    """Dense shifted Gaussian matrices (coupling 0) and Schur forms -D + c T /
+    sqrt(n) with T strictly upper triangular, rotated by a random orthogonal
+    Q; at c = 3 kappa_e reaches about 100, a strongly non-normal A."""
+    for n in [*range(1, 13), 20, 30, 45, 60, 75, 90]:
+        if coupling == 0.0:
+            m = rng.standard_normal((n, n))
+            shift = np.max(np.linalg.eigvals(m).real) + rng.uniform(0.1, 1.0)
+            a = m - shift * np.eye(n)
+        else:
+            t = np.triu(rng.standard_normal((n, n)), 1) * coupling / np.sqrt(n)
+            t -= np.diag(rng.uniform(0.5, 3.0, n))
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            a = q @ t @ q.T
+        _assert_lyapunov_matches_scipy(a)
+
+
+def test_lyapunov_matches_scipy_on_example2_views():
+    """Every observer matrix a_model - H c_meas of example2's seed-0 modes
+    (orders 14 to 90)."""
+    problem = materialize(generate_example2(0))
+    orders = set()
+    for g in problem.net.modes:
+        for owner in range(g.node_count):
+            view = two_hop_view(g, owner, problem.gains)
+            a_bar = view.a_model - design_gain(view).h_matrix @ view.c_meas
+            orders.add(a_bar.shape[0])
+            _assert_lyapunov_matches_scipy(a_bar)
+    assert max(orders) >= 80
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [[1.0, 5.0], [0.0, -1.0]],  # one eigenvalue in the right half plane
+        [[1.0, 5.0], [0.0, 2.0]],  # both
+        [[0.0, 4.0], [-1.0, 0.0]],  # +-2i, on the imaginary axis
+        [[0.0, 1.0], [0.0, -1.0]],  # singular
+    ],
+)
+def test_decay_envelope_rejects_non_hurwitz_non_normal(a):
+    with pytest.raises(DesignFailureError):
+        decay_envelope(np.array(a))
 
 
 def test_design_gain_certifies_envelope(rng):
