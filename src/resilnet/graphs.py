@@ -420,6 +420,7 @@ class _SplitNetwork:
         source, sink = 2 * s + 1, 2 * t
         common = sorted(set(self.nbrs[s]) & set(self.nbrs[t]))[:bound]
         for w in common:
+            # one unit of flow along s_out -> w_in -> w_out -> t_in
             for arc in ((source, 2 * w), (2 * w, 2 * w + 1), (2 * w + 1, sink)):
                 residual[arc] = 0
                 residual[arc[::-1]] = 1
