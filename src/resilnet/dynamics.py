@@ -280,12 +280,6 @@ class SimulationTrace:
     def node_count(self) -> int:
         return self.p_tilde.shape[1]
 
-    def state_at(self, k: int) -> SystemState:
-        return SystemState(self.p_tilde[k], self.v[k], float(self.t[k]))
-
-    def final_state(self) -> SystemState:
-        return self.state_at(len(self.t) - 1)
-
 
 def _on_grid(value: float, h: float) -> bool:
     k = round(value / h)

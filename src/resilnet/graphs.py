@@ -192,9 +192,6 @@ class SwitchingNetwork:
                 break
         return idx
 
-    def breakpoints(self) -> tuple:
-        return tuple(t for t, _ in self.schedule)
-
     def segments(self, t0: float, t1: float):
         """Yield ``(start, end, mode_index)`` covering [t0, t1] exactly."""
         if t0 < -1e-12 or t1 > self.horizon + 1e-12:

@@ -14,7 +14,7 @@ F0 y_start + F1 y_end, built when the observer's model changes and cached by
 model and gain.  The bank stacks [R_o | F0 | F1] in a zero-padded batch and
 advances every estimate with one batched product; measurements and
 per-neighbor residuals are gathered by index from the plant state, and the
-threshold test and dwell counters are array operations.  Each agent's
+thresholds, dwell test and residual log are array operations.  Each agent's
 ``ObserverState`` stays its reconfiguration record: on every edge-set change
 the bank writes the estimates, clocks and dwell counters back, the observers
 reconfigure, and a new bank is built.
@@ -22,7 +22,9 @@ reconfigure, and a new bank is built.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,10 +140,41 @@ class RescueRun:
 
 
 @dataclass(frozen=True, eq=False)
+class LogEpoch:
+    """One bank's log: a row per log step, a column per residual slot."""
+
+    t: np.ndarray  # log times
+    res: np.ndarray
+    eps: np.ndarray
+    pairs: tuple  # (detector, neighbor) per slot
+    flag_t: np.ndarray  # first flag time per slot, inf if none; flags are sticky
+    groups: tuple  # (detector, neighbors, first slot, end slot)
+
+
+@dataclass(frozen=True, eq=False)
+class ResidualLog:
+    """The residual log, one ``LogEpoch`` per edge set; iterates as the
+    ``ResidualRecord``s of every log step and detector, built on demand."""
+
+    epochs: tuple
+
+    def __len__(self) -> int:
+        return sum(len(e.t) * len(e.groups) for e in self.epochs)
+
+    def __iter__(self):
+        for e in self.epochs:
+            attacked = e.flag_t <= e.t[:, None]
+            for r, t in enumerate(e.t.tolist()):
+                for i, nbrs, lo, hi in e.groups:
+                    flagged = {j for j, a in zip(nbrs, attacked[r, lo:hi]) if a}
+                    yield make_record(t, i, nbrs, e.res[r, lo:hi], e.eps[r, lo:hi], flagged)
+
+
+@dataclass(frozen=True, eq=False)
 class RescueResult:
     trace: SimulationTrace
     run: RescueRun
-    residual_log: tuple  # ResidualRecord entries at the logging stride
+    residual_log: ResidualLog
 
 
 def _auto_w_budget(problem: RescueProblem, consts: StabilityConstants | None) -> float:
@@ -177,7 +210,8 @@ class _ObserverBank:
     """
 
     def __init__(
-        self, detectors, observers, step_matrices, neighbor_map, dwell_counters, n, rule
+        self, detectors, observers, step_matrices, neighbor_map, dwell_counters, n, rule,
+        consts=None, x0_norm=0.0,
     ):
         self.observers = [observers[i] for i in detectors]
         size = max((obs.view.size for obs in self.observers), default=0)
@@ -190,9 +224,8 @@ class _ObserverBank:
         # positions, then the owner's velocity; padded entries read p~_0
         # into zero columns
         self.gather = np.zeros((rows, 2 * meas, 1), dtype=int)
-        self.clock = np.array([obs.t for obs in self.observers], dtype=float)
         self.pairs = []
-        self.logged = []  # (detector, neighbors, first slot, end slot)
+        self.groups = []  # (detector, neighbors, first slot, end slot)
         slot_row, slot_state = [], []
         for k, (i, obs) in enumerate(zip(detectors, self.observers)):
             m = obs.view.size
@@ -206,7 +239,7 @@ class _ObserverBank:
             self.gather[k, meas : meas + m + 1, 0] = 2 * n + measured
             nbrs = neighbor_map[i]
             if nbrs:
-                self.logged.append((i, nbrs, len(self.pairs), len(self.pairs) + len(nbrs)))
+                self.groups.append((i, nbrs, len(self.pairs), len(self.pairs) + len(nbrs)))
             for j in nbrs:
                 self.pairs.append((i, j))
                 slot_row.append(k)
@@ -216,49 +249,71 @@ class _ObserverBank:
         self.slot_meas = np.array([j for _, j in self.pairs], dtype=int)
         # a pair's counter survives the edge sets in which it is not a pair
         self.dwell = np.array([dwell_counters.get(p, 0) for p in self.pairs], dtype=int)
+        self.counting = bool(self.dwell.any())
         self.rule = rule
         # a constant rule's thresholds never change
         self.eps = np.full(len(self.pairs), rule.value) if rule.kind == "constant" else None
+        if rule.kind == "analytic":
+            self.terms = [rule.analytic_terms(obs, 0.0, x0_norm, consts) for obs in self.observers]
+            self.t_k_max = max((t_k for *_, t_k in self.terms), default=-math.inf)
+        self.steps = 0
+        self.logged = []  # (t, residuals, thresholds) per log step
 
-    def step(self, x_start: np.ndarray, x_end: np.ndarray, h: float) -> np.ndarray:
+    def step(self, x_start: np.ndarray, x_end: np.ndarray) -> np.ndarray:
         """``ObserverState.step`` for every row across one plant step from
         ``x_start`` to ``x_end``; returns the residual of every slot."""
         z, est = self.z, self.est
         z[:, est:] = np.concatenate((x_start, x_end))[self.gather]
         z[:, :est] = self.step_mat @ z
-        self.clock += h
+        self.steps += 1
         # a neighbor's residual is its measured position minus its estimate
         return x_end[self.slot_meas] - z.ravel()[self.slot_state]
 
-    def thresholds(self, t: float, x0_norm: float, consts) -> np.ndarray:
-        """One threshold per detector, repeated over its slots; only the
-        analytic bound depends on the observer."""
+    def thresholds(self, t: float) -> np.ndarray:
+        """Every slot's threshold at ``t``: ``ThresholdRule.evaluate`` of its
+        detector, the analytic bound from the terms fixed at build time."""
         if self.eps is not None:
             return self.eps
         if self.rule.kind == "exponential":
             return np.full(len(self.pairs), self.rule.evaluate(t, None))
-        per_row = [
-            self.rule.evaluate(t, obs, t0=0.0, x0_norm=x0_norm, consts=consts)
-            for obs in self.observers
-        ]
-        return np.array(per_row)[self.slot_row]
+        if not t >= self.t_k_max:
+            raise ValueError("need t >= t_k >= t0")
+        eps = []
+        for a, b, neg_lambda, t_k in self.terms:
+            d = math.exp(neg_lambda * (t - t_k))  # np.exp may round otherwise
+            eps.append(a * d + b * (1.0 - d))
+        return np.array(eps)[self.slot_row]
 
     def dwell_hits(self, residuals: np.ndarray, eps: np.ndarray, dwell: int):
-        """Advance the dwell counters in place; return the slots that reached
-        ``dwell``.  Only a slot over its threshold can reach it."""
+        """Advance the dwell counters in place, untouched while all are zero
+        and no slot is over its threshold; return the slots at ``dwell``."""
         exceeded = np.abs(residuals) > eps
-        self.dwell += 1
-        self.dwell *= exceeded
-        if not exceeded.any():
-            return ()
-        return np.flatnonzero(self.dwell >= dwell)
+        hit = np.count_nonzero(exceeded)
+        if hit or self.counting:
+            self.dwell += 1
+            self.dwell *= exceeded
+            self.counting = hit > 0
+        return np.flatnonzero(self.dwell >= dwell) if hit else ()
 
-    def write_back(self, dwell_counters: dict):
-        """Return the estimates, clocks and dwell counters to their owners."""
+    def log(self, t: float, residuals: np.ndarray, eps: np.ndarray):
+        """Keep one log step; neither array is written to afterwards."""
+        self.logged.append((t, residuals, eps))
+
+    def close(self, dwell_counters: dict, flag_t: dict, epochs: list, h: float):
+        """Return the estimates, clocks and dwell counters to their owners
+        and append the log to ``epochs``; later flags postdate every row."""
+        ends = {}  # clock at the start -> advanced like ``ObserverState.step``'s
         for k, obs in enumerate(self.observers):
             obs.x_hat = self.z[k, : 2 * obs.view.size, 0].copy()
-            obs.t = float(self.clock[k])
+            if obs.t not in ends:
+                # one h at a time: a kept model's t_k is this sum, not k h
+                ends[obs.t] = functools.reduce(operator.add, [h] * self.steps, obs.t)
+            obs.t = ends[obs.t]
         dwell_counters.update(zip(self.pairs, self.dwell.tolist()))
+        if self.logged and self.pairs:
+            t, res, eps = map(np.array, zip(*self.logged))
+            flags = np.array([flag_t.get(p, math.inf) for p in self.pairs])
+            epochs.append(LogEpoch(t, res, eps, tuple(self.pairs), flags, tuple(self.groups)))
 
 
 def run_rescue(problem: RescueProblem) -> RescueResult:
@@ -297,9 +352,9 @@ def run_rescue(problem: RescueProblem) -> RescueResult:
     step_cache: dict = {}
     step_matrices: dict[int, tuple] = {}
     dwell_counters: dict = {}
-    flagged: dict[int, frozenset] = {i: frozenset() for i in detectors}
+    flag_t: dict = {}  # (detector, neighbor) -> time of its verdict
     events: list[IsolationEvent] = []
-    residual_log: list = []
+    epochs: list[LogEpoch] = []
     agents = _attackers(problem.attacks)
 
     def observer_gain(view) -> ObserverGain:
@@ -337,7 +392,7 @@ def run_rescue(problem: RescueProblem) -> RescueResult:
         the bank."""
         nonlocal bank
         if bank is not None:
-            bank.write_back(dwell_counters)
+            bank.close(dwell_counters, flag_t, epochs, h)
         graph_eff = Graph(n, tuple(sorted(edges)))
         plant = _plant_matrices(graph_eff, gains, agents, h)
         neighbor_map = {i: graph_eff.neighbors(i) for i in detectors}
@@ -366,44 +421,34 @@ def run_rescue(problem: RescueProblem) -> RescueResult:
             step_matrices[i] = observer_step_matrices(obs)
         bank = _ObserverBank(
             detectors, observers, step_matrices, neighbor_map, dwell_counters, n,
-            settings.threshold,
+            settings.threshold, consts, x0_norm,
         )
         return plant, bank
 
     def step(context, x, k, u):
-        """Plant step, then the bank's observer step and tests; Python runs
-        per pair only on a new verdict and per detector only on log steps."""
+        """Plant step, then the bank's observer step, tests and log; Python
+        runs per pair only on a new verdict."""
         plant, bank = context
         x_next = _plant_step(plant, x, u)
         t_next = (k + 1) * h
-        res = bank.step(x, x_next, h)
-        eps = bank.thresholds(t_next, x0_norm, consts)
+        res = bank.step(x, x_next)
+        eps = bank.thresholds(t_next)
         for s in bank.dwell_hits(res, eps, settings.dwell):
             i, j = bank.pairs[s]
-            if j in flagged[i]:
+            if (i, j) in flag_t:
                 continue
-            flagged[i] = flagged[i] | {j}
+            flag_t[i, j] = t_next
             removed.add((min(i, j), max(i, j)))
-            events.append(
-                IsolationEvent(
-                    t=t_next,
-                    detector=i,
-                    isolated=j,
-                    residual=float(res[s]),
-                    threshold=float(eps[s]),
-                )
-            )
+            events.append(IsolationEvent(t_next, i, j, float(res[s]), float(eps[s])))
         if (k + 1) % settings.residual_log_stride == 0:
-            for i, nbrs, lo, hi in bank.logged:
-                residual_log.append(
-                    make_record(t_next, i, nbrs, res[lo:hi], eps[lo:hi], flagged[i])
-                )
+            bank.log(t_next, res, eps)
         return x_next
 
     trace = _walk(
         net, problem.initial, problem.attacks, problem.dos, problem.horizon, h,
         on_edges, step, removed,
     )
+    bank.close(dwell_counters, flag_t, epochs, h)
     run = RescueRun(
         problem=problem,
         events=tuple(events),
@@ -411,7 +456,7 @@ def run_rescue(problem: RescueProblem) -> RescueResult:
         cooperative=detectors,
         consts=consts,
     )
-    return RescueResult(trace=trace, run=run, residual_log=tuple(residual_log))
+    return RescueResult(trace=trace, run=run, residual_log=ResidualLog(tuple(epochs)))
 
 
 def post_isolation_connectivity(run: RescueRun, window: float | None = None) -> PEReport:

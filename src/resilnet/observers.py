@@ -483,6 +483,15 @@ class ThresholdRule:
             consts.lambda_x,
         )
 
+    def analytic_terms(self, obs: ObserverState, t0: float, x0_norm: float, consts) -> tuple:
+        """(a, b, -lambda_e, t_k) with ``evaluate`` = a d + b (1 - d), d =
+        exp(-lambda_e (t - t_k)), while ``obs``'s model stands: the bound at
+        t_k and its limit, bitwise, after every check of ``evaluate``."""
+        t_k = obs.last_model_change
+        a = self.evaluate(t_k, obs, t0, x0_norm, consts)
+        b = self.evaluate(math.inf, obs, t0, x0_norm, consts)
+        return a, b, -obs.gain.lambda_e, t_k
+
 
 @dataclass(frozen=True)
 class ResidualRecord:

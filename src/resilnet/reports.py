@@ -114,15 +114,29 @@ def write_events_csv(path, events):
     )
 
 
+def _slot_blocks(epoch, columns, lo, hi):
+    """Blocks of at most 16 ``_BLOCK`` cells of log rows lo:hi, slot by slot
+    through ``columns`` (None for the row's time, else (rows, slots) arrays)."""
+    rows = max(1, 16 * _BLOCK // (len(columns) * len(epoch.pairs)))
+    for a in range(lo, hi, rows):
+        b = min(a + rows, hi)
+        cells = [epoch.t[a:b, None] if c is None else c[a:b] for c in columns]
+        yield np.stack(np.broadcast_arrays(*cells), axis=2).reshape(b - a, -1)
+
+
 def write_residuals_csv(path, residual_log):
+    """One row template per run of log steps with equal verdicts."""
     header = ["t", "owner", "neighbor", "residual", "threshold", "verdict"]
     with _csv_file(path, header) as fh:
-        for rec in residual_log:
-            head = "%.12g,%d," % (rec.t, rec.owner)
-            fh.writelines(
-                head + "%d,%.12g,%.12g,%s\n" % cells
-                for cells in zip(rec.neighbors, rec.residuals, rec.thresholds, rec.verdicts)
-            )
+        for e in residual_log.epochs:
+            # a verdict turns at the first row at or after its flag time
+            bounds = sorted({0, len(e.t), *np.searchsorted(e.t, e.flag_t).tolist()})
+            for lo, hi in zip(bounds, bounds[1:]):
+                verdicts = np.where(e.flag_t <= e.t[lo], "attacked", "null")
+                template = "".join(
+                    f"%.12g,{i},{j},%.12g,%.12g,{v}\n" for (i, j), v in zip(e.pairs, verdicts)
+                )
+                _write_rows(fh, template, _slot_blocks(e, (None, e.res, e.eps), lo, hi))
 
 
 def lambda2_series(trace: SimulationTrace, window: float, points: int = 200):
@@ -152,7 +166,7 @@ def lambda2_series(trace: SimulationTrace, window: float, points: int = 200):
     return starts, out
 
 
-def write_long_csv(path, trace: SimulationTrace, residual_log=(), window: float | None = None):
+def write_long_csv(path, trace: SimulationTrace, residual_log=None, window: float | None = None):
     """Plot-ready long format: consensus trajectories, residual/threshold
     pairs, and the sliding lambda_2 series."""
     n = trace.node_count
@@ -173,13 +187,13 @@ def write_long_csv(path, trace: SimulationTrace, residual_log=(), window: float 
             "".join(f"%.12g,p_tilde_{i},%.12g\n" for i in range(n)),
             trajectory_blocks(),
         )
-        for rec in residual_log:
-            t, i = "%.12g" % rec.t, rec.owner
-            fh.writelines(
-                "%s,residual_%d_%d,%.12g\n%s,threshold_%d_%d,%.12g\n"
-                % (t, i, j, abs(r), t, i, j, eps)
-                for j, r, eps in zip(rec.neighbors, rec.residuals, rec.thresholds)
+        for e in residual_log.epochs if residual_log is not None else ():
+            template = "".join(
+                f"%.12g,residual_{i}_{j},%.12g\n%.12g,threshold_{i}_{j},%.12g\n"
+                for i, j in e.pairs
             )
+            columns = (None, np.abs(e.res), None, e.eps)
+            _write_rows(fh, template, _slot_blocks(e, columns, 0, len(e.t)))
         if window is not None:
             ts, lam = lambda2_series(trace, window)
             _write_rows(fh, "%.12g,lambda2_window,%.12g\n", [np.column_stack((ts, lam))])

@@ -25,7 +25,9 @@ from resilnet.isolation import (
     DPMSRConfig,
     IsolationEvent,
     RescueProblem,
+    _ObserverBank,
     _auto_w_budget,
+    _observer_step_matrices,
     _trimmed_control,
     dp_msr_run,
     isolation_complete,
@@ -276,6 +278,73 @@ def test_rescue_bank_matches_per_agent_loop(rng, detector):
         assert got.thresholds == want.thresholds
         assert got.verdicts == want.verdicts
         assert np.allclose(got.residuals, want.residuals, rtol=0, atol=1e-12)
+
+
+K4 = complete_graph(4)
+
+
+def _one_bank(rule, consts=None, gain=None, t0=0.0):
+    """A bank of detector 0 on K4, testing its three neighbors."""
+    view = two_hop_view(K4, 0, GAINS)
+    obs = ObserverState(view, gain or design_gain(view), 1.0, t0)
+    mats = _observer_step_matrices(obs._a_bar, obs.gain.h_matrix, 1e-3)
+    return _ObserverBank((0,), {0: obs}, {0: mats}, {0: (1, 2, 3)}, {}, 4, rule, consts, 1.0)
+
+
+def test_bank_analytic_thresholds_match_evaluate(rng, monkeypatch):
+    # every row on every step of a run whose models change: the terms the
+    # bank fixes at build time give ``ThresholdRule.evaluate`` bit for bit
+    dos = DoSSchedule((DoSInterval(0.5, 2.0, random=DoSRandomSpec(10, 0.6, 5, scheme="event")),))
+    problem = _small_problem(rng, dos=dos, horizon=3.0, threshold=ThresholdRule(kind="analytic"))
+    net, window = problem.net, problem.detector.pe_window
+    consts = stability_constants(pe_margin(net, window).mu, window, GAINS, net.node_count)
+    x0_norm = float(np.linalg.norm(problem.initial.stacked()))
+    thresholds, t_k, calls = _ObserverBank.thresholds, set(), []
+
+    def checked(self, t):
+        eps = thresholds(self, t)
+        want = [self.rule.evaluate(t, obs, 0.0, x0_norm, consts) for obs in self.observers]
+        assert eps.tolist() == [want[k] for k in self.slot_row.tolist()]
+        t_k.update(obs.last_model_change for obs in self.observers)
+        calls.append(t)
+        return eps
+
+    monkeypatch.setattr(_ObserverBank, "thresholds", checked)
+    result = run_rescue(problem)
+    assert len(calls) == len(result.trace.t) - 1
+    assert max(t_k) > 0.0
+    monkeypatch.undo()
+
+    # and every check of ``evaluate``, at build time or per step
+    consts = stability_constants(pe_margin(static_network(K4, 4.0), 1.0).mu, 1.0, GAINS, 4)
+    view = two_hop_view(K4, 0, GAINS)
+    uncertified = ObserverGain(gain_matrix(view, 0.3), 0.3, None, None, None)
+    with pytest.raises(ConfigurationError, match="stability constants"):
+        _one_bank(ThresholdRule(kind="analytic"))
+    with pytest.raises(ConfigurationError, match="certified"):
+        _one_bank(ThresholdRule(kind="analytic"), consts=consts, gain=uncertified)
+    with pytest.raises(ValueError, match="t_k >= t0"):
+        _one_bank(ThresholdRule(kind="analytic"), consts=consts, t0=-1.0)
+    late = _one_bank(ThresholdRule(kind="analytic"), consts=consts, t0=0.5)
+    with pytest.raises(ValueError, match="t >= t_k"):
+        late.thresholds(0.25)
+    want = ThresholdRule(kind="analytic").evaluate(0.75, late.observers[0], 0.0, 1.0, consts)
+    assert late.thresholds(0.75).tolist() == [want] * 3
+
+
+def test_bank_dwell_counters_match_per_slot_count():
+    # runs over the threshold that end on a step where no slot exceeds,
+    # and runs that end while another slot still exceeds
+    bank = _one_bank(ThresholdRule(kind="constant", value=1.0))
+    eps = bank.thresholds(0.0)
+    counts = [0, 0, 0]
+    rng = np.random.default_rng(3)
+    for step in range(400):
+        over = rng.random(3) < (0.8 if step % 40 < 20 else 0.1)
+        hits = bank.dwell_hits(np.where(over, -2.0, 0.5), eps, 3)
+        counts = [c + 1 if o else 0 for c, o in zip(counts, over)]
+        assert bank.dwell.tolist() == counts
+        assert list(hits) == [s for s, c in enumerate(counts) if c >= 3]
 
 
 def test_detector_settings_validation():

@@ -17,7 +17,15 @@ from resilnet.dynamics import (
     SystemState,
 )
 from resilnet.graphs import ZERO_TOL, Graph, laplacian
-from resilnet.isolation import DetectorSettings, IsolationEvent, RescueProblem, run_rescue
+from resilnet.isolation import (
+    DetectorSettings,
+    IsolationEvent,
+    LogEpoch,
+    ResidualLog,
+    RescueProblem,
+    _ObserverBank,
+    run_rescue,
+)
 from resilnet.observers import ThresholdRule, make_record
 from resilnet.scenarios import random_connected_graph, split_edges_alternating
 
@@ -104,25 +112,29 @@ def _reference_files(out, trace, events, residual_log, window):
     _write_cells(out / "plot_data.csv", ["t", "series", "value"], long_rows())
 
 
-def _rescue_inputs():
-    """A short rescue run: ramp attacker, event-scheme DoS, two modes."""
+EXPONENTIAL = ThresholdRule(kind="exponential", amplitude=10.0, rate=1.0, offset=0.95)
+
+
+def _rescue_problem(threshold=EXPONENTIAL, residual_log_stride=10):
+    """A short rescue problem: ramp attacker, event-scheme DoS, two modes."""
     rng = np.random.default_rng(20240817)
     horizon = 4.0
     overlay = random_connected_graph(rng, 6, 0.6)
     net = split_edges_alternating(overlay, 0.5, horizon, 5)
     dos = DoSSchedule((DoSInterval(0.5, 2.0, random=DoSRandomSpec(12, 0.6, 3, scheme="event")),))
-    problem = RescueProblem(
+    return RescueProblem(
         net=net,
         gains=Gains(1.0, 3.0),
         initial=SystemState(rng.uniform(-5, 5, 6), np.zeros(6)),
         attacks=(DeceptionAttack(5, 0.0, AttackSignal("ramp", slope=0.9)),),
         dos=dos,
         horizon=horizon,
-        detector=DetectorSettings(
-            threshold=ThresholdRule(kind="exponential", amplitude=10.0, rate=1.0, offset=0.95)
-        ),
+        detector=DetectorSettings(threshold=threshold, residual_log_stride=residual_log_stride),
     )
-    result = run_rescue(problem)
+
+
+def _rescue_inputs():
+    result = run_rescue(_rescue_problem())
     assert result.run.events
     # more than one formatting block, the last one partial
     assert len(result.trace.t) % reports._BLOCK != 0
@@ -134,8 +146,9 @@ EDGE_VALUES = (-0.0, 5e-324, 1e300, 123456789012.5, -2.5e-7, np.inf, -np.inf, np
 
 
 def _edge_value_inputs():
-    """A hand-built trace and log holding signed zero, a subnormal, huge and
-    long-mantissa values, non-finite values, three modes and both DoS flags."""
+    """A hand-built trace and columnar log holding signed zero, a subnormal,
+    huge and long-mantissa values, non-finite values, three modes and both
+    DoS flags."""
     steps = 9
     t = np.arange(steps) * 0.375
     values = np.array(EDGE_VALUES + (0.1,))
@@ -159,13 +172,22 @@ def _edge_value_inputs():
         IsolationEvent(t=float(t[k]), detector=k % 3, isolated=(k + 1) % 3, residual=x, threshold=y)
         for k, (x, y) in enumerate(zip(EDGE_VALUES, EDGE_VALUES[::-1]))
     )
-    log = tuple(
-        make_record(
-            float(t[k]), k % 3, (1, 2, 7), np.roll(values, k)[:3], np.roll(values, -k)[:3],
-            frozenset({2}) if k % 2 else frozenset(),
-        )
-        for k in range(steps)
-    )
+
+    # the verdict of (0, 2) turns within the first epoch, that of (3, 7)
+    # within the second
+    flag_t = {(0, 2): t[2], (3, 7): t[6]}
+
+    def epoch(ks, owners):
+        # log step k, group g: the values rolled by k + 3 g
+        shifts = [[k + 3 * g for g in range(len(owners))] for k in ks]
+        res = np.array([np.concatenate([np.roll(values, s)[:3] for s in row]) for row in shifts])
+        eps = np.array([np.concatenate([np.roll(values, -s)[:3] for s in row]) for row in shifts])
+        pairs = tuple((i, j) for i in owners for j in (1, 2, 7))
+        flags = np.array([flag_t.get(pair, np.inf) for pair in pairs])
+        groups = tuple((i, (1, 2, 7), 3 * g, 3 * g + 3) for g, i in enumerate(owners))
+        return LogEpoch(t[ks], res, eps, pairs, flags, groups)
+
+    log = ResidualLog((epoch([0, 1, 2, 3, 4], (0, 3)), epoch([5, 6, 7, 8], (3,))))
     return trace, events, log
 
 
@@ -184,3 +206,61 @@ def test_writers_match_per_cell_format(make_inputs, tmp_path):
         expected = (ref / name).read_bytes()
         assert (out / name).read_bytes() == expected, name
     assert b"lambda2_window" in (ref / "plot_data.csv").read_bytes()
+
+
+def _record_by_record(problem, monkeypatch):
+    """``run_rescue`` that also keeps its log the way it was kept before the
+    log became columnar: on every log step one ``make_record`` per detector
+    with neighbors, its verdicts from the flags raised so far."""
+    records, flagged = [], set()
+    dwell_hits, log = _ObserverBank.dwell_hits, _ObserverBank.log
+
+    def hits(self, residuals, eps, dwell):
+        slots = dwell_hits(self, residuals, eps, dwell)
+        flagged.update(self.pairs[s] for s in slots)
+        return slots
+
+    def keep(self, t, residuals, eps):
+        for i, nbrs, lo, hi in self.groups:
+            mine = {j for d, j in flagged if d == i}
+            records.append(make_record(t, i, nbrs, residuals[lo:hi], eps[lo:hi], mine))
+        log(self, t, residuals, eps)
+
+    monkeypatch.setattr(_ObserverBank, "dwell_hits", hits)
+    monkeypatch.setattr(_ObserverBank, "log", keep)
+    return run_rescue(problem), records
+
+
+# divides neither every realized segment's step count nor every event's step
+STRIDE = 4
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [ThresholdRule(kind="constant", value=0.95), EXPONENTIAL, ThresholdRule(kind="analytic")],
+    ids=["constant", "exponential", "analytic"],
+)
+def test_columnar_log_matches_record_log(rule, monkeypatch, tmp_path):
+    problem = _rescue_problem(rule, STRIDE)
+    result, records = _record_by_record(problem, monkeypatch)
+    trace, events, log = result.trace, result.run.events, result.residual_log
+    h = problem.step_h
+    assert any(round((b - a) / h) % STRIDE for a, b, *_ in trace.segments)
+    if rule.kind == "exponential":
+        # one verdict lands on a log step, and one between two
+        logged = {rec.t for rec in records}
+        assert {e.t in logged for e in events} == {True, False}
+    got = list(log)
+    assert len(log) == len(got) == len(records)
+
+    def fields(rec):
+        return rec.t, rec.owner, rec.neighbors, rec.residuals, rec.thresholds, rec.verdicts
+
+    assert [fields(rec) for rec in got] == [fields(rec) for rec in records]
+    ref, out = tmp_path / "ref", tmp_path / "out"
+    ref.mkdir()
+    _reference_files(ref, trace, events, records, 1.0)
+    reports.write_residuals_csv(out / "residuals.csv", log)
+    reports.write_long_csv(out / "plot_data.csv", trace, log, window=1.0)
+    for name in ("residuals.csv", "plot_data.csv"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name

@@ -10,6 +10,7 @@ import tracemalloc
 
 import pytest
 
+from resilnet.cli import main
 from resilnet.dynamics import DoSSchedule, DoSInterval, simulate
 from resilnet.errors import ConfigurationError
 from resilnet.graphs import pe_margin, r_robustness
@@ -99,16 +100,20 @@ def _mutated(d, path, value):
     return d
 
 
-def test_config_mutation_sweep():
-    # every field of a 1 s example1 document dropped, nulled, retyped, made
-    # NaN, inf or 0, or negated: decoding and materializing either return or
-    # raise ConfigurationError/ValueError, each case within the alarm bound
+class _Overrun(Exception):
+    """Raised by the alarm; neither the CLI nor the decoder catches it."""
+
+
+def _mutation_sweep(run):
+    """Run ``run(doc)`` on every field of a 1 s example1 document dropped,
+    nulled, retyped, made NaN, inf or 0, or negated; return (path, value,
+    exception) of each case that raised or took longer than the 2 s alarm."""
     base = config_to_dict(generate_example1(0))
     base["network"]["horizon"] = 1.0
     base["dos"]["intervals"][0]["duration"] = 1.0
 
     def on_alarm(signum, frame):
-        raise TimeoutError("no return within the bound")
+        raise _Overrun("no return within the bound")
 
     escaped = []
     previous = signal.signal(signal.SIGALRM, on_alarm)
@@ -122,16 +127,55 @@ def test_config_mutation_sweep():
                 d = _mutated(base, path, value)
                 signal.alarm(2)
                 try:
-                    materialize(config_from_dict(d))
-                except (ConfigurationError, ValueError):
-                    pass
+                    run(d)
                 except Exception as exc:
                     escaped.append((path, value, repr(exc)))
                 finally:
                     signal.alarm(0)
     finally:
         signal.signal(signal.SIGALRM, previous)
-    assert not escaped
+    return escaped
+
+
+def test_config_mutation_sweep():
+    # decoding and materializing either return or raise
+    # ConfigurationError/ValueError
+    def decode(d):
+        try:
+            materialize(config_from_dict(d))
+        except (ConfigurationError, ValueError):
+            pass
+
+    assert not _mutation_sweep(decode)
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_rescue_cli_mutation_sweep(tmp_path, capsys):
+    # ``resilnet rescue`` in-process on every mutated document: exit 0 with
+    # a JSON report or exit 2 with a categorized JSON error, no traceback
+    config, out = tmp_path / "scenario.json", tmp_path / "out"
+    codes = []
+
+    def rescue(d):
+        config.write_text(json.dumps(d))
+        code = main(["rescue", "--config", str(config), "--out", str(out)])
+        captured = capsys.readouterr()
+        codes.append(code)
+        if code == 0:
+            assert isinstance(_strict_json(captured.out), dict)
+        else:
+            error = _strict_json(captured.err)
+            assert code == 2 and error["error"] and "message" in error, (code, captured.err)
+
+    assert not _mutation_sweep(rescue)
+    # both outcomes occur
+    assert set(codes) == {0, 2}
 
 
 def test_example1_network_properties():
