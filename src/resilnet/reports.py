@@ -4,10 +4,10 @@ Numeric CSV cells use 12 significant digits with a mandatory header row;
 metric reports are flat key->value JSON documents.  A long-format (t, series,
 value) CSV feeds external plotting.
 
-The trace, residual and plot writers format whole rows, not cells: each file
-has one ``%``-format row template (``"%.12g," * (1 + 2N) + "%d,%d\n"`` for
-the trace) applied to rows read with ``ndarray.tolist()`` a block of at most
-``_BLOCK`` rows at a time, so no Python list of a whole trace is ever built.
+The trace, residual and plot writers format whole rows, not cells: a
+``%``-format row template (``"%.12g," * (1 + 2N) + "%d,%d\n"`` for the trace;
+for the residual log one per edge set and verdicts) is applied to rows read
+with ``ndarray.tolist()`` a block at a time, so no whole-trace list is built.
 ``"%.12g" % x`` is ``f"{float(x):.12g}"`` for every float, signed zeros,
 infinities, NaN and subnormals included, and ``"%d"`` prints an integral
 float as its integer, so the bytes are those of the per-cell ``fmt``, which

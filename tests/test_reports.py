@@ -1,6 +1,7 @@
 """The row-template CSV writers against the per-cell writer they replaced,
-and the stacked lambda_2 series against a per-window loop: the bytes of
-every file must be equal."""
+the stacked lambda_2 series against a per-window loop, and the columnar
+residual log against a record-by-record log: the bytes of every file must
+be equal."""
 
 import numpy as np
 import pytest
