@@ -160,27 +160,20 @@ def _injection_samples(attacks, first: int, last: int, h: float) -> np.ndarray:
 @dataclass(frozen=True)
 class DoSRandomSpec:
     """Counted-trials link nullification over a window split into ``trials``
-    equal sub-intervals.
-
-    scheme="event": per sub-interval, with probability ``success_prob`` one
-    uniformly drawn link is nullified, so the dropout count over the window
-    is Binomial(trials, success_prob).  scheme="per_edge": per sub-interval
-    every link is independently nullified with probability ``success_prob``
-    (a much heavier barrage).
+    equal sub-intervals: per sub-interval, with probability ``success_prob``
+    one uniformly drawn link is nullified, so the dropout count over the
+    window is Binomial(trials, success_prob).
     """
 
     trials: int
     success_prob: float
     seed: int
-    scheme: str = "event"
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not 0.0 <= self.success_prob <= 1.0:
             raise ValueError("success_prob must lie in [0, 1]")
-        if self.scheme not in ("event", "per_edge"):
-            raise ValueError(f"unknown DoS scheme {self.scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -217,19 +210,9 @@ class DoSSchedule:
             rng = np.random.default_rng(iv.random.seed)
             dt = iv.duration / iv.random.trials
             for k in range(iv.random.trials):
-                if iv.random.scheme == "per_edge":
-                    draws = rng.random(len(candidate_edges))
-                    dropped = frozenset(
-                        e
-                        for e, x in zip(candidate_edges, draws)
-                        if x < iv.random.success_prob
-                    )
-                else:
-                    hit = rng.random() < iv.random.success_prob
-                    pick = int(rng.integers(0, len(candidate_edges)))
-                    dropped = (
-                        frozenset((candidate_edges[pick],)) if hit else frozenset()
-                    )
+                hit = rng.random() < iv.random.success_prob
+                pick = int(rng.integers(0, len(candidate_edges)))
+                dropped = frozenset((candidate_edges[pick],)) if hit else frozenset()
                 out.append((iv.start + k * dt, iv.start + (k + 1) * dt, dropped))
         out.sort(key=lambda seg: seg[0])
         for (a0, a1, _), (b0, _, _) in zip(out, out[1:]):
@@ -402,6 +385,8 @@ def _walk(
     if not _on_grid(horizon, step_h):
         raise ConfigurationError("horizon must be a multiple of the step")
     steps = round(horizon / step_h)
+    if steps < 1:
+        raise ConfigurationError(f"horizon {horizon} is shorter than one step of {step_h}")
     timeline = build_edge_timeline(net, dos, horizon, step_h)
 
     t_arr = np.arange(steps + 1) * step_h

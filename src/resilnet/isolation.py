@@ -14,9 +14,9 @@ F0 y_start + F1 y_end, built when the observer's model changes and cached by
 model and gain.  The bank stacks [R_o | F0 | F1] in a zero-padded batch and
 advances every estimate with one batched product; measurements and
 per-neighbor residuals are gathered by index from the plant state, and the
-thresholds, dwell test and residual log are array operations.  Each agent's
-``ObserverState`` stays its reconfiguration record: on every edge-set change
-the bank writes the estimates, clocks and dwell counters back, the observers
+thresholds, the test |r| > eps and the residual log are array operations.
+Each agent's ``ObserverState`` stays its reconfiguration record: on every
+edge-set change the bank writes the estimates and clocks back, the observers
 reconfigure, and a new bank is built.
 """
 
@@ -68,39 +68,26 @@ class IsolationEvent:
 class DetectorSettings:
     """Observer-side knobs of a rescue run.
 
-    ``reinit_policy`` controls what happens to an observer's estimate when
-    its model changes: "retain" (default) carries retained members' estimates
-    through membership changes and mask-fills only newly added ones;
-    "membership" performs the full masked restart on any membership change;
-    "model" restarts on any model change (most conservative).  The threshold
-    clock restarts on every model change under all three.
+    Every cooperative agent runs a 2-hop observer and flags a neighbor on
+    the first step its residual exceeds ``threshold``.  When the agent's
+    model changes, members kept in its view keep their estimates, members
+    back within ``observers.RETAIN_GRACE`` get their cached positions back
+    and new members are mask-filled; the threshold clock restarts.  The
+    reinit error budget is ``_auto_w_budget``'s.
     """
 
     threshold: ThresholdRule = ThresholdRule(kind="constant", value=0.95)
-    w_budget: float | None = None  # None = auto from the certified reinit bound
-    dwell: int = 1
-    one_hop_only: bool = False
     pe_window: float = 1.0
     gain_k1: float = 0.3
     gain_kc: float = 1.5
     residual_log_stride: int = 10
-    reinit_policy: str = "retain"
-    retain_grace: float = 1.0
 
     def __post_init__(self):
-        if self.reinit_policy not in ("retain", "membership", "model"):
-            raise ValueError(f"unknown reinit policy {self.reinit_policy!r}")
-        if self.dwell < 1:
-            raise ValueError("dwell must be >= 1")
         if self.residual_log_stride < 1:
             raise ValueError("residual_log_stride must be >= 1")
         for name in ("gain_k1", "gain_kc", "pe_window"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        if not 0 <= self.retain_grace < math.inf:
-            raise ValueError("retain_grace must be finite and >= 0")
-        if self.w_budget is not None and not 0 < self.w_budget < math.inf:
-            raise ValueError("w_budget must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,8 +197,7 @@ class _ObserverBank:
     """
 
     def __init__(
-        self, detectors, observers, step_matrices, neighbor_map, dwell_counters, n, rule,
-        consts=None, x0_norm=0.0,
+        self, detectors, observers, step_matrices, neighbor_map, n, rule, consts=None, x0_norm=0.0
     ):
         self.observers = [observers[i] for i in detectors]
         size = max((obs.view.size for obs in self.observers), default=0)
@@ -247,9 +233,6 @@ class _ObserverBank:
         self.slot_row = np.array(slot_row, dtype=int)
         self.slot_state = np.array(slot_state, dtype=int)
         self.slot_meas = np.array([j for _, j in self.pairs], dtype=int)
-        # a pair's counter survives the edge sets in which it is not a pair
-        self.dwell = np.array([dwell_counters.get(p, 0) for p in self.pairs], dtype=int)
-        self.counting = bool(self.dwell.any())
         self.rule = rule
         # a constant rule's thresholds never change
         self.eps = np.full(len(self.pairs), rule.value) if rule.kind == "constant" else None
@@ -284,24 +267,18 @@ class _ObserverBank:
             eps.append(a * d + b * (1.0 - d))
         return np.array(eps)[self.slot_row]
 
-    def dwell_hits(self, residuals: np.ndarray, eps: np.ndarray, dwell: int):
-        """Advance the dwell counters in place, untouched while all are zero
-        and no slot is over its threshold; return the slots at ``dwell``."""
-        exceeded = np.abs(residuals) > eps
-        hit = np.count_nonzero(exceeded)
-        if hit or self.counting:
-            self.dwell += 1
-            self.dwell *= exceeded
-            self.counting = hit > 0
-        return np.flatnonzero(self.dwell >= dwell) if hit else ()
+    def hits(self, residuals: np.ndarray, eps: np.ndarray) -> list:
+        """The slots whose residual exceeds its threshold; a list, because
+        most steps have none and an empty list is the cheapest to loop over."""
+        return (np.abs(residuals) > eps).nonzero()[0].tolist()
 
     def log(self, t: float, residuals: np.ndarray, eps: np.ndarray):
         """Keep one log step; neither array is written to afterwards."""
         self.logged.append((t, residuals, eps))
 
-    def close(self, dwell_counters: dict, flag_t: dict, epochs: list, h: float):
-        """Return the estimates, clocks and dwell counters to their owners
-        and append the log to ``epochs``; later flags postdate every row."""
+    def close(self, flag_t: dict, epochs: list, h: float):
+        """Return the estimates and clocks to their owners and append the log
+        to ``epochs``; later flags postdate every row."""
         ends = {}  # clock at the start -> advanced like ``ObserverState.step``'s
         for k, obs in enumerate(self.observers):
             obs.x_hat = self.z[k, : 2 * obs.view.size, 0].copy()
@@ -309,7 +286,6 @@ class _ObserverBank:
                 # one h at a time: a kept model's t_k is this sum, not k h
                 ends[obs.t] = functools.reduce(operator.add, [h] * self.steps, obs.t)
             obs.t = ends[obs.t]
-        dwell_counters.update(zip(self.pairs, self.dwell.tolist()))
         if self.logged and self.pairs:
             t, res, eps = map(np.array, zip(*self.logged))
             flags = np.array([flag_t.get(p, math.inf) for p in self.pairs])
@@ -337,11 +313,7 @@ def run_rescue(problem: RescueProblem) -> RescueResult:
                 "analytic thresholds require a positive PE margin"
             )
         consts = stability_constants(report.mu, settings.pe_window, gains, n)
-    w_budget = (
-        settings.w_budget
-        if settings.w_budget is not None
-        else _auto_w_budget(problem, consts)
-    )
+    w_budget = _auto_w_budget(problem, consts)
     certified = settings.threshold.kind == "analytic"
 
     detectors = problem.cooperative
@@ -351,7 +323,6 @@ def run_rescue(problem: RescueProblem) -> RescueResult:
     gain_cache: dict = {}
     step_cache: dict = {}
     step_matrices: dict[int, tuple] = {}
-    dwell_counters: dict = {}
     flag_t: dict = {}  # (detector, neighbor) -> time of its verdict
     events: list[IsolationEvent] = []
     epochs: list[LogEpoch] = []
@@ -392,12 +363,12 @@ def run_rescue(problem: RescueProblem) -> RescueResult:
         the bank."""
         nonlocal bank
         if bank is not None:
-            bank.close(dwell_counters, flag_t, epochs, h)
+            bank.close(flag_t, epochs, h)
         graph_eff = Graph(n, tuple(sorted(edges)))
         plant = _plant_matrices(graph_eff, gains, agents, h)
         neighbor_map = {i: graph_eff.neighbors(i) for i in detectors}
         for i in detectors:
-            view = two_hop_view(graph_eff, i, gains, settings.one_hop_only)
+            view = two_hop_view(graph_eff, i, gains)
             obs = observers.get(i)
             if (
                 obs is not None
@@ -407,21 +378,18 @@ def run_rescue(problem: RescueProblem) -> RescueResult:
                 continue
             gain = observer_gain(view)
             if obs is None:
-                obs = ObserverState(view, gain, w_budget, t, settings.retain_grace)
+                obs = ObserverState(view, gain, w_budget, t)
                 observers[i] = obs
                 obs.reinit(view.measure(x[:n], x[n:]), t)
-            elif settings.reinit_policy != "model" and view.members == obs.view.members:
+            elif view.members == obs.view.members:
                 # pure edge change: swap the model, keep the estimate
                 obs.reconfigure(view, gain, keep_state=True)
-            elif settings.reinit_policy == "retain":
-                obs.remap(view, gain, view.measure(x[:n], x[n:]), t)
             else:
-                obs.reconfigure(view, gain)
-                obs.reinit(view.measure(x[:n], x[n:]), t)
+                obs.remap(view, gain, view.measure(x[:n], x[n:]), t)
             step_matrices[i] = observer_step_matrices(obs)
         bank = _ObserverBank(
-            detectors, observers, step_matrices, neighbor_map, dwell_counters, n,
-            settings.threshold, consts, x0_norm,
+            detectors, observers, step_matrices, neighbor_map, n, settings.threshold, consts,
+            x0_norm,
         )
         return plant, bank
 
@@ -433,7 +401,7 @@ def run_rescue(problem: RescueProblem) -> RescueResult:
         t_next = (k + 1) * h
         res = bank.step(x, x_next)
         eps = bank.thresholds(t_next)
-        for s in bank.dwell_hits(res, eps, settings.dwell):
+        for s in bank.hits(res, eps):
             i, j = bank.pairs[s]
             if (i, j) in flag_t:
                 continue
@@ -448,7 +416,7 @@ def run_rescue(problem: RescueProblem) -> RescueResult:
         net, problem.initial, problem.attacks, problem.dos, problem.horizon, h,
         on_edges, step, removed,
     )
-    bank.close(dwell_counters, flag_t, epochs, h)
+    bank.close(flag_t, epochs, h)
     run = RescueRun(
         problem=problem,
         events=tuple(events),

@@ -24,6 +24,9 @@ HURWITZ_MARGIN = 0.1
 # Newton steps allowed to the Lyapunov sign iteration; with determinant
 # scaling the observer matrices reach -I in about ten
 LYAPUNOV_MAX_STEPS = 100
+# how long (s) ``ObserverState.remap`` keeps a departed member's position
+# estimate for its return
+RETAIN_GRACE = 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,32 +64,27 @@ class TwoHopView:
         return np.concatenate([p_tilde[idx], v[idx]])
 
 
-def view_members(g: Graph, owner: int, one_hop_only: bool = False) -> tuple:
-    """Agents whose positions ``owner`` measures: itself, then its 1-hop (and,
-    unless ``one_hop_only``, 2-hop) neighbors in sorted order.  The order
-    keeps an estimate's numbering across mode switches that change edges
-    but not membership."""
-    reach = set(khop_neighbors(g, owner, 1))
-    if not one_hop_only:
-        reach |= khop_neighbors(g, owner, 2)
+def view_members(g: Graph, owner: int) -> tuple:
+    """Agents whose positions ``owner`` measures: itself, then its 1-hop and
+    2-hop neighbors in sorted order.  The order keeps an estimate's
+    numbering across mode switches that change edges but not membership."""
+    reach = khop_neighbors(g, owner, 1) | khop_neighbors(g, owner, 2)
     return (owner, *sorted(reach - {owner}))
 
 
-def _model_blocks(g: Graph, owner: int, one_hop_only: bool):
+def _model_blocks(g: Graph, owner: int):
     one = khop_neighbors(g, owner, 1)
-    members = view_members(g, owner, one_hop_only)
+    members = view_members(g, owner)
     member_set = set(members)
     index = {v: k for k, v in enumerate(members)}
     m = len(members)
-    # the model keeps only the edges the owner can infer: its own star, plus
-    # (for the 2-hop view) edges among 1-hop neighbors and from 1-hop out to
-    # 2-hop nodes -- never edges between two strictly-2-hop nodes
+    # the model keeps only the edges the owner can infer: its own star,
+    # edges among 1-hop neighbors and from 1-hop out to 2-hop nodes -- never
+    # edges between two strictly-2-hop nodes
     l_model = np.zeros((m, m))
     two_only = member_set - {owner} - set(one)
     for u, w in g.edges:
         if u not in member_set or w not in member_set:
-            continue
-        if one_hop_only and owner not in (u, w):
             continue
         if u in two_only and w in two_only:
             continue
@@ -98,10 +96,8 @@ def _model_blocks(g: Graph, owner: int, one_hop_only: bool):
     return members, l_model
 
 
-def two_hop_view(
-    g: Graph, owner: int, gains: Gains, one_hop_only: bool = False
-) -> TwoHopView:
-    members, l_model = _model_blocks(g, owner, one_hop_only)
+def two_hop_view(g: Graph, owner: int, gains: Gains) -> TwoHopView:
+    members, l_model = _model_blocks(g, owner)
     m = len(members)
     a_model = np.block(
         [
@@ -291,18 +287,10 @@ class ObserverState:
     and anchors the analytic threshold.
     """
 
-    def __init__(
-        self,
-        view: TwoHopView,
-        gain: ObserverGain,
-        w_budget: float,
-        t0: float,
-        retain_grace: float = 1.0,
-    ):
+    def __init__(self, view: TwoHopView, gain: ObserverGain, w_budget: float, t0: float):
         self.view = view
         self.gain = gain
         self.w_budget = float(w_budget)
-        self.retain_grace = float(retain_grace)
         self.x_hat = np.zeros(2 * view.size)
         self.last_model_change = float(t0)
         self.t = float(t0)
@@ -342,7 +330,7 @@ class ObserverState:
         """Warm reconfiguration across a membership change: members retained
         from the old view keep their position and velocity estimates (the
         residual signature survives the switch); members that recently left
-        and return within ``retain_grace`` are restored from the departure
+        and return within ``RETAIN_GRACE`` are restored from the departure
         cache; genuinely new members get the masked fill (measured position,
         zero velocity)."""
         old_view, old_x = self.view, self.x_hat
@@ -355,7 +343,7 @@ class ObserverState:
         self._departed = {
             node: rec
             for node, rec in self._departed.items()
-            if self.t - rec[1] <= self.retain_grace
+            if self.t - rec[1] <= RETAIN_GRACE
         }
         m = len(view.members)
         x = np.zeros(2 * m)

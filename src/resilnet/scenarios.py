@@ -23,6 +23,8 @@ from .dynamics import (
     DoSSchedule,
     Gains,
     SystemState,
+    _MAX_TRACE_CELLS,
+    _on_grid,
 )
 from .errors import ConfigurationError
 from .graphs import (
@@ -113,6 +115,32 @@ class ScenarioConfig:
     detector: DetectorSettings = field(default_factory=DetectorSettings)
     step_h: float = 1e-3
     dp_msr: DPMSRConfig | None = None
+
+    def __post_init__(self):
+        """Bound what materializing and running the document build, before
+        they are built: a generated schedule switches on the step grid and,
+        like the trace, within the trace limit, and a random DoS trial lasts
+        at least one step."""
+        h = self.step_h
+        if not h > 0:
+            raise ConfigurationError(f"step must be positive, got {h}")
+        gen = self.network.generator
+        if gen is not None:
+            period = gen.split_period
+            if not (round(period / h) >= 1 and _on_grid(period, h)):
+                raise ConfigurationError(f"split_period {period} is not a multiple of step {h}")
+            switches = self.network.horizon / period
+            if not (switches + 1) * gen.n <= _MAX_TRACE_CELLS:
+                raise ConfigurationError(
+                    f"{switches:.3g} mode switches of {gen.n} agents exceed the "
+                    f"{_MAX_TRACE_CELLS:.0e}-cell trace limit"
+                )
+        for k, iv in enumerate(self.dos.intervals if self.dos is not None else ()):
+            if iv.random is not None and not iv.duration / iv.random.trials >= h:
+                raise ConfigurationError(
+                    f"the {iv.random.trials} trials of DoS interval {k} are shorter "
+                    f"than one step of {h}"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +349,6 @@ def generate_example1(seed: int = 0) -> ScenarioConfig:
         ),
         detector=DetectorSettings(
             threshold=ThresholdRule(kind="constant", value=0.95),
-            dwell=1,
             pe_window=1.0,
             gain_k1=0.3,
             gain_kc=1.5,
@@ -417,7 +444,6 @@ def generate_example2(seed: int = 0) -> ScenarioConfig:
         ),
         detector=DetectorSettings(
             threshold=ThresholdRule(kind="exponential", amplitude=10.0, rate=1.0, offset=0.95),
-            dwell=1,
             pe_window=1.0,
             residual_log_stride=50,
         ),
@@ -482,7 +508,9 @@ def _decode(hint, value, path: str):
             raise ConfigurationError(f"{path} must be an object")
         unknown = sorted(set(value) - {f.name for f in fields(hint)})
         if unknown:
-            raise ConfigurationError(f"unknown field(s) {unknown} in {path}")
+            raise ConfigurationError(
+                "unknown field(s) " + ", ".join(f"{path}.{name}" for name in unknown)
+            )
         hints = get_type_hints(hint)
         kwargs = {}
         for f in fields(hint):

@@ -21,9 +21,7 @@ from .observers import TwoHopView, view_members
 PENCIL_RESIDUAL_TOL = 1e-8
 
 
-def collective_measurement_matrix(
-    g: Graph, malicious, one_hop_only: bool = False
-) -> np.ndarray:
+def collective_measurement_matrix(g: Graph, malicious) -> np.ndarray:
     """Stacked measurement rows of all cooperative agents, in global
     coordinates col(p~, v): each cooperative agent contributes the positions
     of its 2-hop members plus its own velocity."""
@@ -31,7 +29,7 @@ def collective_measurement_matrix(
     malicious = set(malicious)
     rows = []
     for i in sorted(set(range(n)) - malicious):
-        for j in view_members(g, i, one_hop_only):
+        for j in view_members(g, i):
             row = np.zeros(2 * n)
             row[j] = 1.0
             rows.append(row)
@@ -48,14 +46,12 @@ def attack_input_matrix(n: int, malicious) -> np.ndarray:
     return b
 
 
-def pencil_matrix(
-    g: Graph, suspected, gains: Gains, lam: complex, one_hop_only: bool = False
-) -> np.ndarray:
+def pencil_matrix(g: Graph, suspected, gains: Gains, lam: complex) -> np.ndarray:
     """Single-mode pencil [[lambda I - A, -B], [C, 0]]."""
     n = g.node_count
     a = closed_loop_matrix(g, gains)
     b = attack_input_matrix(n, suspected)
-    c = collective_measurement_matrix(g, suspected, one_hop_only)
+    c = collective_measurement_matrix(g, suspected)
     top = np.hstack([lam * np.eye(2 * n) - a, -b])
     bottom = np.hstack([c, np.zeros((c.shape[0], b.shape[1]))])
     return np.vstack([top.astype(complex), bottom.astype(complex)])
@@ -104,7 +100,6 @@ def stealth_pencil_kernel(
     lambdas=None,
     n_samples: int = 20,
     seed: int = 0,
-    one_hop_only: bool = False,
 ) -> PencilKernelReport:
     """Joint kernel of the stacked mode pencils at each sampled lambda.
 
@@ -119,9 +114,7 @@ def stealth_pencil_kernel(
         lambdas = sample_lambdas(modes, gains, n_samples, seed)
     dims, bases = [], []
     for lam in lambdas:
-        stacked = np.vstack(
-            [pencil_matrix(g, suspected, gains, lam, one_hop_only) for g in modes]
-        )
+        stacked = np.vstack([pencil_matrix(g, suspected, gains, lam) for g in modes])
         basis = kernel_basis(stacked)
         dims.append(basis.shape[1])
         bases.append(basis)
@@ -140,8 +133,8 @@ class ZeroDynamics:
     residual: float
 
 
-def _verify_zero(g, suspected, gains, lam, one_hop_only) -> ZeroDynamics | None:
-    p = pencil_matrix(g, suspected, gains, lam, one_hop_only)
+def _verify_zero(g, suspected, gains, lam) -> ZeroDynamics | None:
+    p = pencil_matrix(g, suspected, gains, lam)
     basis = kernel_basis(p)
     if basis.shape[1] == 0:
         return None
@@ -160,7 +153,6 @@ def zero_dynamics_search(
     gains: Gains,
     seed: int = 0,
     n_probes: int = 20,
-    one_hop_only: bool = False,
 ) -> ZeroDynamics | None:
     """Scan a single static mode for an invariant zero of its pencil.
 
@@ -174,7 +166,7 @@ def zero_dynamics_search(
     rng = np.random.default_rng(seed)
     for _ in range(n_probes):
         lam = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
-        found = _verify_zero(g, suspected, gains, lam, one_hop_only)
+        found = _verify_zero(g, suspected, gains, lam)
         if found is not None:
             return found
     n = g.node_count
@@ -183,7 +175,7 @@ def zero_dynamics_search(
     # random square projection of the rectangular pencil lam*E - G; spurious
     # eigenvalues are weeded out by verifying against the full pencil
     b = attack_input_matrix(n, suspected)
-    c = collective_measurement_matrix(g, suspected, one_hop_only)
+    c = collective_measurement_matrix(g, suspected)
     rows = 2 * n + c.shape[0]
     cols = 2 * n + b.shape[1]
     e_mat = np.zeros((rows, cols))
@@ -202,17 +194,15 @@ def zero_dynamics_search(
             continue
         candidates.extend(complex(z) for z in vals if np.isfinite(z))
     for lam in candidates:
-        found = _verify_zero(g, suspected, gains, lam, one_hop_only)
+        found = _verify_zero(g, suspected, gains, lam)
         if found is not None:
             return found
     return None
 
 
-def measurement_kernel(modes, malicious, one_hop_only: bool = False) -> np.ndarray:
+def measurement_kernel(modes, malicious) -> np.ndarray:
     """Joint nullspace of the cooperative measurement maps across modes."""
-    stacked = np.vstack(
-        [collective_measurement_matrix(g, malicious, one_hop_only) for g in modes]
-    )
+    stacked = np.vstack([collective_measurement_matrix(g, malicious) for g in modes])
     return kernel_basis(stacked)
 
 

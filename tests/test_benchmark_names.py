@@ -5,8 +5,13 @@ benchmark run."""
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import resilnet
 from resilnet import reports  # noqa: F401  -- the tracer wraps its writers
+from resilnet.dynamics import Gains, SystemState
+from resilnet.graphs import Graph, SwitchingNetwork
+from resilnet.isolation import RescueProblem, run_rescue
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -46,3 +51,33 @@ def test_tracer_installs_and_restores(monkeypatch):
     after = _package_bindings(classes)
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_tracer_counts_reconfigurations(monkeypatch):
+    # three modes on six agents: dropping edge 0-1 from K5 leaves every 2-hop
+    # view's members as they are (a kept estimate), while cutting agent 5
+    # off changes them (a remap); every observer starts with a reinit
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    k5 = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    modes = (
+        Graph(6, (*k5, (4, 5))),
+        Graph(6, (*k5[1:], (4, 5))),
+        Graph(6, tuple(k5)),
+    )
+    net = SwitchingNetwork(modes, ((0.0, 0), (0.1, 1), (0.2, 2)), 0.3)
+    problem = RescueProblem(
+        net=net,
+        gains=Gains(1.0, 3.0),
+        initial=SystemState(np.linspace(-1.0, 1.0, 6), np.zeros(6)),
+    )
+    t = tracer.Tracer()
+    try:
+        t.install(resilnet)
+        run_rescue(problem)
+    finally:
+        t.uninstall()
+    layers = t.layer_metrics(0.0)
+    for kind in ("keep", "remap", "reinit"):
+        assert layers[f"observers.reconfig.{kind}"] > 0, kind

@@ -245,7 +245,7 @@ def test_dos_prefix_invariance_and_flags():
     net = static_network(g, 6.0)
     init = SystemState(np.random.default_rng(8).uniform(-3, 3, 4), np.zeros(4))
     gains = Gains(1.0, 3.0)
-    dos = DoSSchedule((DoSInterval(3.0, 1.0, random=DoSRandomSpec(10, 0.5, 42, scheme="per_edge")),))
+    dos = DoSSchedule((DoSInterval(3.0, 1.0, random=DoSRandomSpec(10, 0.5, 42)),))
     with_dos = simulate(net, gains, init, dos=dos)
     without = simulate(net, gains, init)
     k = int(3.0 / 1e-3)
@@ -260,7 +260,7 @@ def test_dos_prefix_invariance_and_flags():
 
 def test_dos_event_scheme_drops_at_most_one_link():
     g = complete_graph(5)
-    dos = DoSSchedule((DoSInterval(0.0, 2.0, random=DoSRandomSpec(20, 0.5, 7, scheme="event")),))
+    dos = DoSSchedule((DoSInterval(0.0, 2.0, random=DoSRandomSpec(20, 0.5, 7)),))
     segs = dos.realize(g.edges)
     assert len(segs) == 20
     assert all(len(dropped) <= 1 for _, _, dropped in segs)

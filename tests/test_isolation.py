@@ -54,13 +54,11 @@ from resilnet.scenarios import (
 GAINS = Gains(1.0, 3.0)
 
 
-def _small_problem(rng, attacks=(), dos=None, horizon=6.0, threshold=None, **det_kwargs):
+def _small_problem(rng, attacks=(), dos=None, horizon=6.0, threshold=None):
     overlay = random_connected_graph(rng, 6, 0.6)
     net = split_edges_alternating(overlay, 0.5, horizon, int(rng.integers(0, 2**31)))
     init = SystemState(rng.uniform(-5, 5, 6), np.zeros(6))
-    detector = DetectorSettings(
-        threshold=threshold or ThresholdRule(kind="constant", value=0.95), **det_kwargs
-    )
+    detector = DetectorSettings(threshold=threshold or ThresholdRule(kind="constant", value=0.95))
     return RescueProblem(
         net=net, gains=GAINS, initial=init, attacks=tuple(attacks), dos=dos,
         detector=detector,
@@ -155,7 +153,8 @@ def _stage_forcing(attacks, n):
 def _per_agent_rescue(problem):
     """Reference rescue loop, observer by observer: the plant steps in stage
     form, and every detector measures through its view, steps with
-    ``ObserverState.step`` and tests ``neighbor_residuals`` on every tick."""
+    ``ObserverState.step`` and tests ``neighbor_residuals`` on every tick;
+    a neighbor is flagged on its first step over the threshold."""
     net, gains, settings = problem.net, problem.gains, problem.detector
     n, h = net.node_count, problem.step_h
     certified = settings.threshold.kind == "analytic"
@@ -163,10 +162,10 @@ def _per_agent_rescue(problem):
     if certified:
         mu = pe_margin(net, settings.pe_window).mu
         consts = stability_constants(mu, settings.pe_window, gains, n)
-    w_budget = settings.w_budget or _auto_w_budget(problem, consts)
+    w_budget = _auto_w_budget(problem, consts)
     x0_norm = float(np.linalg.norm(problem.initial.stacked()))
     detectors = problem.cooperative
-    removed, observers, dwell, events, log = set(), {}, {}, [], []
+    removed, observers, events, log = set(), {}, [], []
     flagged = {i: frozenset() for i in detectors}
     forcing = _stage_forcing(problem.attacks, n)
 
@@ -179,23 +178,16 @@ def _per_agent_rescue(problem):
     def on_edges(edges, t, x):
         graph = Graph(n, tuple(sorted(edges)))
         for i in detectors:
-            view = two_hop_view(graph, i, gains, settings.one_hop_only)
+            view = two_hop_view(graph, i, gains)
             obs = observers.get(i)
             y = view.measure(x[:n], x[n:])
             if obs is None:
-                observers[i] = ObserverState(view, gain_of(view), w_budget, t, settings.retain_grace)
+                observers[i] = ObserverState(view, gain_of(view), w_budget, t)
                 observers[i].reinit(y, t)
-            elif view.members == obs.view.members and np.array_equal(
-                view.a_model, obs.view.a_model
-            ):
-                continue
-            elif settings.reinit_policy != "model" and view.members == obs.view.members:
-                obs.reconfigure(view, gain_of(view), keep_state=True)
-            elif settings.reinit_policy == "retain":
+            elif view.members != obs.view.members:
                 obs.remap(view, gain_of(view), y, t)
-            else:
-                obs.reconfigure(view, gain_of(view))
-                obs.reinit(y, t)
+            elif not np.array_equal(view.a_model, obs.view.a_model):
+                obs.reconfigure(view, gain_of(view), keep_state=True)
         a_mat = closed_loop_matrix(graph, gains)
         return a_mat, {i: graph.neighbors(i) for i in detectors}
 
@@ -215,11 +207,7 @@ def _per_agent_rescue(problem):
             eps = settings.threshold.evaluate(
                 t_next, obs, t0=0.0, x0_norm=x0_norm, consts=consts
             )
-            hits = set()
-            for j, r in zip(nbrs, res):
-                dwell[i, j] = dwell.get((i, j), 0) + 1 if abs(r) > eps else 0
-                if dwell[i, j] >= settings.dwell:
-                    hits.add(j)
+            hits = {j for j, r in zip(nbrs, res) if abs(r) > eps}
             for j in sorted(hits - flagged[i]):
                 removed.add((min(i, j), max(i, j)))
                 events.append(IsolationEvent(t_next, i, j, float(res[nbrs.index(j)]), eps))
@@ -235,31 +223,16 @@ def _per_agent_rescue(problem):
     return trace, events, log
 
 
-@pytest.mark.parametrize(
-    "detector",
-    [
-        dict(dwell=3),
-        # exceedance runs this long straddle edge-set changes, so the pair
-        # counters must survive the bank's rebuilds
-        dict(dwell=200),
-        dict(threshold=ThresholdRule(kind="analytic")),
-        dict(reinit_policy="retain"),
-        dict(reinit_policy="membership"),
-        dict(reinit_policy="model"),
-    ],
-    ids=["constant-dwell3", "constant-dwell200", "analytic", "retain", "membership", "model"],
-)
-def test_rescue_bank_matches_per_agent_loop(rng, detector):
-    dos = DoSSchedule(
-        (DoSInterval(0.5, 2.0, random=DoSRandomSpec(10, 0.6, 5, scheme="event")),)
-    )
+@pytest.mark.parametrize("kind", ["constant", "analytic"])
+def test_rescue_bank_matches_per_agent_loop(rng, kind):
+    dos = DoSSchedule((DoSInterval(0.5, 2.0, random=DoSRandomSpec(10, 0.6, 5)),))
     attacks = (DeceptionAttack(5, 0.0, AttackSignal("ramp", slope=4.0)),)
-    problem = _small_problem(rng, attacks, dos=dos, horizon=3.0, **detector)
+    problem = _small_problem(rng, attacks, dos=dos, horizon=3.0, threshold=ThresholdRule(kind=kind))
     result = run_rescue(problem)
     trace, events, log = _per_agent_rescue(problem)
-    # every constant-threshold case isolates someone; the analytic bound
-    # stays above this run's residuals
-    assert bool(events) == (problem.detector.threshold.kind == "constant")
+    # the constant threshold isolates someone; the analytic bound stays
+    # above this run's residuals
+    assert bool(events) == (kind == "constant")
 
     def key(e):
         return (e.t, e.detector, e.isolated, e.threshold)
@@ -288,13 +261,13 @@ def _one_bank(rule, consts=None, gain=None, t0=0.0):
     view = two_hop_view(K4, 0, GAINS)
     obs = ObserverState(view, gain or design_gain(view), 1.0, t0)
     mats = _observer_step_matrices(obs._a_bar, obs.gain.h_matrix, 1e-3)
-    return _ObserverBank((0,), {0: obs}, {0: mats}, {0: (1, 2, 3)}, {}, 4, rule, consts, 1.0)
+    return _ObserverBank((0,), {0: obs}, {0: mats}, {0: (1, 2, 3)}, 4, rule, consts, 1.0)
 
 
 def test_bank_analytic_thresholds_match_evaluate(rng, monkeypatch):
     # every row on every step of a run whose models change: the terms the
     # bank fixes at build time give ``ThresholdRule.evaluate`` bit for bit
-    dos = DoSSchedule((DoSInterval(0.5, 2.0, random=DoSRandomSpec(10, 0.6, 5, scheme="event")),))
+    dos = DoSSchedule((DoSInterval(0.5, 2.0, random=DoSRandomSpec(10, 0.6, 5)),))
     problem = _small_problem(rng, dos=dos, horizon=3.0, threshold=ThresholdRule(kind="analytic"))
     net, window = problem.net, problem.detector.pe_window
     consts = stability_constants(pe_margin(net, window).mu, window, GAINS, net.node_count)
@@ -332,21 +305,6 @@ def test_bank_analytic_thresholds_match_evaluate(rng, monkeypatch):
     assert late.thresholds(0.75).tolist() == [want] * 3
 
 
-def test_bank_dwell_counters_match_per_slot_count():
-    # runs over the threshold that end on a step where no slot exceeds,
-    # and runs that end while another slot still exceeds
-    bank = _one_bank(ThresholdRule(kind="constant", value=1.0))
-    eps = bank.thresholds(0.0)
-    counts = [0, 0, 0]
-    rng = np.random.default_rng(3)
-    for step in range(400):
-        over = rng.random(3) < (0.8 if step % 40 < 20 else 0.1)
-        hits = bank.dwell_hits(np.where(over, -2.0, 0.5), eps, 3)
-        counts = [c + 1 if o else 0 for c, o in zip(counts, over)]
-        assert bank.dwell.tolist() == counts
-        assert list(hits) == [s for s, c in enumerate(counts) if c >= 3]
-
-
 def test_detector_settings_validation():
     nan, inf = float("nan"), float("inf")
     bad = [
@@ -355,18 +313,13 @@ def test_detector_settings_validation():
             for name in ("gain_k1", "gain_kc", "pe_window")
             for value in (0.0, -1.0, nan, inf)
         ),
-        *({"retain_grace": value} for value in (-0.5, nan, inf)),
-        *({"w_budget": value} for value in (0.0, -1.0, nan, inf)),
-        {"dwell": 0},
         {"residual_log_stride": 0},
-        {"reinit_policy": "sometimes"},
     ]
     for kwargs in bad:
         with pytest.raises(ValueError):
             DetectorSettings(**kwargs)
-    # the boundaries that stay valid
-    DetectorSettings(retain_grace=0.0, w_budget=None)
-    DetectorSettings(w_budget=2.5)
+    # the boundary that stays valid
+    DetectorSettings(residual_log_stride=1)
 
 
 def test_post_isolation_connectivity_negative_case(rng):
@@ -567,22 +520,3 @@ def test_dp_msr_attack_free_on_example1_overlay():
     trace = dp_msr_run(static, config.dp_msr)
     gap = consensus_metrics(trace).max_position_gap
     assert gap[-1] < 0.05
-
-
-def test_one_hop_ablation_still_detects():
-    """With 1-hop-only views (star models) and the more conservative
-    threshold, the pipeline still finds the ramp injectors; coupling from
-    unmodeled in-neighborhood edges degrades margins as expected."""
-    from dataclasses import replace
-
-    config = generate_example1(0)
-    problem = materialize(config)
-    detector = replace(
-        problem.detector,
-        one_hop_only=True,
-        threshold=ThresholdRule(kind="exponential", amplitude=30.0, rate=0.1, offset=1.5),
-    )
-    problem = replace(problem, detector=detector)
-    result = run_rescue(problem)
-    isolated = {e.isolated for e in result.run.events}
-    assert {5, 6} <= isolated

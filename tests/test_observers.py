@@ -69,19 +69,6 @@ def test_two_hop_view_star_hub_sees_all():
     assert set(view.members) == set(range(6))
 
 
-def test_one_hop_ablation_view():
-    g = Graph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
-    gains = Gains(2.5, 3.0)
-    view = two_hop_view(g, 0, gains, one_hop_only=True)
-    assert view.members == (0, 1, 2)
-    # star model only: edges (1,2) and (2,3) land in the coupling
-    l_model = -view.a_model[view.size :, : view.size] / gains.alpha
-    assert l_model[view.member_index(1), view.member_index(2)] == 0.0
-    p = np.array([0.3, -1.1, 0.7, 2.0])
-    want = gains.alpha * np.array([0.0, p[2] - p[1], (p[1] - p[2]) + (p[3] - p[2])])
-    assert np.allclose(_velocity_coupling(g, view, p), want, atol=1e-12)
-
-
 def test_pbh_observability_cases(rng):
     for _ in range(5):
         g = random_connected_graph(rng, int(rng.integers(4, 9)))

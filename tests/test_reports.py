@@ -117,12 +117,12 @@ EXPONENTIAL = ThresholdRule(kind="exponential", amplitude=10.0, rate=1.0, offset
 
 
 def _rescue_problem(threshold=EXPONENTIAL, residual_log_stride=10):
-    """A short rescue problem: ramp attacker, event-scheme DoS, two modes."""
+    """A short rescue problem: ramp attacker, counted-trials DoS, two modes."""
     rng = np.random.default_rng(20240817)
     horizon = 4.0
     overlay = random_connected_graph(rng, 6, 0.6)
     net = split_edges_alternating(overlay, 0.5, horizon, 5)
-    dos = DoSSchedule((DoSInterval(0.5, 2.0, random=DoSRandomSpec(12, 0.6, 3, scheme="event")),))
+    dos = DoSSchedule((DoSInterval(0.5, 2.0, random=DoSRandomSpec(12, 0.6, 3)),))
     return RescueProblem(
         net=net,
         gains=Gains(1.0, 3.0),
@@ -214,10 +214,10 @@ def _record_by_record(problem, monkeypatch):
     log became columnar: on every log step one ``make_record`` per detector
     with neighbors, its verdicts from the flags raised so far."""
     records, flagged = [], set()
-    dwell_hits, log = _ObserverBank.dwell_hits, _ObserverBank.log
+    hits, log = _ObserverBank.hits, _ObserverBank.log
 
-    def hits(self, residuals, eps, dwell):
-        slots = dwell_hits(self, residuals, eps, dwell)
+    def flag(self, residuals, eps):
+        slots = hits(self, residuals, eps)
         flagged.update(self.pairs[s] for s in slots)
         return slots
 
@@ -227,7 +227,7 @@ def _record_by_record(problem, monkeypatch):
             records.append(make_record(t, i, nbrs, residuals[lo:hi], eps[lo:hi], mine))
         log(self, t, residuals, eps)
 
-    monkeypatch.setattr(_ObserverBank, "dwell_hits", hits)
+    monkeypatch.setattr(_ObserverBank, "hits", flag)
     monkeypatch.setattr(_ObserverBank, "log", keep)
     return run_rescue(problem), records
 

@@ -106,8 +106,10 @@ class _Overrun(Exception):
 
 def _mutation_sweep(run):
     """Run ``run(doc)`` on every field of a 1 s example1 document dropped,
-    nulled, retyped, made NaN, inf or 0, or negated; return (path, value,
-    exception) of each case that raised or took longer than the 2 s alarm."""
+    nulled, retyped, made NaN, inf or 0, negated, or scaled (ints by 10**9,
+    floats by 1e9 and by 1e-9, a 0 replaced by the factor); return (path,
+    value, exception) of each case that raised or took longer than the 2 s
+    alarm."""
     base = config_to_dict(generate_example1(0))
     base["network"]["horizon"] = 1.0
     base["dos"]["intervals"][0]["duration"] = 1.0
@@ -123,6 +125,10 @@ def _mutation_sweep(run):
             values = [_DROP, None, "x", math.nan, math.inf, 0]
             if type(original) in (int, float):
                 values.append(-original)
+            if type(original) is int:
+                values.append(original * 10**9 or 10**9)
+            elif type(original) is float:
+                values += [original * 1e9 or 1e9, original * 1e-9 or 1e-9]
             for value in values:
                 d = _mutated(base, path, value)
                 signal.alarm(2)
@@ -316,6 +322,14 @@ def test_cli_malformed_config(tmp_path):
         (("gains", "alpha"), math.nan, "configuration", "scenario.gains.alpha"),
         (("network", "horizon"), math.inf, "configuration", "scenario.network.horizon"),
         (("step_h",), 1e-9, "configuration", "trace limit"),
+        # options a scenario document no longer has
+        (("detector", "dwell"), 1, "configuration", "scenario.detector.dwell"),
+        (
+            ("dos", "intervals", 0, "random", "scheme"),
+            "event",
+            "configuration",
+            "scenario.dos.intervals[0].random.scheme",
+        ),
     ]
     for k, (field_path, value, category, fragment) in enumerate(cases):
         path = tmp_path / f"bad{k}.json"
@@ -328,6 +342,21 @@ def test_cli_malformed_config(tmp_path):
         assert set(err) == {"error", "message"}
         assert err["error"] == category
         assert fragment in err["message"]
+
+
+def test_cli_zero_step_horizon(tmp_path, capsys):
+    # a horizon that rounds to no step at all is an error on every verb
+    # that walks the timeline, not a crash or a one-row trace
+    d = config_to_dict(generate_example1(0))
+    d["network"]["horizon"] = 1e-9
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(d))
+    for verb in ("rescue", "simulate", "dp-msr"):
+        code = main([verb, "--config", str(config), "--out", str(tmp_path / verb)])
+        error = json.loads(capsys.readouterr().err)
+        assert code == 2, verb
+        assert error["error"] == "configuration"
+        assert "shorter than one step" in error["message"]
 
 
 def test_step_count_cap_allocates_nothing():
