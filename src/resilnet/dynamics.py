@@ -39,6 +39,9 @@ _MAX_TRACE_CELLS = 5e7
 # steps whose injections are sampled at once: a block, not the whole run, so
 # that the samples never add to a long run's peak memory
 _SAMPLE_BLOCK = 4096
+# most steps a walker callee advances at once; it divides _SAMPLE_BLOCK, so
+# that the sample blocks cut no block short
+_STEP_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -194,8 +197,14 @@ class DoSInterval:
 class DoSSchedule:
     intervals: tuple[DoSInterval, ...]
 
-    def realize(self, candidate_edges) -> tuple:
-        """Expand to sorted ``(t0, t1, frozenset(dropped))`` sub-intervals."""
+    def realize(self, candidate_edges, horizon: float) -> tuple:
+        """Expand to sorted ``(t0, t1, frozenset(dropped))`` sub-intervals,
+        without the random trials that start at or after ``horizon``.  Each
+        trial draws in turn, so the kept trials draw as in a full expansion."""
+        declared = sorted((iv.start, iv.start + iv.duration) for iv in self.intervals)
+        for (_, a1), (b0, _) in zip(declared, declared[1:]):
+            if b0 < a1 - 1e-12:
+                raise ConfigurationError("DoS intervals must not overlap")
         candidate_edges = sorted(
             (min(i, j), max(i, j)) for i, j in candidate_edges
         )
@@ -210,14 +219,13 @@ class DoSSchedule:
             rng = np.random.default_rng(iv.random.seed)
             dt = iv.duration / iv.random.trials
             for k in range(iv.random.trials):
+                if iv.start + k * dt >= horizon:
+                    break
                 hit = rng.random() < iv.random.success_prob
                 pick = int(rng.integers(0, len(candidate_edges)))
                 dropped = frozenset((candidate_edges[pick],)) if hit else frozenset()
                 out.append((iv.start + k * dt, iv.start + (k + 1) * dt, dropped))
         out.sort(key=lambda seg: seg[0])
-        for (a0, a1, _), (b0, _, _) in zip(out, out[1:]):
-            if b0 < a1 - 1e-12:
-                raise ConfigurationError("DoS intervals must not overlap")
         return tuple(out)
 
 
@@ -291,7 +299,7 @@ def build_edge_timeline(
     union_edges = set()
     for g in net.modes:
         union_edges.update(g.edges)
-    drops = dos.realize(sorted(union_edges)) if dos is not None else ()
+    drops = dos.realize(sorted(union_edges), horizon) if dos is not None else ()
     cuts = {0.0, horizon}
     cuts.update(t for t, _ in net.schedule if t < horizon)
     for a, b, _ in drops:
@@ -344,29 +352,41 @@ def _plant_matrices(g: Graph, gains: Gains, agents: tuple, h: float) -> tuple:
     return r, np.hstack([g0[:, cols], gm[:, cols], g1])
 
 
-def _plant_step(plant: tuple, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One RK4 step of the closed loop; ``u`` holds the attackers'
-    injections at the step's start, midpoint and end, as ``_walk`` passes
-    them."""
+def _plant_rows(plant: tuple, X: np.ndarray, k0: int, k1: int, U: np.ndarray) -> int:
+    """Rows k0 + 1 to k1 of ``X`` by RK4 step matrices, x+ = R x + G u, with
+    row j of ``U`` the ``u`` of step k0 + j; returns k1, so that it is the
+    walker's block callee of a plant-only run."""
     r, g = plant
-    return r @ x + g @ u
+    rows = list(X[k0 : k1 + 1])
+    for x, x_next, u in zip(rows, rows[1:], U):
+        np.matmul(r, x, out=x_next)
+        # added even with no attacker column: it turns -0.0 into +0.0
+        x_next += g @ u
+    return k1
 
 
 # an overflow is reported once, as the error at the end of the walk, rather
 # than as a warning per step
 @np.errstate(over="ignore", invalid="ignore")
 def _walk(
-    net, initial, attacks, dos, horizon, step_h, on_edges, step, removed=frozenset()
+    net, initial, attacks, dos, horizon, step_h, on_edges, advance, removed=frozenset()
 ):
-    """Walk the edge timeline of [0, horizon] in fixed steps and record the run.
+    """Walk the edge timeline of [0, horizon] in blocks of steps and record
+    the run.
 
     The effective edges of a step are the timeline's edges minus ``removed``,
     a set the caller may grow during the walk.  ``on_edges(edges, t, x)``
-    builds the caller's context whenever the effective edges change, and
-    ``step(context, x, k, u)`` returns the stacked state one step later;
-    ``u`` holds the attackers' injections at t_k, the midpoint and t_{k+1}
-    (three rows of ``_injection_samples``, flattened).  Consecutive steps
-    with equal effective edges form one realized segment.
+    builds the caller's context whenever the effective edges change.
+    ``advance(context, X, k0, k1, U)`` fills rows k0 + 1 to k1 of the run's
+    stacked states ``X`` and returns how far it got, k_end in (k0, k1]; the
+    walk resumes at row k_end and writes later rows again.  A block [k0, k1)
+    lies in one timeline entry and one block of injection samples, and ends
+    at the entry's end or at the next multiple of ``_STEP_BLOCK``.  Row j of
+    ``U`` holds the attackers' injections at t_{k0+j}, the midpoint and
+    t_{k0+j+1} (three rows of ``_injection_samples``, flattened).  A callee
+    that stops early after growing ``removed`` repeats at most one block of
+    work per stop.  Consecutive steps with equal effective edges form one
+    realized segment.
     """
     n = net.node_count
     if initial.node_count != n:
@@ -390,43 +410,56 @@ def _walk(
     timeline = build_edge_timeline(net, dos, horizon, step_h)
 
     t_arr = np.arange(steps + 1) * step_h
-    p_arr = np.empty((steps + 1, n))
-    v_arr = np.empty((steps + 1, n))
+    X = np.empty((steps + 1, 2 * n))
+    X[0] = initial.stacked()
     mode_arr = np.empty(steps + 1, dtype=int)
-    dos_arr = np.zeros(steps + 1, dtype=bool)
-    x = initial.stacked().copy()
-    p_arr[0], v_arr[0] = x[:n], x[n:]
+    dos_arr = np.empty(steps + 1, dtype=bool)
     columns = len(_attackers(attacks))
 
     segments: list = []
     seg_idx = 0
     current = None
-    for k in range(steps):
+    sampled = -1
+    k = 0
+    while k < steps:
         t = k * step_h
         while seg_idx + 1 < len(timeline) and t >= timeline[seg_idx][1] - 1e-12:
             seg_idx += 1
-        _, _, mode, base_edges, dos_now = timeline[seg_idx]
+        _, t_end, mode, base_edges, dos_now = timeline[seg_idx]
         # a timeline entry keeps one frozenset, so while nothing is removed
-        # the identity test settles most steps without comparing edges
+        # the identity test settles most blocks without comparing edges
         edges = base_edges - removed if removed else base_edges
         if edges is not current and edges != current:
             current = edges
-            context = on_edges(edges, t, x)
+            context = on_edges(edges, t, X[k])
             segments.append([t, t + step_h, mode, edges, dos_now])
-        else:
-            segments[-1][1] = t + step_h
-        mode_arr[k] = mode
-        dos_arr[k] = dos_now
-        if k % _SAMPLE_BLOCK == 0:
-            last = min(k + _SAMPLE_BLOCK, steps)
-            samples = _injection_samples(attacks, k, last, step_h).ravel()
-        lo = 2 * (k % _SAMPLE_BLOCK) * columns
-        x = step(context, x, k, samples[lo : lo + 3 * columns])
-        p_arr[k + 1], v_arr[k + 1] = x[:n], x[n:]
+        first = k - k % _SAMPLE_BLOCK
+        k1 = min(steps, (k // _STEP_BLOCK + 1) * _STEP_BLOCK, first + _SAMPLE_BLOCK)
+        if seg_idx + 1 < len(timeline):
+            # the first step that the test above moves past this entry
+            later = np.arange(k + 1, k1)
+            k1 = int(later[later * step_h >= t_end - 1e-12].min(initial=k1))
+        if first != sampled:
+            sampled = first
+            samples = _injection_samples(
+                attacks, first, min(first + _SAMPLE_BLOCK, steps), step_h
+            )
+            # row j: sample rows 2j to 2j + 2, a view of the samples
+            step_u = np.lib.stride_tricks.as_strided(
+                samples,
+                (len(samples) // 2, 3 * columns),
+                (2 * samples.strides[0], samples.itemsize),
+                writeable=False,
+            )
+        k_end = advance(context, X, k, k1, step_u[k - first : k1 - first])
+        mode_arr[k:k_end] = mode
+        dos_arr[k:k_end] = dos_now
+        segments[-1][1] = (k_end - 1) * step_h + step_h
+        k = k_end
     # no update turns a non-finite entry finite again, so the last state
     # tells whether any step overflowed
-    if not np.isfinite(x).all():
-        finite = np.isfinite(p_arr).all(axis=1) & np.isfinite(v_arr).all(axis=1)
+    if not np.isfinite(X[steps]).all():
+        finite = np.isfinite(X).all(axis=1)
         raise ConfigurationError(
             f"the state is not finite from t = {t_arr[np.argmin(finite)]:.6g} on"
         )
@@ -434,8 +467,8 @@ def _walk(
     dos_arr[steps] = timeline[-1][4]
     return SimulationTrace(
         t=t_arr,
-        p_tilde=p_arr,
-        v=v_arr,
+        p_tilde=X[:, :n],
+        v=X[:, n:],
         mode_index=mode_arr,
         dos_active=dos_arr,
         segments=tuple(tuple(seg) for seg in segments),
@@ -479,7 +512,7 @@ def simulate(
         horizon,
         step_h,
         on_edges,
-        lambda plant, x, k, u: _plant_step(plant, x, u),
+        _plant_rows,
     )
 
 

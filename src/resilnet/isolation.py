@@ -1,23 +1,28 @@
 """Concurrent detection, isolation, and resilient cooperation.
 
-The rescue loop advances the plant one step at a time; every cooperative
-agent then steps its local observer against fresh measurements, tests each
-1-hop neighbor's residual against its threshold, and permanently severs any
-link whose residual exceeds it.  Isolation is a state-dependent switch: the
-pruned network is what both the plant and every observer see from the next
-tick on.  A trimming-based DP-MSR baseline is included for comparison runs.
+The rescue loop steps every cooperative agent's local observer against
+fresh measurements, tests each 1-hop neighbor's residual against its
+threshold, and permanently severs any link whose residual exceeds it.
+Isolation is a state-dependent switch: the pruned network is what both the
+plant and every observer see from the next tick on.  A trimming-based DP-MSR
+baseline is included for comparison runs.
 
 Between edge-set changes all observers run as one bank.  An observer's
 model is linear time-invariant there and its measurement is interpolated
 linearly across a plant step, so its RK4 step is one matrix: x^+ = R_o x^ +
 F0 y_start + F1 y_end, built when the observer's model changes and cached by
-model and gain.  The bank stacks [R_o | F0 | F1] in a zero-padded batch and
-advances every estimate with one batched product; measurements and
-per-neighbor residuals are gathered by index from the plant state, and the
-thresholds, the test |r| > eps and the residual log are array operations.
-Each agent's ``ObserverState`` stays its reconfiguration record: on every
-edge-set change the bank writes the estimates and clocks back, the observers
-reconfigure, and a new bank is built.
+model and gain.  The bank stacks [R_o | F0 | F1] in a zero-padded batch.
+
+Up to its first verdict, a run on one edge set is a fixed function of the
+trajectory, so the loop goes in blocks of steps: the plant's rows first,
+then every estimate by one batched product per step, then measurements,
+residuals, thresholds, the test |r| > eps and the residual log as array
+operations over the block.  A block ends one step past its first verdict
+and the walk resumes there on the pruned edge set, so at most one block of
+work is repeated per verdict.  Each agent's ``ObserverState`` stays its
+reconfiguration record: on every edge-set change the bank writes the
+estimates and clocks back, the observers reconfigure, and a new bank is
+built.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .dynamics import (
     SystemState,
     _attackers,
     _plant_matrices,
-    _plant_step,
+    _plant_rows,
     _rk4_matrices,
     _walk,
     stability_constants,
@@ -185,19 +190,27 @@ def _observer_step_matrices(a_bar: np.ndarray, h_gain: np.ndarray, h: float) -> 
     return r, (g0 + half) @ h_gain, (h / 6.0) * h_gain + half @ h_gain
 
 
+# multiply-adds of observer steps per test of the bank, about half a
+# millisecond of batched products on a 2-core x86-64 host: a chunk's dozen
+# numpy calls cost a few percent of that, and a bank as large as example2's
+# (75 rows) repeats at most one step past a verdict
+_CHUNK_WORK = 2**20
+
+
 class _ObserverBank:
     """Every detector's observer as one zero-padded batch, for one edge set.
 
-    Row k of ``z`` stacks observer k's estimate (2m entries, m = view size),
-    the measurement at the start of the step and the one at its end (m + 1
-    entries each), each part zero-padded to the largest view.  Row k of
-    ``step_mat`` holds [R_o | F0 | F1] on the same padding with zeros
-    elsewhere, so padding never mixes into an estimate.  The residual slots
-    are the (detector, neighbor) pairs in neighbor-map order.
+    Row k of a step's ``z`` stacks observer k's estimate (2m entries, m =
+    view size), the measurement at the start of the step and the one at its
+    end (m + 1 entries each), each part zero-padded to the largest view.
+    Row k of ``step_mat`` holds [R_o | F0 | F1] on the same padding with
+    zeros elsewhere, so padding never mixes into an estimate.  The residual
+    slots are the (detector, neighbor) pairs in neighbor-map order.
     """
 
     def __init__(
-        self, detectors, observers, step_matrices, neighbor_map, n, rule, consts=None, x0_norm=0.0
+        self, detectors, observers, step_matrices, neighbor_map, n, settings, h,
+        consts=None, x0_norm=0.0,
     ):
         self.observers = [observers[i] for i in detectors]
         size = max((obs.view.size for obs in self.observers), default=0)
@@ -205,7 +218,9 @@ class _ObserverBank:
         est, meas = 2 * size, size + 1
         self.est = est
         self.step_mat = np.zeros((rows, est, est + 2 * meas))
-        self.z = np.zeros((rows, est + 2 * meas, 1))
+        self.x_hat = np.zeros((rows, est, 1))
+        # a chunk's z of every step, kept for the next chunk
+        self.z = np.empty((0, rows, est + 2 * meas, 1))
         # index into col(x_start, x_end) of every measurement: member
         # positions, then the owner's velocity; padded entries read p~_0
         # into zero columns
@@ -219,7 +234,7 @@ class _ObserverBank:
             self.step_mat[k, : 2 * m, : 2 * m] = r
             self.step_mat[k, : 2 * m, est : est + m + 1] = f0
             self.step_mat[k, : 2 * m, est + meas : est + meas + m + 1] = f1
-            self.z[k, : 2 * m, 0] = obs.x_hat
+            self.x_hat[k, : 2 * m, 0] = obs.x_hat
             measured = np.array([*obs.view.members, n + obs.view.owner])
             self.gather[k, : m + 1, 0] = measured
             self.gather[k, meas : meas + m + 1, 0] = 2 * n + measured
@@ -229,65 +244,102 @@ class _ObserverBank:
             for j in nbrs:
                 self.pairs.append((i, j))
                 slot_row.append(k)
-                slot_state.append(k * self.z.shape[1] + obs.view.member_index(j))
+                slot_state.append(k * (est + 2 * meas) + obs.view.member_index(j))
         self.slot_row = np.array(slot_row, dtype=int)
         self.slot_state = np.array(slot_state, dtype=int)
         self.slot_meas = np.array([j for _, j in self.pairs], dtype=int)
-        self.rule = rule
+        self.h = h
+        self.stride = settings.residual_log_stride
+        self.rule = rule = settings.threshold
         # a constant rule's thresholds never change
         self.eps = np.full(len(self.pairs), rule.value) if rule.kind == "constant" else None
         if rule.kind == "analytic":
-            self.terms = [rule.analytic_terms(obs, 0.0, x0_norm, consts) for obs in self.observers]
-            self.t_k_max = max((t_k for *_, t_k in self.terms), default=-math.inf)
+            terms = [rule.analytic_terms(obs, 0.0, x0_norm, consts) for obs in self.observers]
+            self.terms = np.array(terms).reshape(rows, 4).T  # a, b, -lambda_e, t_k
+            self.t_k_max = max(self.terms[3], default=-math.inf)
         self.steps = 0
-        self.logged = []  # (t, residuals, thresholds) per log step
+        self.logged = []  # (t, residuals, thresholds) of the log steps, per chunk
 
-    def step(self, x_start: np.ndarray, x_end: np.ndarray) -> np.ndarray:
-        """``ObserverState.step`` for every row across one plant step from
-        ``x_start`` to ``x_end``; returns the residual of every slot."""
-        z, est = self.z, self.est
-        z[:, est:] = np.concatenate((x_start, x_end))[self.gather]
-        z[:, :est] = self.step_mat @ z
-        self.steps += 1
-        # a neighbor's residual is its measured position minus its estimate
-        return x_end[self.slot_meas] - z.ravel()[self.slot_state]
-
-    def thresholds(self, t: float) -> np.ndarray:
-        """Every slot's threshold at ``t``: ``ThresholdRule.evaluate`` of its
-        detector, the analytic bound from the terms fixed at build time."""
+    def thresholds(self, t: np.ndarray) -> np.ndarray:
+        """Every slot's threshold at the times ``t``, a row per time:
+        ``ThresholdRule.evaluate`` of its detector, the analytic bound from
+        the terms fixed at build time, with ``math.exp`` per row and time
+        (``np.exp`` may round otherwise)."""
         if self.eps is not None:
-            return self.eps
+            return np.repeat(self.eps[None], len(t), axis=0)
         if self.rule.kind == "exponential":
-            return np.full(len(self.pairs), self.rule.evaluate(t, None))
-        if not t >= self.t_k_max:
+            eps = [self.rule.evaluate(x, None) for x in t.tolist()]
+            return np.repeat(np.array(eps)[:, None], len(self.pairs), axis=1)
+        if not t[0] >= self.t_k_max:
             raise ValueError("need t >= t_k >= t0")
-        eps = []
-        for a, b, neg_lambda, t_k in self.terms:
-            d = math.exp(neg_lambda * (t - t_k))  # np.exp may round otherwise
-            eps.append(a * d + b * (1.0 - d))
-        return np.array(eps)[self.slot_row]
+        a, b, neg_lambda, t_k = self.terms
+        arg = neg_lambda * (t[:, None] - t_k)
+        d = np.array([math.exp(x) for x in arg.ravel().tolist()]).reshape(arg.shape)
+        return (a * d + b * (1.0 - d))[:, self.slot_row]
 
-    def hits(self, residuals: np.ndarray, eps: np.ndarray) -> list:
-        """The slots whose residual exceeds its threshold; a list, because
-        most steps have none and an empty list is the cheapest to loop over."""
-        return (np.abs(residuals) > eps).nonzero()[0].tolist()
+    def advance(self, X: np.ndarray, k0: int, k1: int) -> tuple:
+        """``ObserverState.step`` for every row across plant steps k0 to k1
+        (rows of ``X``, already stepped), then every slot's test |r| > eps;
+        keep the log steps.  Stops after the first step that flags a slot:
+        returns (k_end, verdicts), the (slot, residual, threshold) of each
+        slot flagged on the step to k_end.  Runs in chunks of at most
+        ``_CHUNK_WORK`` multiply-adds, so that a large bank repeats little
+        work past a verdict.
 
-    def log(self, t: float, residuals: np.ndarray, eps: np.ndarray):
-        """Keep one log step; neither array is written to afterwards."""
-        self.logged.append((t, residuals, eps))
+        A flagged pair's edge leaves the edge set from the next step on, so
+        no bank holds a slot already flagged."""
+        chunk = max(1, _CHUNK_WORK // max(1, self.step_mat.size))
+        for c0 in range(k0, k1, chunk):
+            k_end, verdicts = self._chunk(X, c0, min(c0 + chunk, k1))
+            if verdicts:
+                break
+        return k_end, verdicts
 
-    def close(self, flag_t: dict, epochs: list, h: float):
+    def _chunk(self, X: np.ndarray, k0: int, k1: int) -> tuple:
+        """``advance`` over plant steps k0 to k1, in one go."""
+        est, length = self.est, k1 - k0
+        if len(self.z) <= length:
+            self.z = np.empty((length + 1, *self.z.shape[1:]))
+        z = self.z[: length + 1]
+        z[0, :, :est] = self.x_hat
+        z[:length, :, est:] = np.concatenate((X[k0:k1], X[k0 + 1 : k1 + 1]), axis=1)[
+            :, self.gather
+        ]
+        step_mat = self.step_mat
+        for z_now, z_next in zip(z, z[1:, :, :est]):
+            np.matmul(step_mat, z_now, out=z_next)
+        # a neighbor's residual is its measured position minus its estimate
+        res = X[k0 + 1 : k1 + 1, self.slot_meas] - z[1:].reshape(length, -1)[:, self.slot_state]
+        t = np.arange(k0 + 1, k1 + 1) * self.h
+        eps = self.thresholds(t)
+        over = np.abs(res) > eps
+        hit = over.any(axis=1).nonzero()[0]
+        stop = int(hit[0]) + 1 if hit.size else length
+        # a view that the next chunk copies to its first row
+        self.x_hat = z[stop, :, :est]
+        self.steps += stop
+        first = -(k0 + 1) % self.stride
+        if first < stop:
+            log = slice(first, stop, self.stride)
+            self.logged.append((t[log], res[log], eps[log]))
+        last = stop - 1
+        return k0 + stop, [
+            (s, float(res[last, s]), float(eps[last, s])) for s in over[last].nonzero()[0].tolist()
+        ]
+
+    def close(self, flag_t: dict, epochs: list):
         """Return the estimates and clocks to their owners and append the log
         to ``epochs``; later flags postdate every row."""
         ends = {}  # clock at the start -> advanced like ``ObserverState.step``'s
+        h = self.h
         for k, obs in enumerate(self.observers):
-            obs.x_hat = self.z[k, : 2 * obs.view.size, 0].copy()
+            obs.x_hat = self.x_hat[k, : 2 * obs.view.size, 0].copy()
             if obs.t not in ends:
                 # one h at a time: a kept model's t_k is this sum, not k h
                 ends[obs.t] = functools.reduce(operator.add, [h] * self.steps, obs.t)
             obs.t = ends[obs.t]
         if self.logged and self.pairs:
-            t, res, eps = map(np.array, zip(*self.logged))
+            t, res, eps = (np.concatenate(part) for part in zip(*self.logged))
             flags = np.array([flag_t.get(p, math.inf) for p in self.pairs])
             epochs.append(LogEpoch(t, res, eps, tuple(self.pairs), flags, tuple(self.groups)))
 
@@ -363,7 +415,7 @@ def run_rescue(problem: RescueProblem) -> RescueResult:
         the bank."""
         nonlocal bank
         if bank is not None:
-            bank.close(flag_t, epochs, h)
+            bank.close(flag_t, epochs)
         graph_eff = Graph(n, tuple(sorted(edges)))
         plant = _plant_matrices(graph_eff, gains, agents, h)
         neighbor_map = {i: graph_eff.neighbors(i) for i in detectors}
@@ -388,35 +440,29 @@ def run_rescue(problem: RescueProblem) -> RescueResult:
                 obs.remap(view, gain, view.measure(x[:n], x[n:]), t)
             step_matrices[i] = observer_step_matrices(obs)
         bank = _ObserverBank(
-            detectors, observers, step_matrices, neighbor_map, n, settings.threshold, consts,
-            x0_norm,
+            detectors, observers, step_matrices, neighbor_map, n, settings, h, consts, x0_norm,
         )
         return plant, bank
 
-    def step(context, x, k, u):
-        """Plant step, then the bank's observer step, tests and log; Python
-        runs per pair only on a new verdict."""
+    def advance(context, X, k0, k1, U):
+        """The plant's rows of the block, then the bank's; Python runs per
+        pair only on a new verdict, which ends the block."""
         plant, bank = context
-        x_next = _plant_step(plant, x, u)
-        t_next = (k + 1) * h
-        res = bank.step(x, x_next)
-        eps = bank.thresholds(t_next)
-        for s in bank.hits(res, eps):
+        _plant_rows(plant, X, k0, k1, U)
+        k_end, verdicts = bank.advance(X, k0, k1)
+        t = k_end * h
+        for s, res, eps in verdicts:
             i, j = bank.pairs[s]
-            if (i, j) in flag_t:
-                continue
-            flag_t[i, j] = t_next
+            flag_t[i, j] = t
             removed.add((min(i, j), max(i, j)))
-            events.append(IsolationEvent(t_next, i, j, float(res[s]), float(eps[s])))
-        if (k + 1) % settings.residual_log_stride == 0:
-            bank.log(t_next, res, eps)
-        return x_next
+            events.append(IsolationEvent(t, i, j, res, eps))
+        return k_end
 
     trace = _walk(
         net, problem.initial, problem.attacks, problem.dos, problem.horizon, h,
-        on_edges, step, removed,
+        on_edges, advance, removed,
     )
-    bank.close(flag_t, epochs, h)
+    bank.close(flag_t, epochs)
     run = RescueRun(
         problem=problem,
         events=tuple(events),
@@ -501,21 +547,24 @@ def dp_msr_run(problem: RescueProblem, cfg: DPMSRConfig) -> SimulationTrace:
         g = Graph(n, tuple(sorted(edges)))
         return [g.neighbors(i) for i in range(n)]
 
-    def step(nbrs_of, x, k, inj):
-        p, v = x[:n], x[n:]
-        pl, vl, injl = p.tolist(), v.tolist(), inj.tolist()
-        u = []
-        for i, c in enumerate(columns):
-            if c is None:
-                u.append(_trimmed_control(pl, vl, nbrs_of[i], i, f, gains))
-                continue
-            pi, total = pl[i], 0.0
-            for j in nbrs_of[i]:
-                total += pi - pl[j]
-            u.append(-alpha * total - gamma * vl[i] + injl[c])
-        u = np.array(u)
-        # exact ZOH update of the double integrator
-        return np.concatenate([p + ts * v + 0.5 * ts * ts * u, v + ts * u])
+    def advance(nbrs_of, X, k0, k1, U):
+        for x, x_next, inj in zip(X[k0:k1], X[k0 + 1 : k1 + 1], U):
+            p, v = x[:n], x[n:]
+            pl, vl, injl = p.tolist(), v.tolist(), inj.tolist()
+            u = []
+            for i, c in enumerate(columns):
+                if c is None:
+                    u.append(_trimmed_control(pl, vl, nbrs_of[i], i, f, gains))
+                    continue
+                pi, total = pl[i], 0.0
+                for j in nbrs_of[i]:
+                    total += pi - pl[j]
+                u.append(-alpha * total - gamma * vl[i] + injl[c])
+            u = np.array(u)
+            # exact ZOH update of the double integrator
+            x_next[:n] = p + ts * v + 0.5 * ts * ts * u
+            x_next[n:] = v + ts * u
+        return k1
 
     return _walk(
         problem.net,
@@ -525,5 +574,5 @@ def dp_msr_run(problem: RescueProblem, cfg: DPMSRConfig) -> SimulationTrace:
         problem.horizon,
         ts,
         neighbor_lists,
-        step,
+        advance,
     )

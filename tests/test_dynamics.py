@@ -16,7 +16,6 @@ from resilnet.dynamics import (
     SystemState,
     _attackers,
     _plant_matrices,
-    _plant_step,
     _walk,
     closed_loop_matrix,
     consensus_metrics,
@@ -31,6 +30,7 @@ from resilnet.dynamics import (
 from resilnet.errors import ConfigurationError
 from resilnet.graphs import Graph, complete_graph, path_graph, static_network, pe_margin
 from resilnet.scenarios import random_connected_graph, split_edges_alternating
+from stepwise import per_step, plant_step
 
 
 def test_gains_positive():
@@ -183,7 +183,7 @@ def test_simulate_step_matrices_match_stage_rk4(signal):
     ref = _walk(
         net, init, attacks, dos, None, h,
         lambda edges, t, x: closed_loop_matrix(Graph(n, tuple(edges)), gains),
-        lambda a_mat, x, k, u: _stage_rk4_step(a_mat, x, forcing, k * h, h),
+        per_step(lambda a_mat, x, k, u: _stage_rk4_step(a_mat, x, forcing, k * h, h)),
     )
     got = np.hstack([trace.p_tilde, trace.v])
     want = np.hstack([ref.p_tilde, ref.v])
@@ -218,12 +218,13 @@ def test_simulate_builds_step_matrices_once_per_edge_set(monkeypatch):
     trace = simulate(net, gains, init, attacks, dos, step_h=h)
     assert [len(seg[3]) for seg in trace.segments] == [6, 5, 6, 5]
     assert builds == [g.edges, g.edges[1:]]
-    # the walk that builds the step matrices on every segment
+    # the walk that builds the step matrices on every segment and steps
+    # one step at a time
     agents = _attackers(attacks)
     ref = _walk(
         net, init, attacks, dos, None, h,
         lambda edges, t, x: _plant_matrices(Graph(4, tuple(edges)), gains, agents, h),
-        lambda plant, x, k, u: _plant_step(plant, x, u),
+        per_step(lambda plant, x, k, u: plant_step(plant, x, u)),
     )
     assert len(builds) == 2 + 4
     assert trace.p_tilde.tobytes() == ref.p_tilde.tobytes()
@@ -261,9 +262,21 @@ def test_dos_prefix_invariance_and_flags():
 def test_dos_event_scheme_drops_at_most_one_link():
     g = complete_graph(5)
     dos = DoSSchedule((DoSInterval(0.0, 2.0, random=DoSRandomSpec(20, 0.5, 7)),))
-    segs = dos.realize(g.edges)
+    segs = dos.realize(g.edges, math.inf)
     assert len(segs) == 20
     assert all(len(dropped) <= 1 for _, _, dropped in segs)
+
+
+def test_dos_realize_stops_at_the_horizon():
+    # the trials that start before the horizon draw as in the full expansion
+    g = complete_graph(5)
+    random = DoSInterval(0.0, 2.0, random=DoSRandomSpec(20, 0.5, 7))
+    full = DoSSchedule((random,)).realize(g.edges, math.inf)
+    assert DoSSchedule((random,)).realize(g.edges, 1.0) == full[:10]
+    # intervals that overlap only past the horizon still overlap
+    late = DoSSchedule((random, DoSInterval(1.5, 1.0, dropped_edges=((0, 1),))))
+    with pytest.raises(ConfigurationError, match="overlap"):
+        late.realize(g.edges, 1.0)
 
 
 def test_output_vector_cases():

@@ -43,6 +43,7 @@ from resilnet.observers import (
     make_record,
     two_hop_view,
 )
+from resilnet import dynamics, isolation
 from resilnet.scenarios import (
     generate_example1,
     materialize,
@@ -50,6 +51,7 @@ from resilnet.scenarios import (
     random_connected_graph,
     split_edges_alternating,
 )
+from stepwise import per_step, stepwise_rescue
 
 GAINS = Gains(1.0, 3.0)
 
@@ -218,7 +220,7 @@ def _per_agent_rescue(problem):
 
     trace = _walk(
         net, problem.initial, problem.attacks, problem.dos, problem.horizon, h,
-        on_edges, step, removed,
+        on_edges, per_step(step, removed), removed,
     )
     return trace, events, log
 
@@ -253,6 +255,55 @@ def test_rescue_bank_matches_per_agent_loop(rng, kind):
         assert np.allclose(got.residuals, want.residuals, rtol=0, atol=1e-12)
 
 
+def _pin_cases():
+    rng = np.random.default_rng(20240817)
+    dos = DoSSchedule((DoSInterval(0.5, 2.0, random=DoSRandomSpec(10, 0.6, 5)),))
+    attacks = (DeceptionAttack(5, 0.0, AttackSignal("ramp", slope=4.0)),)
+    for kind in ("constant", "analytic"):
+        yield kind, _small_problem(
+            rng, attacks, dos=dos, horizon=3.0, threshold=ThresholdRule(kind=kind)
+        )
+    yield "example1_seed6", materialize(generate_example1(6))
+
+
+PIN_CASES = list(_pin_cases())
+
+
+@pytest.mark.parametrize("case", PIN_CASES, ids=[name for name, _ in PIN_CASES])
+def test_rescue_blocks_match_stepwise_rescue(case, monkeypatch):
+    # blocks of one step, of three and of the default length: verdicts land
+    # on a block's first and last step and mid-block
+    name, problem = case
+    want = stepwise_rescue(problem)
+
+    def fields(result):
+        trace = result.trace
+        out = [trace.t, trace.p_tilde, trace.v, trace.mode_index, trace.dos_active]
+        for e in result.residual_log.epochs:
+            out += [e.t, e.res, e.eps, e.flag_t]
+        return [a.tobytes() for a in out]
+
+    def meta(result):
+        epochs = result.residual_log.epochs
+        return (
+            result.trace.segments,
+            result.run.events,
+            [(e.pairs, e.groups, e.res.shape) for e in epochs],
+        )
+
+    runs = [(cap, isolation._CHUNK_WORK) for cap in (1, 3, dynamics._STEP_BLOCK)]
+    # and default blocks that the bank tests one step at a time
+    runs.append((dynamics._STEP_BLOCK, 1))
+    for cap, work in runs:
+        monkeypatch.setattr(dynamics, "_STEP_BLOCK", cap)
+        monkeypatch.setattr(isolation, "_CHUNK_WORK", work)
+        got = run_rescue(problem)
+        assert meta(got) == meta(want), (cap, work)
+        assert fields(got) == fields(want), (cap, work)
+    # the analytic bound stays above this run's residuals
+    assert bool(want.run.events) == (name != "analytic")
+
+
 K4 = complete_graph(4)
 
 
@@ -261,7 +312,8 @@ def _one_bank(rule, consts=None, gain=None, t0=0.0):
     view = two_hop_view(K4, 0, GAINS)
     obs = ObserverState(view, gain or design_gain(view), 1.0, t0)
     mats = _observer_step_matrices(obs._a_bar, obs.gain.h_matrix, 1e-3)
-    return _ObserverBank((0,), {0: obs}, {0: mats}, {0: (1, 2, 3)}, 4, rule, consts, 1.0)
+    settings = DetectorSettings(threshold=rule)
+    return _ObserverBank((0,), {0: obs}, {0: mats}, {0: (1, 2, 3)}, 4, settings, 1e-3, consts, 1.0)
 
 
 def test_bank_analytic_thresholds_match_evaluate(rng, monkeypatch):
@@ -269,22 +321,23 @@ def test_bank_analytic_thresholds_match_evaluate(rng, monkeypatch):
     # bank fixes at build time give ``ThresholdRule.evaluate`` bit for bit
     dos = DoSSchedule((DoSInterval(0.5, 2.0, random=DoSRandomSpec(10, 0.6, 5)),))
     problem = _small_problem(rng, dos=dos, horizon=3.0, threshold=ThresholdRule(kind="analytic"))
-    net, window = problem.net, problem.detector.pe_window
+    net, window, h = problem.net, problem.detector.pe_window, problem.step_h
     consts = stability_constants(pe_margin(net, window).mu, window, GAINS, net.node_count)
     x0_norm = float(np.linalg.norm(problem.initial.stacked()))
-    thresholds, t_k, calls = _ObserverBank.thresholds, set(), []
+    thresholds, t_k, covered = _ObserverBank.thresholds, set(), set()
 
     def checked(self, t):
         eps = thresholds(self, t)
-        want = [self.rule.evaluate(t, obs, 0.0, x0_norm, consts) for obs in self.observers]
-        assert eps.tolist() == [want[k] for k in self.slot_row.tolist()]
+        for row, t_step in zip(eps.tolist(), t.tolist()):
+            want = [self.rule.evaluate(t_step, obs, 0.0, x0_norm, consts) for obs in self.observers]
+            assert row == [want[k] for k in self.slot_row.tolist()]
+            covered.add(round(t_step / h))
         t_k.update(obs.last_model_change for obs in self.observers)
-        calls.append(t)
         return eps
 
     monkeypatch.setattr(_ObserverBank, "thresholds", checked)
     result = run_rescue(problem)
-    assert len(calls) == len(result.trace.t) - 1
+    assert covered == set(range(1, len(result.trace.t)))
     assert max(t_k) > 0.0
     monkeypatch.undo()
 
@@ -300,9 +353,9 @@ def test_bank_analytic_thresholds_match_evaluate(rng, monkeypatch):
         _one_bank(ThresholdRule(kind="analytic"), consts=consts, t0=-1.0)
     late = _one_bank(ThresholdRule(kind="analytic"), consts=consts, t0=0.5)
     with pytest.raises(ValueError, match="t >= t_k"):
-        late.thresholds(0.25)
+        late.thresholds(np.array([0.25, 0.75]))
     want = ThresholdRule(kind="analytic").evaluate(0.75, late.observers[0], 0.0, 1.0, consts)
-    assert late.thresholds(0.75).tolist() == [want] * 3
+    assert late.thresholds(np.array([0.75])).tolist() == [[want] * 3]
 
 
 def test_detector_settings_validation():
@@ -448,7 +501,7 @@ def _reference_dp_msr(problem, cfg):
 
     return _walk(
         problem.net, problem.initial, problem.attacks, problem.dos, problem.horizon,
-        ts, neighbor_lists, step,
+        ts, neighbor_lists, per_step(step),
     )
 
 

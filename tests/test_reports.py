@@ -24,11 +24,11 @@ from resilnet.isolation import (
     LogEpoch,
     ResidualLog,
     RescueProblem,
-    _ObserverBank,
     run_rescue,
 )
 from resilnet.observers import ThresholdRule, make_record
 from resilnet.scenarios import random_connected_graph, split_edges_alternating
+from stepwise import stepwise_rescue
 
 
 def _fmt(x) -> str:
@@ -209,27 +209,20 @@ def test_writers_match_per_cell_format(make_inputs, tmp_path):
     assert b"lambda2_window" in (ref / "plot_data.csv").read_bytes()
 
 
-def _record_by_record(problem, monkeypatch):
-    """``run_rescue`` that also keeps its log the way it was kept before the
-    log became columnar: on every log step one ``make_record`` per detector
-    with neighbors, its verdicts from the flags raised so far."""
+def _record_by_record(problem):
+    """The log kept the way it was kept before it became columnar: on every
+    log step of the step-by-step run, one ``make_record`` per detector with
+    neighbors, its verdicts from the flags raised so far."""
     records, flagged = [], set()
-    hits, log = _ObserverBank.hits, _ObserverBank.log
 
-    def flag(self, residuals, eps):
-        slots = hits(self, residuals, eps)
-        flagged.update(self.pairs[s] for s in slots)
-        return slots
-
-    def keep(self, t, residuals, eps):
-        for i, nbrs, lo, hi in self.groups:
+    def keep(bank, t, residuals, eps, hits):
+        flagged.update(bank.pairs[s] for s in hits)
+        for i, nbrs, lo, hi in bank.groups:
             mine = {j for d, j in flagged if d == i}
             records.append(make_record(t, i, nbrs, residuals[lo:hi], eps[lo:hi], mine))
-        log(self, t, residuals, eps)
 
-    monkeypatch.setattr(_ObserverBank, "hits", flag)
-    monkeypatch.setattr(_ObserverBank, "log", keep)
-    return run_rescue(problem), records
+    stepwise_rescue(problem, keep)
+    return records
 
 
 # divides neither every realized segment's step count nor every event's step
@@ -241,9 +234,9 @@ STRIDE = 4
     [ThresholdRule(kind="constant", value=0.95), EXPONENTIAL, ThresholdRule(kind="analytic")],
     ids=["constant", "exponential", "analytic"],
 )
-def test_columnar_log_matches_record_log(rule, monkeypatch, tmp_path):
+def test_columnar_log_matches_record_log(rule, tmp_path):
     problem = _rescue_problem(rule, STRIDE)
-    result, records = _record_by_record(problem, monkeypatch)
+    result, records = run_rescue(problem), _record_by_record(problem)
     trace, events, log = result.trace, result.run.events, result.residual_log
     h = problem.step_h
     assert any(round((b - a) / h) % STRIDE for a, b, *_ in trace.segments)

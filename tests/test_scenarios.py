@@ -400,6 +400,27 @@ def test_cli_non_finite_run(tmp_path):
     assert not (out / "report.json").exists()
 
 
+def test_cli_dos_trials_past_the_horizon(tmp_path):
+    # 10**11 trials of 0.01 s: only the 100 that start within the 1 s run
+    # are drawn
+    d = config_to_dict(generate_example1(0))
+    d["network"]["horizon"] = 1.0
+    d["dos"]["intervals"][0]["duration"] = 1e9
+    d["dos"]["intervals"][0]["random"]["trials"] = 10**11
+    path = tmp_path / "trials.json"
+    with open(path, "w") as fh:
+        json.dump(d, fh)
+    proc = subprocess.run(
+        [sys.executable, "-m", "resilnet.cli", "rescue", "--config", str(path),
+         "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode in (0, 2)
+    json.loads(proc.stdout if proc.returncode == 0 else proc.stderr)
+
+
 def test_cli_determinism(tmp_path):
     cfg = _tiny_config(tmp_path, horizon=2.0)
     out1, out2 = tmp_path / "a", tmp_path / "b"
