@@ -419,7 +419,6 @@ def _walk(
     segments: list = []
     seg_idx = 0
     current = None
-    sampled = -1
     k = 0
     while k < steps:
         t = k * step_h
@@ -433,17 +432,11 @@ def _walk(
             current = edges
             context = on_edges(edges, t, X[k])
             segments.append([t, t + step_h, mode, edges, dos_now])
-        first = k - k % _SAMPLE_BLOCK
-        k1 = min(steps, (k // _STEP_BLOCK + 1) * _STEP_BLOCK, first + _SAMPLE_BLOCK)
-        if seg_idx + 1 < len(timeline):
-            # the first step that the test above moves past this entry
-            later = np.arange(k + 1, k1)
-            k1 = int(later[later * step_h >= t_end - 1e-12].min(initial=k1))
-        if first != sampled:
-            sampled = first
-            samples = _injection_samples(
-                attacks, first, min(first + _SAMPLE_BLOCK, steps), step_h
-            )
+        # no block straddles two sample blocks, so each one's first step is
+        # the first step of a block
+        if k % _SAMPLE_BLOCK == 0:
+            first = k
+            samples = _injection_samples(attacks, k, min(k + _SAMPLE_BLOCK, steps), step_h)
             # row j: sample rows 2j to 2j + 2, a view of the samples
             step_u = np.lib.stride_tricks.as_strided(
                 samples,
@@ -451,6 +444,11 @@ def _walk(
                 (2 * samples.strides[0], samples.itemsize),
                 writeable=False,
             )
+        k1 = min(steps, (k // _STEP_BLOCK + 1) * _STEP_BLOCK, first + _SAMPLE_BLOCK)
+        if seg_idx + 1 < len(timeline):
+            # the first step that the test above moves past this entry
+            later = np.arange(k + 1, k1)
+            k1 = int(later[later * step_h >= t_end - 1e-12].min(initial=k1))
         k_end = advance(context, X, k, k1, step_u[k - first : k1 - first])
         mode_arr[k:k_end] = mode
         dos_arr[k:k_end] = dos_now

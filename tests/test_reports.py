@@ -215,6 +215,8 @@ def _record_by_record(problem):
     neighbors, its verdicts from the flags raised so far."""
     records, flagged = [], set()
 
+    # a verdict ends its bank and no later bank holds the pair, so the flags
+    # raised on log steps are all that a record can show
     def keep(bank, t, residuals, eps, hits):
         flagged.update(bank.pairs[s] for s in hits)
         for i, nbrs, lo, hi in bank.groups:
