@@ -253,8 +253,9 @@ class SimulationTrace:
     """Fixed-step record of a closed-loop run.
 
     ``segments`` lists the realized constant-topology intervals as
-    ``(t0, t1, mode_index, edges, dos_active)``; they cover [0, horizon]
-    exactly and are what graph metrics over the *realized* network use.
+    ``(t0, t1, mode_index, edges, dos_active)``; their bounds are step-grid
+    times k h, so they tile [0, horizon] exactly, and they are what graph
+    metrics over the *realized* network use.
     Consecutive steps with equal edges share one segment, which carries the
     mode and DoS flag of its first step.
     """
@@ -282,7 +283,6 @@ def build_edge_timeline(
     dos: DoSSchedule | None,
     horizon: float,
     step_h: float,
-    removed_edges=frozenset(),
 ) -> tuple:
     """Merge schedule and DoS boundaries into constant-edge segments.
 
@@ -295,7 +295,6 @@ def build_edge_timeline(
             raise ConfigurationError(
                 f"schedule breakpoint {t} is not a multiple of step {step_h}"
             )
-    removed_edges = frozenset((min(i, j), max(i, j)) for i, j in removed_edges)
     union_edges = set()
     for g in net.modes:
         union_edges.update(g.edges)
@@ -319,7 +318,6 @@ def build_edge_timeline(
                 dos_now = True
                 edges -= dropped
                 break
-        edges -= removed_edges
         timeline.append((a, b, mode, frozenset(edges), dos_now))
     return tuple(timeline)
 
@@ -374,6 +372,8 @@ def _walk(
     """Walk the edge timeline of [0, horizon] in blocks of steps and record
     the run.
 
+    The step index k is the walk's only clock: every time it hands out or
+    records is k ``step_h``, and each timeline entry ends at a whole step.
     The effective edges of a step are the timeline's edges minus ``removed``,
     a set the caller may grow during the walk.  ``on_edges(edges, t, x)``
     builds the caller's context whenever the effective edges change.
@@ -408,6 +408,8 @@ def _walk(
     if steps < 1:
         raise ConfigurationError(f"horizon {horizon} is shorter than one step of {step_h}")
     timeline = build_edge_timeline(net, dos, horizon, step_h)
+    # every cut lies on the step grid, so each entry ends at a whole step
+    ends = [round(t_end / step_h) for _, t_end, *_ in timeline]
 
     t_arr = np.arange(steps + 1) * step_h
     X = np.empty((steps + 1, 2 * n))
@@ -422,16 +424,16 @@ def _walk(
     k = 0
     while k < steps:
         t = k * step_h
-        while seg_idx + 1 < len(timeline) and t >= timeline[seg_idx][1] - 1e-12:
+        while k >= ends[seg_idx]:
             seg_idx += 1
-        _, t_end, mode, base_edges, dos_now = timeline[seg_idx]
+        _, _, mode, base_edges, dos_now = timeline[seg_idx]
         # a timeline entry keeps one frozenset, so while nothing is removed
         # the identity test settles most blocks without comparing edges
         edges = base_edges - removed if removed else base_edges
         if edges is not current and edges != current:
             current = edges
             context = on_edges(edges, t, X[k])
-            segments.append([t, t + step_h, mode, edges, dos_now])
+            segments.append([t, t, mode, edges, dos_now])
         # no block straddles two sample blocks, so each one's first step is
         # the first step of a block
         if k % _SAMPLE_BLOCK == 0:
@@ -444,15 +446,11 @@ def _walk(
                 (2 * samples.strides[0], samples.itemsize),
                 writeable=False,
             )
-        k1 = min(steps, (k // _STEP_BLOCK + 1) * _STEP_BLOCK, first + _SAMPLE_BLOCK)
-        if seg_idx + 1 < len(timeline):
-            # the first step that the test above moves past this entry
-            later = np.arange(k + 1, k1)
-            k1 = int(later[later * step_h >= t_end - 1e-12].min(initial=k1))
+        k1 = min(ends[seg_idx], (k // _STEP_BLOCK + 1) * _STEP_BLOCK, first + _SAMPLE_BLOCK)
         k_end = advance(context, X, k, k1, step_u[k - first : k1 - first])
         mode_arr[k:k_end] = mode
         dos_arr[k:k_end] = dos_now
-        segments[-1][1] = (k_end - 1) * step_h + step_h
+        segments[-1][1] = k_end * step_h
         k = k_end
     # no update turns a non-finite entry finite again, so the last state
     # tells whether any step overflowed
@@ -531,7 +529,6 @@ class StabilityConstants:
     lambda_x: float
     kappa_x: float
     kappa_u: float
-    beta: float
     mu: float
     window_T: float
     n_agents: int
@@ -546,26 +543,23 @@ def stability_constants(
     window: float,
     gains: Gains,
     n_agents: int,
-    beta: float = 1.0,
-    lambda_x_fraction: float = 0.9,
 ) -> StabilityConstants:
     """Finite-gain stability constants for a (mu, T)-PE-connected network.
 
     eta = -1/(2T) ln(1 - (a/g) mu T / (1 + (a/g)^2 N^2 T^2)), lambda_chi =
-    eta e^{-2 eta T}, and the output gains come from the coordinate change
-    C = [[I/gamma, -Q/gamma], [0, I]].
+    eta e^{-2 eta T}, lambda_x = 0.9 lambda_chi, and the output gains come
+    from the coordinate change C = [[I/gamma, -Q/gamma], [0, I]], with the
+    paper's beta taken as 1.
     """
     if mu <= 0:
         raise ValueError("degenerate connectivity: stability constants need mu > 0")
     if mu > n_agents + 1e-9:
         raise ValueError("mu cannot exceed the agent count")
-    if not 0.0 < lambda_x_fraction < 1.0:
-        raise ValueError("lambda_x_fraction must lie in (0, 1)")
     ratio = gains.alpha / gains.gamma
     arg = 1.0 - (ratio * mu * window) / (1.0 + ratio**2 * n_agents**2 * window**2)
     eta = -math.log(arg) / (2.0 * window)
     lambda_chi = eta * math.exp(-2.0 * eta * window)
-    lambda_x = lambda_x_fraction * lambda_chi
+    lambda_x = 0.9 * lambda_chi
     q = projection_matrix(n_agents)
     c = np.block(
         [
@@ -575,16 +569,15 @@ def stability_constants(
     )
     c_norm = float(np.linalg.norm(c, 2))
     c_inv_norm = float(np.linalg.norm(np.linalg.inv(c), 2))
-    hi = max(1.0 / lambda_chi, beta)
-    kappa_x = c_norm * math.sqrt(hi / min(gains.gamma / (gains.alpha * n_agents), beta)) * c_inv_norm
-    kappa_u = c_norm * hi / (lambda_x * min(gains.gamma / (2.0 * gains.alpha * n_agents), beta / 2.0))
+    hi = max(1.0 / lambda_chi, 1.0)
+    kappa_x = c_norm * math.sqrt(hi / min(gains.gamma / (gains.alpha * n_agents), 1.0)) * c_inv_norm
+    kappa_u = c_norm * hi / (lambda_x * min(gains.gamma / (2.0 * gains.alpha * n_agents), 0.5))
     return StabilityConstants(
         eta=eta,
         lambda_chi=lambda_chi,
         lambda_x=lambda_x,
         kappa_x=kappa_x,
         kappa_u=kappa_u,
-        beta=beta,
         mu=mu,
         window_T=window,
         n_agents=n_agents,

@@ -21,15 +21,13 @@ operations over the block.  A block ends one step past its first verdict
 and the walk resumes there on the pruned edge set, so at most one block of
 work is repeated per verdict.  Each agent's ``ObserverState`` stays its
 reconfiguration record: on every edge-set change the bank writes the
-estimates and clocks back, the observers reconfigure, and a new bank is
-built.
+estimates back, the observers reconfigure at the walker's time k h, and a
+new bank is built.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,8 +75,8 @@ class DetectorSettings:
     the first step its residual exceeds ``threshold``.  When the agent's
     model changes, members kept in its view keep their estimates, members
     back within ``observers.RETAIN_GRACE`` get their cached positions back
-    and new members are mask-filled; the threshold clock restarts.  The
-    reinit error budget is ``_auto_w_budget``'s.
+    and new members are mask-filled; the analytic threshold restarts from
+    that time.  The reinit error budget is ``_auto_w_budget``'s.
     """
 
     threshold: ThresholdRule = ThresholdRule(kind="constant", value=0.95)
@@ -257,7 +255,6 @@ class _ObserverBank:
             terms = [rule.analytic_terms(obs, 0.0, x0_norm, consts) for obs in self.observers]
             self.terms = np.array(terms).reshape(rows, 4).T  # a, b, -lambda_e, t_k
             self.t_k_max = max(self.terms[3], default=-math.inf)
-        self.steps = 0
         self.logged = []  # (t, residuals, thresholds) of the log steps, per chunk
 
     def thresholds(self, t: np.ndarray) -> np.ndarray:
@@ -317,7 +314,6 @@ class _ObserverBank:
         stop = int(hit[0]) + 1 if hit.size else length
         # a view that the next chunk copies to its first row
         self.x_hat = z[stop, :, :est]
-        self.steps += stop
         first = -(k0 + 1) % self.stride
         if first < stop:
             log = slice(first, stop, self.stride)
@@ -328,16 +324,10 @@ class _ObserverBank:
         ]
 
     def close(self, flag_t: dict, epochs: list):
-        """Return the estimates and clocks to their owners and append the log
-        to ``epochs``; later flags postdate every row."""
-        ends = {}  # clock at the start -> advanced like ``ObserverState.step``'s
-        h = self.h
+        """Return the estimates to their owners and append the log to
+        ``epochs``; later flags postdate every row."""
         for k, obs in enumerate(self.observers):
             obs.x_hat = self.x_hat[k, : 2 * obs.view.size, 0].copy()
-            if obs.t not in ends:
-                # one h at a time: a kept model's t_k is this sum, not k h
-                ends[obs.t] = functools.reduce(operator.add, [h] * self.steps, obs.t)
-            obs.t = ends[obs.t]
         if self.logged and self.pairs:
             t, res, eps = (np.concatenate(part) for part in zip(*self.logged))
             flags = np.array([flag_t.get(p, math.inf) for p in self.pairs])
@@ -393,7 +383,6 @@ def run_rescue(problem: RescueProblem) -> RescueResult:
             else:
                 gain = ObserverGain(
                     h_matrix=gain_matrix(view, settings.gain_k1, settings.gain_kc),
-                    k1=settings.gain_k1,
                     kappa_e=None,
                     lambda_e=None,
                     spectral_abscissa=None,
@@ -435,7 +424,7 @@ def run_rescue(problem: RescueProblem) -> RescueResult:
                 obs.reinit(view.measure(x[:n], x[n:]), t)
             elif view.members == obs.view.members:
                 # pure edge change: swap the model, keep the estimate
-                obs.reconfigure(view, gain, keep_state=True)
+                obs.reconfigure(view, gain, t, keep_state=True)
             else:
                 obs.remap(view, gain, view.measure(x[:n], x[n:]), t)
             step_matrices[i] = observer_step_matrices(obs)

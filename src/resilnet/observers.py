@@ -134,7 +134,6 @@ def pbh_observability(view: TwoHopView) -> bool:
 @dataclass(frozen=True, eq=False)
 class ObserverGain:
     h_matrix: np.ndarray
-    k1: float
     kappa_e: float | None
     lambda_e: float | None
     spectral_abscissa: float | None
@@ -217,38 +216,22 @@ def decay_envelope(a_bar: np.ndarray) -> tuple:
     return kappa_e, lambda_e
 
 
-def design_gain(
-    view: TwoHopView,
-    margin: float = HURWITZ_MARGIN,
-    validate_grid: int = 0,
-    k_consensus: float = 1.5,
-) -> ObserverGain:
-    """Deterministic gain design: escalate k1 until the Hurwitz margin holds,
-    then certify the decay envelope via the Lyapunov route.
-
-    ``validate_grid`` > 0 additionally samples ||exp(A t)|| on [0, 10] and
-    checks it stays under the envelope.
-    """
+def design_gain(view: TwoHopView, k_consensus: float = 1.5) -> ObserverGain:
+    """Deterministic gain design: escalate k1 until the Hurwitz margin
+    ``HURWITZ_MARGIN`` holds, then certify the decay envelope via the
+    Lyapunov route."""
     for k1 in GAIN_LADDER:
         h = gain_matrix(view, k1, k_consensus)
         a_bar = view.a_model - h @ view.c_meas
         abscissa = float(np.max(np.linalg.eigvals(a_bar).real))
-        if abscissa <= -margin:
+        if abscissa <= -HURWITZ_MARGIN:
             kappa_e, lambda_e = decay_envelope(a_bar)
-            gain = ObserverGain(
+            return ObserverGain(
                 h_matrix=h,
-                k1=k1,
                 kappa_e=kappa_e,
                 lambda_e=lambda_e,
                 spectral_abscissa=abscissa,
             )
-            if validate_grid:
-                ok, worst = validate_envelope(a_bar, gain, points=validate_grid)
-                if not ok:
-                    raise DesignFailureError(
-                        f"sampled exponential exceeded envelope by {worst:.3e}"
-                    )
-            return gain
     raise DesignFailureError("gain ladder exhausted without a Hurwitz margin")
 
 
@@ -281,7 +264,8 @@ def validate_envelope(
 
 
 class ObserverState:
-    """Mutable per-agent detector: estimate, gain, decay constants, reinit clock.
+    """Mutable per-agent detector: estimate, gain and ``last_model_change``,
+    the t_k of its analytic threshold, stamped with the caller's time.
 
     ``w_budget`` bounds the estimation error right after a reinitialization
     and anchors the analytic threshold.
@@ -293,19 +277,18 @@ class ObserverState:
         self.w_budget = float(w_budget)
         self.x_hat = np.zeros(2 * view.size)
         self.last_model_change = float(t0)
-        self.t = float(t0)
         self._departed: dict = {}
         self._refresh_propagators()
 
     def _refresh_propagators(self):
         self._a_bar = self.view.a_model - self.gain.h_matrix @ self.view.c_meas
 
-    def reconfigure(self, view: TwoHopView, gain: ObserverGain, keep_state: bool = False):
-        """Swap in the model of a new mode.
+    def reconfigure(self, view: TwoHopView, gain: ObserverGain, t: float, keep_state: bool = False):
+        """Swap in the model of a new mode at time ``t``, the model's t_k.
 
         ``keep_state`` carries the running estimate across the switch, which
         is only meaningful when the member set (and hence the state
-        numbering) is unchanged; the threshold clock restarts either way.
+        numbering) is unchanged.
         """
         if keep_state and view.members != self.view.members:
             raise ConfigurationError("cannot keep state across a membership change")
@@ -313,7 +296,7 @@ class ObserverState:
         self.gain = gain
         if not keep_state:
             self.x_hat = np.zeros(2 * view.size)
-        self.last_model_change = self.t
+        self.last_model_change = float(t)
         self._refresh_propagators()
 
     def reinit(self, y: np.ndarray, t: float):
@@ -324,7 +307,6 @@ class ObserverState:
         self.x_hat[:m] = y[:m]
         self.x_hat[m] = y[m]
         self.last_model_change = float(t)
-        self.t = float(t)
 
     def remap(self, view: TwoHopView, gain: ObserverGain, y: np.ndarray, t: float):
         """Warm reconfiguration across a membership change: members retained
@@ -339,11 +321,11 @@ class ObserverState:
         new_members = set(view.members)
         for node, j in old_index.items():
             if node not in new_members:
-                self._departed[node] = (old_x[j], self.t)
+                self._departed[node] = (old_x[j], t)
         self._departed = {
             node: rec
             for node, rec in self._departed.items()
-            if self.t - rec[1] <= RETAIN_GRACE
+            if t - rec[1] <= RETAIN_GRACE
         }
         m = len(view.members)
         x = np.zeros(2 * m)
@@ -364,7 +346,6 @@ class ObserverState:
         self.gain = gain
         self.x_hat = x
         self.last_model_change = float(t)
-        self.t = float(t)
         self._refresh_propagators()
 
     def step(self, y_start: np.ndarray, h: float, y_end: np.ndarray | None = None):
@@ -383,7 +364,6 @@ class ObserverState:
         k3 = a @ (x + 0.5 * h * k2) + hm @ y_mid
         k4 = a @ (x + h * k3) + hm @ y_end
         self.x_hat = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        self.t += h
 
     def residual(self, y: np.ndarray) -> np.ndarray:
         if y.shape[0] != self.view.c_meas.shape[0]:

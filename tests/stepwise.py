@@ -80,7 +80,6 @@ def stepwise_rescue(problem, keep=None):
             t = (k + 1) * bank.h
             eps = _thresholds(bank, t)
             hits = (np.abs(res) > eps).nonzero()[0].tolist()
-            bank.steps += 1
             if (k + 1) % bank.stride == 0:
                 bank.logged.append((np.array([t]), res[None], eps[None]))
                 if keep is not None:

@@ -29,7 +29,12 @@ from resilnet.dynamics import (
 )
 from resilnet.errors import ConfigurationError
 from resilnet.graphs import Graph, complete_graph, path_graph, static_network, pe_margin
-from resilnet.scenarios import random_connected_graph, split_edges_alternating
+from resilnet.scenarios import (
+    generate_example1,
+    materialize,
+    random_connected_graph,
+    split_edges_alternating,
+)
 from stepwise import per_step, plant_step
 
 
@@ -239,6 +244,13 @@ def test_simulate_rejects_misaligned_breakpoints():
     init = SystemState(np.zeros(3), np.zeros(3))
     with pytest.raises(ConfigurationError):
         simulate(net, Gains(1.0, 1.0), init, step_h=1e-3)
+    # within the grid tolerance a breakpoint switches on its nearest step,
+    # from either side
+    for t_switch in (0.5 - 4e-10, 0.5 + 4e-10):
+        net = SwitchingNetwork((complete_graph(3), path_graph(3)), ((0.0, 0), (t_switch, 1)), 2.0)
+        trace = simulate(net, Gains(1.0, 1.0), init, step_h=1e-3)
+        assert trace.segments[0][:3] == (0.0, 0.5, 0)
+        assert trace.mode_index[499:501].tolist() == [0, 1]
 
 
 def test_dos_prefix_invariance_and_flags():
@@ -358,3 +370,9 @@ def test_realized_disconnection_time():
     assert realized_disconnection_time(trace, 1.0) == pytest.approx(0.5, abs=1e-9)
     clean = simulate(net, Gains(1.0, 1.0), init)
     assert realized_disconnection_time(clean, 1.0) == 0.0
+    # the segments it sums tile the run exactly
+    p = materialize(generate_example1(0))
+    trace = simulate(p.net, p.gains, p.initial, p.attacks, p.dos, p.step_h, p.horizon)
+    bounds = [seg[:2] for seg in trace.segments]
+    assert all(b == a for (_, b), (a, _) in zip(bounds, bounds[1:]))
+    assert bounds[0][0] == 0.0 and bounds[-1][1] == trace.t[-1]

@@ -175,7 +175,7 @@ def _per_agent_rescue(problem):
         if certified:
             return design_gain(view, k_consensus=settings.gain_kc)
         h_matrix = gain_matrix(view, settings.gain_k1, settings.gain_kc)
-        return ObserverGain(h_matrix, settings.gain_k1, None, None, None)
+        return ObserverGain(h_matrix, None, None, None)
 
     def on_edges(edges, t, x):
         graph = Graph(n, tuple(sorted(edges)))
@@ -189,7 +189,7 @@ def _per_agent_rescue(problem):
             elif view.members != obs.view.members:
                 obs.remap(view, gain_of(view), y, t)
             elif not np.array_equal(view.a_model, obs.view.a_model):
-                obs.reconfigure(view, gain_of(view), keep_state=True)
+                obs.reconfigure(view, gain_of(view), t, keep_state=True)
         a_mat = closed_loop_matrix(graph, gains)
         return a_mat, {i: graph.neighbors(i) for i in detectors}
 
@@ -339,12 +339,14 @@ def test_bank_analytic_thresholds_match_evaluate(rng, monkeypatch):
     result = run_rescue(problem)
     assert covered == set(range(1, len(result.trace.t)))
     assert max(t_k) > 0.0
+    # a model's t_k is the walker's grid time k h, not a running sum of h
+    assert all(t == round(t / h) * h for t in t_k)
     monkeypatch.undo()
 
     # and every check of ``evaluate``, at build time or per step
     consts = stability_constants(pe_margin(static_network(K4, 4.0), 1.0).mu, 1.0, GAINS, 4)
     view = two_hop_view(K4, 0, GAINS)
-    uncertified = ObserverGain(gain_matrix(view, 0.3), 0.3, None, None, None)
+    uncertified = ObserverGain(gain_matrix(view, 0.3), None, None, None)
     with pytest.raises(ConfigurationError, match="stability constants"):
         _one_bank(ThresholdRule(kind="analytic"))
     with pytest.raises(ConfigurationError, match="certified"):
