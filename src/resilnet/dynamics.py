@@ -353,13 +353,16 @@ def _plant_matrices(g: Graph, gains: Gains, agents: tuple, h: float) -> tuple:
 def _plant_rows(plant: tuple, X: np.ndarray, k0: int, k1: int, U: np.ndarray) -> int:
     """Rows k0 + 1 to k1 of ``X`` by RK4 step matrices, x+ = R x + G u, with
     row j of ``U`` the ``u`` of step k0 + j; returns k1, so that it is the
-    walker's block callee of a plant-only run."""
+    walker's block callee of a plant-only run.  The block's forcing G u is
+    one stacked ``matmul``, which numpy computes row by row with the product
+    of ``g @ u`` (``U @ g.T`` rounds differently)."""
     r, g = plant
+    forcing = np.matmul(g, U[:, :, None])[:, :, 0]
     rows = list(X[k0 : k1 + 1])
-    for x, x_next, u in zip(rows, rows[1:], U):
+    for x, x_next, gu in zip(rows, rows[1:], forcing):
         np.matmul(r, x, out=x_next)
         # added even with no attacker column: it turns -0.0 into +0.0
-        x_next += g @ u
+        x_next += gu
     return k1
 
 

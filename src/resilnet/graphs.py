@@ -237,11 +237,13 @@ def projection_matrix(n: int) -> np.ndarray:
 
 def _lambda2_stack(laps: np.ndarray) -> np.ndarray:
     """Second-smallest eigenvalue of each matrix of a stack of symmetric
-    zero-row-sum matrices, clamped to 0 within ``ZERO_TOL * ||L||``.  The
-    batched LAPACK calls run per matrix, so a slice's value does not depend
-    on the stack around it."""
-    lam2 = np.linalg.eigvalsh(laps)[:, 1]
-    scale = np.maximum(1.0, np.linalg.norm(laps, 2, axis=(1, 2)))
+    zero-row-sum matrices, clamped to 0 within ``ZERO_TOL * ||L||``.  ||L||
+    of a symmetric matrix is its largest |eigenvalue|, taken from the same
+    eigensolve.  The batched LAPACK call runs per matrix, so a slice's value
+    does not depend on the stack around it."""
+    lam = np.linalg.eigvalsh(laps)
+    lam2 = lam[:, 1]
+    scale = np.maximum(1.0, np.maximum(np.abs(lam[:, 0]), np.abs(lam[:, -1])))
     return np.where(np.abs(lam2) <= ZERO_TOL * scale, 0.0, lam2)
 
 
@@ -338,14 +340,15 @@ def pe_margin(net: SwitchingNetwork, window: float, grid_points: int = 100) -> P
     Records the spectral equivalence gap |lambda_min(Q Lbar Q^T) -
     lambda_2(Lbar)| over every sampled window.  The window means and their
     eigenvalues are computed ``_WINDOW_BLOCK`` windows at a time; the min and
-    gap fold over the windows in start order.
+    gap fold over the windows in start order.  The least mean adjacency is
+    -max Lbar: off the diagonal the Laplacian mean is exactly the negated
+    adjacency mean, and the diagonal, never positive, keeps no edge.
     """
     if window <= 0:
         raise ValueError("window must be positive")
     n = net.node_count
     q = projection_matrix(n)
     laps = np.stack([laplacian(g) for g in net.modes])
-    adjs = np.stack([g.adjacency() for g in net.modes])
     starts = _window_starts(net, window, grid_points)
     mu = math.inf
     lam2_at_min = math.inf
@@ -360,7 +363,7 @@ def pe_margin(net: SwitchingNetwork, window: float, grid_points: int = 100) -> P
             if lam_min < mu:
                 mu = lam_min
                 lam2_at_min = lam2
-        min_weights = np.minimum(min_weights, _window_means(adjs, pieces, window).min(axis=0))
+        min_weights = np.minimum(min_weights, -lbar.max(axis=0))
     scale = max(1.0, float(n))
     if abs(mu) <= ZERO_TOL * scale:
         mu = 0.0
@@ -468,11 +471,15 @@ def vertex_connectivity(g: Graph) -> int:
 
 
 def r_robustness(g: Graph) -> int:
-    """Exact r-robustness by enumeration of disjoint subset pairs.
+    """Exact r-robustness over all subsets as bitmask arrays.
 
     r(G) is the largest r such that for every pair of nonempty disjoint
     subsets, some node in one of them has at least r neighbors outside its
-    own subset.  O(3^N); capped at N <= 12.
+    own subset, capped at ceil(N/2).  With reach(S) = max over i in S of
+    |N(i) \\ S|, that is the least max(reach(S), low(S^c)) over nonempty
+    proper subsets S, where low(M) is the lowest reach over nonempty subsets
+    of M: a subset-minimum transform, one vectorized pass per node.
+    O(N 2^N); capped at N <= 12.
     """
     n = g.node_count
     if n > R_ROBUSTNESS_EXACT_CAP:
@@ -480,44 +487,25 @@ def r_robustness(g: Graph) -> int:
             f"exact r-robustness capped at N={R_ROBUSTNESS_EXACT_CAP}; "
             "use a construction certificate for larger graphs"
         )
-    if not g.is_connected():
-        return 0
-    adj_bits = [0] * n
-    for i, j in g.edges:
-        adj_bits[i] |= 1 << j
-        adj_bits[j] |= 1 << i
     full = (1 << n) - 1
-    best = math.ceil(n / 2)
-
-    def pair_reach(s1: int, s2: int, need: int) -> int:
-        reach = 0
-        for s in (s1, s2):
-            outside = full & ~s
-            m = s
-            while m:
-                low = m & -m
-                i = low.bit_length() - 1
-                reach = max(reach, (adj_bits[i] & outside).bit_count())
-                if reach >= need:
-                    return reach
-                m ^= low
-        return reach
-
-    for s1 in range(1, full + 1):
-        low1 = s1 & -s1
-        comp = full & ~s1
-        # only pair with subsets whose members sit above s1's lowest bit;
-        # every unordered pair is still visited once
-        comp &= ~(low1 - 1)
-        s2 = comp
-        while s2:
-            reach = pair_reach(s1, s2, best)
-            if reach < best:
-                best = reach
-                if best == 0:
-                    return 0
-            s2 = (s2 - 1) & comp
-    return best
+    subsets = np.arange(full + 1)
+    # bit counts by table (np.bitwise_count needs numpy 2)
+    ones = np.zeros(full + 1, dtype=np.intp)
+    for b in range(n):
+        ones[1 << b : 2 << b] = ones[: 1 << b] + 1
+    reach = np.zeros(full + 1, dtype=np.intp)
+    for i, nbrs in enumerate(g._neighbor_lists):
+        outside = ones[sum(1 << j for j in nbrs) & (full ^ subsets)]
+        np.maximum(reach, np.where(subsets >> i & 1, outside, 0), out=reach)
+    # low[M] = min of reach over nonempty subsets of M: the empty set's n
+    # exceeds every reach, so it wins no minimum
+    low = reach.copy()
+    low[0] = n
+    for b in range(n):
+        pairs = low.reshape(-1, 2, 1 << b)
+        np.minimum(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
+    pair_min = np.maximum(reach[1:full], low[full ^ subsets[1:full]]).min()
+    return int(min(math.ceil(n / 2), pair_min))
 
 
 def khop_neighbors(g: Graph, i: int, k: int) -> frozenset:

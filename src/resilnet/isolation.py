@@ -522,8 +522,9 @@ def dp_msr_run(problem: RescueProblem, cfg: DPMSRConfig) -> SimulationTrace:
     trimming: each cooperative agent sorts its neighbors' relative-position
     values, discards the f_max largest and smallest, and applies the control
     to the remainder.  Malicious agents run the untrimmed protocol plus their
-    injection.  The controls are computed on Python floats, read with one
-    ``tolist()`` per step."""
+    injection.  A block of steps runs on Python floats: one ``tolist()`` of
+    its first state and one of its injections, and its rows written back at
+    once."""
     n = problem.net.node_count
     # inj[columns[i]] is attacker i's injection at the sample time, the first
     # of the three instants the walker samples per step; None for the others
@@ -536,23 +537,27 @@ def dp_msr_run(problem: RescueProblem, cfg: DPMSRConfig) -> SimulationTrace:
         g = Graph(n, tuple(sorted(edges)))
         return [g.neighbors(i) for i in range(n)]
 
+    half = 0.5 * ts * ts
+
     def advance(nbrs_of, X, k0, k1, U):
-        for x, x_next, inj in zip(X[k0:k1], X[k0 + 1 : k1 + 1], U):
+        x = X[k0].tolist()
+        rows = []
+        for inj in U.tolist():
             p, v = x[:n], x[n:]
-            pl, vl, injl = p.tolist(), v.tolist(), inj.tolist()
             u = []
             for i, c in enumerate(columns):
                 if c is None:
-                    u.append(_trimmed_control(pl, vl, nbrs_of[i], i, f, gains))
+                    u.append(_trimmed_control(p, v, nbrs_of[i], i, f, gains))
                     continue
-                pi, total = pl[i], 0.0
+                pi, total = p[i], 0.0
                 for j in nbrs_of[i]:
-                    total += pi - pl[j]
-                u.append(-alpha * total - gamma * vl[i] + injl[c])
-            u = np.array(u)
+                    total += pi - p[j]
+                u.append(-alpha * total - gamma * v[i] + inj[c])
             # exact ZOH update of the double integrator
-            x_next[:n] = p + ts * v + 0.5 * ts * ts * u
-            x_next[n:] = v + ts * u
+            x = [pk + ts * vk + half * uk for pk, vk, uk in zip(p, v, u)]
+            x += [vk + ts * uk for vk, uk in zip(v, u)]
+            rows.append(x)
+        X[k0 + 1 : k1 + 1] = rows
         return k1
 
     return _walk(

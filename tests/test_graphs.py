@@ -271,6 +271,31 @@ def test_algebraic_connectivity_examples():
         algebraic_connectivity(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+def _two_cliques_bridged(weight):
+    """Laplacian of two K4s joined by one edge of the given weight."""
+    k4 = complete_graph(4).edges
+    lap = laplacian(Graph(8, k4 + tuple((i + 4, j + 4) for i, j in k4)))
+    lap[3, 3] += weight
+    lap[4, 4] += weight
+    lap[3, 4] = lap[4, 3] = -weight
+    return lap
+
+
+def test_algebraic_connectivity_clamp_scale():
+    """The clamp scale, max |eigenvalue| of the one eigensolve, decides as
+    the 2-norm of ``_lambda2`` does: a disconnected graph and a lambda_2
+    far below ZERO_TOL * ||L|| give exactly +0.0, a larger one stays."""
+    zero = struct.pack("<d", 0.0)
+    for lap in (_two_cliques_bridged(0.0), _two_cliques_bridged(1e-12)):
+        assert struct.pack("<d", algebraic_connectivity(lap)) == zero
+        assert struct.pack("<d", _lambda2(lap)) == zero
+    assert 0.0 < np.linalg.eigvalsh(_two_cliques_bridged(1e-12))[1] < ZERO_TOL
+    for weight in (1e-8, 1e-3, 1.0):
+        lap = _two_cliques_bridged(weight)
+        assert algebraic_connectivity(lap) > 0.0
+        assert algebraic_connectivity(lap) == _lambda2(lap)
+
+
 def test_vertex_connectivity_examples():
     assert vertex_connectivity(complete_graph(4)) == 3
     assert vertex_connectivity(star_graph(5)) == 1
@@ -340,6 +365,70 @@ def test_r_robustness_examples():
 def test_r_robustness_star_and_path():
     assert r_robustness(star_graph(5)) == 1
     assert r_robustness(path_graph(5)) == 1
+
+
+def _reference_r_robustness(g):
+    """r-robustness by enumeration of disjoint subset pairs, O(3^N): the
+    path that the subset-minimum transform replaced."""
+    n = g.node_count
+    if not g.is_connected():
+        return 0
+    adj_bits = [0] * n
+    for i, j in g.edges:
+        adj_bits[i] |= 1 << j
+        adj_bits[j] |= 1 << i
+    full = (1 << n) - 1
+    best = math.ceil(n / 2)
+
+    def pair_reach(s1: int, s2: int, need: int) -> int:
+        reach = 0
+        for s in (s1, s2):
+            outside = full & ~s
+            m = s
+            while m:
+                low = m & -m
+                i = low.bit_length() - 1
+                reach = max(reach, (adj_bits[i] & outside).bit_count())
+                if reach >= need:
+                    return reach
+                m ^= low
+        return reach
+
+    for s1 in range(1, full + 1):
+        low1 = s1 & -s1
+        comp = full & ~s1
+        # only pair with subsets whose members sit above s1's lowest bit;
+        # every unordered pair is still visited once
+        comp &= ~(low1 - 1)
+        s2 = comp
+        while s2:
+            reach = pair_reach(s1, s2, best)
+            if reach < best:
+                best = reach
+                if best == 0:
+                    return 0
+            s2 = (s2 - 1) & comp
+    return best
+
+
+def test_r_robustness_matches_pair_enumeration(rng):
+    for n in range(2, 11):
+        cases = [complete_graph(n), star_graph(n), path_graph(n)]
+        for _ in range(4):
+            cases.append(random_connected_graph(rng, n, rng.uniform(0.0, 0.9)))
+            cases.append(_random_graph(rng, n))
+            # two random connected parts side by side
+            k = int(rng.integers(1, n))
+            left = random_connected_graph(rng, k) if k > 1 else Graph(2, ())
+            right = random_connected_graph(rng, n - k) if n - k > 1 else Graph(2, ())
+            edges = left.edges + tuple((i + k, j + k) for i, j in right.edges)
+            cases.append(Graph(n, edges))
+        for g in cases:
+            want = _reference_r_robustness(g)
+            assert r_robustness(g) == want, g
+            if not g.is_connected():
+                assert want == 0
+        assert r_robustness(complete_graph(n)) == math.ceil(n / 2)
 
 
 def test_check_bound_chain_k3_tight():

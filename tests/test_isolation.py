@@ -11,6 +11,7 @@ from resilnet.dynamics import (
     DoSSchedule,
     Gains,
     SystemState,
+    _STEP_BLOCK,
     _attackers,
     _walk,
     closed_loop_matrix,
@@ -533,6 +534,10 @@ def _dp_msr_cases():
     )
     for f in (0, 1, 2):
         yield f"f_max{f}", small, DPMSRConfig(f_max=f, sample_time=1e-3, gains=GAINS)
+    # 300 steps: one block of 256, then a short last block of 44
+    short = replace(small, horizon=0.3)
+    assert round(short.horizon / 1e-3) % _STEP_BLOCK != 0
+    yield "short_last_block", short, DPMSRConfig(f_max=1, sample_time=1e-3, gains=GAINS)
 
 
 @pytest.mark.parametrize("case", list(_dp_msr_cases()), ids=lambda c: c[0])
