@@ -489,13 +489,14 @@ def r_robustness(g: Graph) -> int:
         )
     full = (1 << n) - 1
     subsets = np.arange(full + 1)
+    complements = full ^ subsets
     # bit counts by table (np.bitwise_count needs numpy 2)
     ones = np.zeros(full + 1, dtype=np.intp)
     for b in range(n):
         ones[1 << b : 2 << b] = ones[: 1 << b] + 1
     reach = np.zeros(full + 1, dtype=np.intp)
     for i, nbrs in enumerate(g._neighbor_lists):
-        outside = ones[sum(1 << j for j in nbrs) & (full ^ subsets)]
+        outside = ones[sum(1 << j for j in nbrs) & complements]
         np.maximum(reach, np.where(subsets >> i & 1, outside, 0), out=reach)
     # low[M] = min of reach over nonempty subsets of M: the empty set's n
     # exceeds every reach, so it wins no minimum
@@ -504,7 +505,7 @@ def r_robustness(g: Graph) -> int:
     for b in range(n):
         pairs = low.reshape(-1, 2, 1 << b)
         np.minimum(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
-    pair_min = np.maximum(reach[1:full], low[full ^ subsets[1:full]]).min()
+    pair_min = np.maximum(reach, low[complements])[1:full].min()
     return int(min(math.ceil(n / 2), pair_min))
 
 

@@ -284,12 +284,14 @@ def _two_cliques_bridged(weight):
 def test_algebraic_connectivity_clamp_scale():
     """The clamp scale, max |eigenvalue| of the one eigensolve, decides as
     the 2-norm of ``_lambda2`` does: a disconnected graph and a lambda_2
-    far below ZERO_TOL * ||L|| give exactly +0.0, a larger one stays."""
+    below ZERO_TOL * ||L|| give exactly +0.0, a larger one stays."""
     zero = struct.pack("<d", 0.0)
-    for lap in (_two_cliques_bridged(0.0), _two_cliques_bridged(1e-12)):
+    for weight in (0.0, 1e-12, 4e-9):
+        lap = _two_cliques_bridged(weight)
         assert struct.pack("<d", algebraic_connectivity(lap)) == zero
         assert struct.pack("<d", _lambda2(lap)) == zero
-    assert 0.0 < np.linalg.eigvalsh(_two_cliques_bridged(1e-12))[1] < ZERO_TOL
+    # clamped only because ||L|| is about 4, not 1
+    assert ZERO_TOL < np.linalg.eigvalsh(_two_cliques_bridged(4e-9))[1] < 2 * ZERO_TOL
     for weight in (1e-8, 1e-3, 1.0):
         lap = _two_cliques_bridged(weight)
         assert algebraic_connectivity(lap) > 0.0
