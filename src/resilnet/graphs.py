@@ -339,8 +339,9 @@ def pe_margin(net: SwitchingNetwork, window: float, grid_points: int = 100) -> P
 
     Records the spectral equivalence gap |lambda_min(Q Lbar Q^T) -
     lambda_2(Lbar)| over every sampled window.  The window means and their
-    eigenvalues are computed ``_WINDOW_BLOCK`` windows at a time; the min and
-    gap fold over the windows in start order.  The least mean adjacency is
+    eigenvalues are computed once per distinct ``(duration, mode)`` piece
+    list, ``_WINDOW_BLOCK`` lists at a time; the min and gap fold over the
+    window starts in order.  The least mean adjacency is
     -max Lbar: off the diagonal the Laplacian mean is exactly the negated
     adjacency mean, and the diagonal, never positive, keeps no edge.
     """
@@ -349,21 +350,26 @@ def pe_margin(net: SwitchingNetwork, window: float, grid_points: int = 100) -> P
     n = net.node_count
     q = projection_matrix(n)
     laps = np.stack([laplacian(g) for g in net.modes])
-    starts = _window_starts(net, window, grid_points)
+    # equal piece lists give bitwise-equal means: key each start by its own
+    keys = [tuple(_window_pieces(net, t, window)) for t in _window_starts(net, window, grid_points)]
+    distinct = list(dict.fromkeys(keys))
+    lam_mins, lam2s = [], []
+    min_weights = np.full((n, n), math.inf)
+    for lo in range(0, len(distinct), _WINDOW_BLOCK):
+        lbar = _window_means(laps, distinct[lo : lo + _WINDOW_BLOCK], window)
+        lam_mins += np.linalg.eigvalsh(q @ lbar @ q.T)[:, 0].tolist()
+        lam2s += _lambda2_stack(lbar).tolist()
+        min_weights = np.minimum(min_weights, -lbar.max(axis=0))
+    index = {key: k for k, key in enumerate(distinct)}
     mu = math.inf
     lam2_at_min = math.inf
     gap = 0.0
-    min_weights = np.full((n, n), math.inf)
-    for lo in range(0, len(starts), _WINDOW_BLOCK):
-        pieces = [_window_pieces(net, t, window) for t in starts[lo : lo + _WINDOW_BLOCK]]
-        lbar = _window_means(laps, pieces, window)
-        lam_mins = np.linalg.eigvalsh(q @ lbar @ q.T)[:, 0].tolist()
-        for lam_min, lam2 in zip(lam_mins, _lambda2_stack(lbar).tolist()):
-            gap = max(gap, abs(max(lam_min, 0.0) - lam2))
-            if lam_min < mu:
-                mu = lam_min
-                lam2_at_min = lam2
-        min_weights = np.minimum(min_weights, -lbar.max(axis=0))
+    for key in keys:
+        lam_min, lam2 = lam_mins[index[key]], lam2s[index[key]]
+        gap = max(gap, abs(max(lam_min, 0.0) - lam2))
+        if lam_min < mu:
+            mu = lam_min
+            lam2_at_min = lam2
     scale = max(1.0, float(n))
     if abs(mu) <= ZERO_TOL * scale:
         mu = 0.0
