@@ -3,11 +3,13 @@
 
 For each seed: build a two-mode switching network, compute the PE margin,
 the effective graph's exact robustness and vertex connectivity, and check
-the ceil(lambda2/2) <= r <= kappa <= N-1 chain.  Rows go to stdout as CSV.
+the ceil(lambda2/2) <= r <= kappa <= N-1 chain.  Rows go to stdout as CSV;
+the exit status is 1 when the chain fails on any row.
 """
 
 import argparse
 import math
+import sys
 
 import numpy as np
 
@@ -44,10 +46,13 @@ def main():
     args = parser.parse_args()
 
     print("seed,n,mu,lambda2_integral,lambda2_effective,r,kappa,chain_holds")
+    failed = 0
     for seed in range(args.count):
         row = one_row(seed, args.n_low, args.n_high)
         print(",".join(f"{x:.12g}" if isinstance(x, float) else str(x) for x in row))
+        failed += not row[-1]
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

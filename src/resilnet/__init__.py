@@ -24,7 +24,6 @@ from .graphs import (
     check_bound_chain,
     complete_graph,
     generate_r_robust_preferential,
-    integral_laplacian,
     khop_neighbors,
     laplacian,
     path_graph,

@@ -5,17 +5,23 @@ finite mode libraries with piecewise-constant switching schedules,
 connectivity in the integral ("persistently exciting") sense, and exact
 r-robustness and vertex-connectivity computation.
 
-The PE margin takes the mean Laplacian of every window start as a stack:
-``_WINDOW_BLOCK`` windows at a time, the means summed one segment position
-after another and the eigenvalue problems solved by one batched LAPACK call
-per block.  Each slice gets the same arithmetic as a single-window call, so
-the margin is bitwise that of a window-by-window loop.
+The PE margin evaluates the windows that start at 0, at horizon - T and at
+every breakpoint b and b - T in between: the window mean is affine in the
+start between those, so the minima over all starts are attained there.
+Starts whose windows cut the schedule into the same ``(duration, mode)``
+pieces share one mean, so the means are built for the distinct piece lists
+only, as a stack: ``_WINDOW_BLOCK`` lists at a time, summed one piece
+position after another, with the eigenvalue problems solved by one batched
+LAPACK call per block.  Each slice gets the same arithmetic as a
+single-window call, so the margin is bitwise that of a window-by-window loop
+over the same starts.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -28,7 +34,7 @@ from .errors import CapabilityError, ConfigurationError
 ZERO_TOL = 1e-9
 RANK_RTOL = 1e-12
 
-R_ROBUSTNESS_EXACT_CAP = 12
+R_ROBUSTNESS_EXACT_CAP = 16
 # window means stacked at once by pe_margin and reports.lambda2_series: a
 # block, not every window, so that the stack stays small on large networks
 _WINDOW_BLOCK = 32
@@ -178,19 +184,16 @@ class SwitchingNetwork:
             raise ValueError("schedule references unknown mode index")
         if self.horizon <= times[-1]:
             raise ValueError("horizon must exceed the last switch time")
+        # not a field: equality, hashing and the codec see ``schedule`` only
+        object.__setattr__(self, "_times", times)
 
     @property
     def node_count(self) -> int:
         return self.modes[0].node_count
 
     def mode_at(self, t: float) -> int:
-        idx = 0
-        for start, m in self.schedule:
-            if start <= t:
-                idx = m
-            else:
-                break
-        return idx
+        """Mode active at t; the first scheduled mode for t < 0."""
+        return self.schedule[max(bisect_right(self._times, t) - 1, 0)][1]
 
     def segments(self, t0: float, t1: float):
         """Yield ``(start, end, mode_index)`` covering [t0, t1] exactly."""
@@ -198,10 +201,12 @@ class SwitchingNetwork:
             raise ConfigurationError(
                 f"window [{t0}, {t1}] outside horizon [0, {self.horizon}]"
             )
-        cuts = [t0] + [t for t, _ in self.schedule if t0 < t < t1] + [t1]
-        for a, b in itertools.pairwise(cuts):
+        lo, hi = bisect_right(self._times, t0), bisect_left(self._times, t1)
+        cuts = [t0, *self._times[lo:hi], t1]
+        modes = [self.mode_at(t0), *(m for _, m in self.schedule[lo:hi])]
+        for a, b, m in zip(cuts, cuts[1:], modes):
             if b > a:
-                yield a, b, self.mode_at(a)
+                yield a, b, m
 
 
 def static_network(g: Graph, horizon: float) -> SwitchingNetwork:
@@ -277,34 +282,26 @@ def _window_means(mats: np.ndarray, pieces, window: float) -> np.ndarray:
     return acc / window
 
 
-def _window_pieces(net: SwitchingNetwork, t: float, window: float) -> list:
-    return [(b - a, m) for a, b, m in net.segments(t, t + window)]
+def _window_pieces(net: SwitchingNetwork, t: float, window: float) -> tuple:
+    return tuple((b - a, m) for a, b, m in net.segments(t, t + window))
 
 
-def integral_laplacian(net: SwitchingNetwork, t: float, window: float) -> np.ndarray:
-    """Duration-weighted mean (1/T) * integral of L_sigma over [t, t+T].
+def _window_starts(net: SwitchingNetwork, window: float):
+    """Window starts: 0, horizon - T, and every breakpoint b and b - T that
+    lies in between (clamped to [0, horizon - T]).
 
-    Exact for the piecewise-constant schedule; symmetric PSD with zero row
-    sums.
-    """
-    if window <= 0:
-        raise ValueError("window must be positive")
-    laps = np.stack([laplacian(g) for g in net.modes])
-    return _window_means(laps, [_window_pieces(net, t, window)], window)[0]
-
-
-def _window_starts(net: SwitchingNetwork, window: float, grid_points: int = 100):
-    """Window starts: schedule breakpoints, breakpoints - T, and a uniform grid.
-
-    The integrand is piecewise constant, so the infimum over window starts is
-    attained on this finite set once it contains every breakpoint and every
-    breakpoint minus T.
+    Between two consecutive starts of this set neither t nor t + T crosses a
+    breakpoint, so the window mean Lbar(t, T) is affine in t there.
+    lambda_min(Q Lbar Q^T) is concave over an affine symmetric family
+    (Rayleigh-Ritz: a minimum of affine functions) and every mean edge weight
+    is affine, so both attain their minima over all starts on this finite
+    set.
     """
     last = net.horizon - window
     if last < -1e-12:
         raise ConfigurationError("horizon shorter than the PE window")
     last = max(last, 0.0)
-    starts = set(np.linspace(0.0, last, grid_points))
+    starts = {0.0, last}
     for t, _ in net.schedule:
         for cand in (t, t - window):
             if -1e-12 <= cand <= last + 1e-12:
@@ -318,11 +315,13 @@ class PEReport:
 
     ``mu`` is the uniform-in-time margin min_t lambda_min(Q Lbar(t,T) Q^T)
     clamped at 0; ``lambda2_integral`` is lambda_2 of the averaged Laplacian
-    at the minimizing window start; ``equivalence_gap`` is the largest
-    observed |lambda_min(Q Lbar Q^T) - lambda_2(Lbar)| over the sampled
-    windows.  ``effective_graph`` keeps the edges whose time-averaged
-    adjacency stays positive uniformly over window starts; ``delta_floor``
-    is the smallest such uniform average (0 when there are no edges).
+    at the first minimizing window start; ``equivalence_gap`` is the largest
+    |lambda_min(Q Lbar Q^T) - lambda_2(Lbar)| over the evaluated window
+    starts (``_window_starts``: 0, horizon - T and every breakpoint b and
+    b - T in between, on which the minima over all starts are attained).
+    ``effective_graph`` keeps the edges whose time-averaged adjacency stays
+    positive uniformly over window starts; ``delta_floor`` is the smallest
+    such uniform average (0 when there are no edges).
     """
 
     mu: float
@@ -334,11 +333,11 @@ class PEReport:
     equivalence_gap: float
 
 
-def pe_margin(net: SwitchingNetwork, window: float, grid_points: int = 100) -> PEReport:
+def pe_margin(net: SwitchingNetwork, window: float) -> PEReport:
     """PE margin of the network for windows of length ``window``.
 
     Records the spectral equivalence gap |lambda_min(Q Lbar Q^T) -
-    lambda_2(Lbar)| over every sampled window.  The window means and their
+    lambda_2(Lbar)| over every evaluated window.  The window means and their
     eigenvalues are computed once per distinct ``(duration, mode)`` piece
     list, ``_WINDOW_BLOCK`` lists at a time; the min and gap fold over the
     window starts in order.  The least mean adjacency is
@@ -351,7 +350,7 @@ def pe_margin(net: SwitchingNetwork, window: float, grid_points: int = 100) -> P
     q = projection_matrix(n)
     laps = np.stack([laplacian(g) for g in net.modes])
     # equal piece lists give bitwise-equal means: key each start by its own
-    keys = [tuple(_window_pieces(net, t, window)) for t in _window_starts(net, window, grid_points)]
+    keys = [_window_pieces(net, t, window) for t in _window_starts(net, window)]
     distinct = list(dict.fromkeys(keys))
     lam_mins, lam2s = [], []
     min_weights = np.full((n, n), math.inf)
@@ -485,7 +484,7 @@ def r_robustness(g: Graph) -> int:
     |N(i) \\ S|, that is the least max(reach(S), low(S^c)) over nonempty
     proper subsets S, where low(M) is the lowest reach over nonempty subsets
     of M: a subset-minimum transform, one vectorized pass per node.
-    O(N 2^N); capped at N <= 12.
+    O(N 2^N); capped at N <= 16.
     """
     n = g.node_count
     if n > R_ROBUSTNESS_EXACT_CAP:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from resilnet.graphs import (
     check_bound_chain,
     complete_graph,
     generate_r_robust_preferential,
-    integral_laplacian,
     khop_neighbors,
     laplacian,
     path_graph,
@@ -28,6 +28,7 @@ from resilnet.graphs import (
     star_graph,
     static_network,
     vertex_connectivity,
+    _window_pieces,
     _window_starts,
 )
 from resilnet.scenarios import (
@@ -102,6 +103,22 @@ def test_projection_matrix_rejects_small_n():
         projection_matrix(1)
 
 
+def _window_mean(net, build, t, window):
+    """(1/T) * integral over [t, t+T] of ``build(mode)``, summed segment by
+    segment."""
+    n = net.node_count
+    acc = np.zeros((n, n))
+    for a, b, m in net.segments(t, t + window):
+        acc += (b - a) * build(net.modes[m])
+    return acc / window
+
+
+def integral_laplacian(net, t, window):
+    """Duration-weighted mean Laplacian (1/T) * integral of L_sigma over
+    [t, t+T]: symmetric PSD with zero row sums."""
+    return _window_mean(net, laplacian, t, window)
+
+
 def test_integral_laplacian_single_mode():
     net = static_network(path_graph(4), 5.0)
     assert np.allclose(integral_laplacian(net, 1.0, 2.0), laplacian(path_graph(4)))
@@ -164,30 +181,35 @@ def _lambda2(lap):
     return 0.0 if abs(lam2) <= ZERO_TOL * scale else lam2
 
 
-def _reference_pe_margin(net, window, grid_points=100):
-    """``pe_margin`` one window at a time, with the mean Laplacian and
+def _grid_window_starts(net, window, grid_points=100):
+    """The window starts before they were cut down to the breakpoint set: a
+    uniform grid plus every breakpoint and breakpoint - T, clamped."""
+    last = max(net.horizon - window, 0.0)
+    starts = set(np.linspace(0.0, last, grid_points))
+    for t, _ in net.schedule:
+        for cand in (t, t - window):
+            if -1e-12 <= cand <= last + 1e-12:
+                starts.add(min(max(cand, 0.0), last))
+    return sorted(starts)
+
+
+def _reference_pe_margin(net, window, starts):
+    """``pe_margin`` one window start at a time, with the mean Laplacian and
     adjacency of each window summed segment by segment: the loop that the
-    stacked window blocks replaced."""
+    stacked distinct windows replaced."""
     n = net.node_count
     q = projection_matrix(n)
-
-    def mean(build, t):
-        acc = np.zeros((n, n))
-        for a, b, m in net.segments(t, t + window):
-            acc += (b - a) * build(net.modes[m])
-        return acc / window
-
     mu = lam2_at_min = math.inf
     gap = 0.0
     min_weights = np.full((n, n), math.inf)
-    for t in _window_starts(net, window, grid_points):
-        lbar = mean(laplacian, t)
+    for t in starts:
+        lbar = integral_laplacian(net, t, window)
         lam_min = float(np.linalg.eigvalsh(q @ lbar @ q.T)[0])
         lam2 = _lambda2(lbar)
         gap = max(gap, abs(max(lam_min, 0.0) - lam2))
         if lam_min < mu:
             mu, lam2_at_min = lam_min, lam2
-        min_weights = np.minimum(min_weights, mean(Graph.adjacency, t))
+        min_weights = np.minimum(min_weights, _window_mean(net, Graph.adjacency, t, window))
     if abs(mu) <= ZERO_TOL * max(1.0, float(n)):
         mu = 0.0
     positive = min_weights > ZERO_TOL
@@ -203,7 +225,10 @@ def _bits(report_fields):
     return struct.pack("<5d", mu, window, lam2, delta_floor, gap), edges, weights.tobytes()
 
 
-def _assert_pe_margin_bitwise(net, window):
+def _assert_pe_margin_matches_reference(net, window):
+    """Bitwise the per-window loop over ``pe_margin``'s own starts; against
+    the loop over the full grid, no lower and within rounding, since the
+    breakpoint starts are a subset of the grid on which the minima lie."""
     report = pe_margin(net, window)
     got = (
         report.mu,
@@ -214,7 +239,17 @@ def _assert_pe_margin_bitwise(net, window):
         report.delta_floor,
         report.equivalence_gap,
     )
-    assert _bits(got) == _bits(_reference_pe_margin(net, window))
+    starts, grid = _window_starts(net, window), _grid_window_starts(net, window)
+    assert set(starts) <= set(grid)
+    assert _bits(got) == _bits(_reference_pe_margin(net, window, starts))
+    mu, _, edges, weights, lam2, _, gap = _reference_pe_margin(net, window, grid)
+    tol = 1e-12 * max(1.0, float(net.node_count))
+    assert mu <= report.mu <= mu + tol
+    assert abs(report.lambda2_integral - lam2) <= tol
+    assert report.effective_graph.edges == edges
+    assert np.all(report.effective_weights >= weights)
+    assert np.all(report.effective_weights - weights <= 1e-12)
+    assert report.equivalence_gap <= gap
 
 
 def _random_switching(rng, n, mode_count, horizon, edgeless=False):
@@ -241,8 +276,7 @@ def test_pe_margin_matches_per_window_loop(seed):
     horizon = float(rng.choice([2.0, 3.0, 4.0]))
     net = _random_switching(rng, n, mode_count, horizon, edgeless=bool(rng.integers(2)))
     for window in (0.5, 1.0, horizon):
-        _assert_pe_margin_bitwise(net, window)
-    assert len(_window_starts(net, 0.5)) > _WINDOW_BLOCK
+        _assert_pe_margin_matches_reference(net, window)
 
 
 def test_pe_margin_matches_per_window_loop_edge_cases():
@@ -252,13 +286,76 @@ def test_pe_margin_matches_per_window_loop_edge_cases():
     edgeless = _random_switching(rng, 5, 3, 2.0, edgeless=True)
     assert any(not g.edges for g in edgeless.modes)
     for window in (0.25, 0.5, 2.0):
-        _assert_pe_margin_bitwise(edgeless, window)
-    _assert_pe_margin_bitwise(static_network(Graph(3, ()), 1.0), 1.0)
+        _assert_pe_margin_matches_reference(edgeless, window)
+    _assert_pe_margin_matches_reference(static_network(Graph(3, ()), 1.0), 1.0)
     # example2's 84-node network
     net = build_network(generate_example2(0).network)
     assert net.node_count == 84
-    assert len(_window_starts(net, 1.0)) > _WINDOW_BLOCK
-    _assert_pe_margin_bitwise(net, 1.0)
+    _assert_pe_margin_matches_reference(net, 1.0)
+
+
+def test_pe_margin_matches_per_window_loop_many_distinct_windows():
+    # off-grid breakpoints and four modes: more distinct window piece lists
+    # than one stacked block holds
+    rng = np.random.default_rng(11)
+    modes = tuple(random_connected_graph(rng, 6, rng.uniform(0.0, 0.6)) for _ in range(4))
+    cuts = np.sort(rng.uniform(0.0, 20.0, 45))
+    schedule = [(0.0, 1)] + [(float(t), int(rng.integers(4))) for t in cuts]
+    net = SwitchingNetwork(modes, tuple(schedule), 20.0)
+    pieces = {_window_pieces(net, t, 1.0) for t in _window_starts(net, 1.0)}
+    assert len(pieces) > _WINDOW_BLOCK
+    _assert_pe_margin_matches_reference(net, 1.0)
+
+
+def _scan_mode_at(net, t):
+    """The linear scan that ``mode_at`` replaced, starting from the first
+    scheduled mode (the scan started from mode index 0)."""
+    mode = net.schedule[0][1]
+    for start, m in net.schedule:
+        if start > t:
+            break
+        mode = m
+    return mode
+
+
+def _scan_segments(net, t0, t1):
+    cuts = [t0] + [t for t, _ in net.schedule if t0 < t < t1] + [t1]
+    return [(a, b, _scan_mode_at(net, a)) for a, b in itertools.pairwise(cuts) if b > a]
+
+
+def test_mode_at_and_segments_match_linear_scan(rng):
+    for _ in range(30):
+        count = int(rng.integers(1, 40))
+        cuts = np.sort(rng.choice(np.arange(1, 400), count - 1, replace=False)) * 0.05
+        schedule = [(0.0, int(rng.integers(1, 4)))] + [(float(t), int(rng.integers(4))) for t in cuts]
+        net = SwitchingNetwork(tuple(path_graph(3) for _ in range(4)), tuple(schedule), 20.5)
+        times = [t for t, _ in schedule]
+        probes = [-5e-13, 20.5, *rng.uniform(0.0, 20.5, 20)]
+        for t in times:
+            probes += [t, np.nextafter(t, -math.inf), np.nextafter(t, math.inf)]
+        for t in probes:
+            assert net.mode_at(t) == _scan_mode_at(net, t)
+        assert net.mode_at(-5e-13) == schedule[0][1] != 0
+        for _ in range(40):
+            t0, t1 = sorted(rng.choice(probes, 2))
+            t0 = max(t0, -5e-13)
+            assert list(net.segments(t0, t1)) == _scan_segments(net, t0, t1)
+        assert list(net.segments(-5e-13, 20.5))[0][2] == schedule[0][1]
+
+
+def test_pe_margin_many_breakpoints_fast():
+    # 3 200 breakpoints: a scan of the whole schedule per window start made
+    # this quadratic (over a second); bisection keeps it well under 0.1 s
+    rng = np.random.default_rng(3)
+    modes = tuple(random_connected_graph(rng, 8, 0.3) for _ in range(3))
+    schedule = [(0.0, 0)] + [(0.25 * k, int(rng.integers(3))) for k in range(1, 3201)]
+    net = SwitchingNetwork(modes, tuple(schedule), 801.0)
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        pe_margin(net, 1.0)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.1
 
 
 def test_algebraic_connectivity_examples():
@@ -358,15 +455,16 @@ def test_vertex_connectivity_matches_networkx(rng):
 def test_r_robustness_examples():
     assert r_robustness(complete_graph(3)) == 2
     assert r_robustness(Graph(4, ((0, 1), (2, 3)))) == 0
-    for n in range(3, 9):
+    for n in (*range(3, 9), *range(13, 17)):
         assert r_robustness(complete_graph(n)) == math.ceil(n / 2)
     with pytest.raises(CapabilityError):
-        r_robustness(complete_graph(13))
+        r_robustness(complete_graph(17))
 
 
 def test_r_robustness_star_and_path():
-    assert r_robustness(star_graph(5)) == 1
-    assert r_robustness(path_graph(5)) == 1
+    for n in (5, 16):
+        assert r_robustness(star_graph(n)) == 1
+        assert r_robustness(path_graph(n)) == 1
 
 
 def _reference_r_robustness(g):
