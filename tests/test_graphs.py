@@ -181,11 +181,11 @@ def _lambda2(lap):
     return 0.0 if abs(lam2) <= ZERO_TOL * scale else lam2
 
 
-def _grid_window_starts(net, window, grid_points=100):
+def _grid_window_starts(net, window):
     """The window starts before they were cut down to the breakpoint set: a
-    uniform grid plus every breakpoint and breakpoint - T, clamped."""
+    uniform 100-point grid plus every breakpoint and breakpoint - T, clamped."""
     last = max(net.horizon - window, 0.0)
-    starts = set(np.linspace(0.0, last, grid_points))
+    starts = set(np.linspace(0.0, last, 100))
     for t, _ in net.schedule:
         for cand in (t, t - window):
             if -1e-12 <= cand <= last + 1e-12:
