@@ -10,8 +10,10 @@ baseline is included for comparison runs.
 Between edge-set changes all observers run as one bank.  An observer's
 model is linear time-invariant there and its measurement is interpolated
 linearly across a plant step, so its RK4 step is one matrix: x^+ = R_o x^ +
-F0 y_start + F1 y_end, built when the observer's model changes and cached by
-model and gain.  The bank stacks [R_o | F0 | F1] in a zero-padded batch.
+F0 y_start + F1 y_end.  The bank stacks [R_o | F0 | F1] in a zero-padded
+batch.  A view, its gain and its step matrix depend only on the owner's
+local edge set (``observers._view_key``), so a run builds them once per
+owner and local edge set, also for edge sets it returns to.
 
 Up to its first verdict, a run on one edge set is a fixed function of the
 trajectory, so the loop goes in blocks of steps: the plant's rows first,
@@ -21,8 +23,8 @@ operations over the block.  A block ends one step past its first verdict
 and the walk resumes there on the pruned edge set, so at most one block of
 work is repeated per verdict.  Each agent's ``ObserverState`` stays its
 reconfiguration record: on every edge-set change the bank writes the
-estimates back, the observers reconfigure at the walker's time k h, and a
-new bank is built.
+estimates back, the observers whose view changed reconfigure at the
+walker's time k h, and a new bank is built.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .observers import (
     ObserverGain,
     ObserverState,
     ThresholdRule,
+    _view_key,
     design_gain,
     gain_matrix,
     make_record,
@@ -340,7 +343,8 @@ def run_rescue(problem: RescueProblem) -> RescueResult:
     Detectors run on the ground-truth cooperative agents (malicious agents do
     not execute the defense).  A verdict against neighbor j removes edge
     (i, j) from every mode starting at the next tick and reconfigures every
-    observer whose model changed.
+    observer whose view changed: those whose local edge set changed, the
+    edges touching the owner or one of its 1-hop neighbors.
     """
     net, gains, settings = problem.net, problem.gains, problem.detector
     n = net.node_count
@@ -362,46 +366,39 @@ def run_rescue(problem: RescueProblem) -> RescueResult:
     removed: set = set()
     observers: dict[int, ObserverState] = {}
     bank: _ObserverBank | None = None
-    gain_cache: dict = {}
-    step_cache: dict = {}
+    gain_cache: dict = {}  # view size -> structured gain
+    views: dict = {}  # (owner, local edge set) -> (view, gain, step matrices)
     step_matrices: dict[int, tuple] = {}
     flag_t: dict = {}  # (detector, neighbor) -> time of its verdict
     events: list[IsolationEvent] = []
     epochs: list[LogEpoch] = []
     agents = _attackers(problem.attacks)
 
-    def observer_gain(view) -> ObserverGain:
-        # the fast structured gain depends only on the view size; certified
-        # designs depend on the whole model
-        key = (
-            (view.owner, view.a_model.tobytes()) if certified else view.size
-        )
-        gain = gain_cache.get(key)
-        if gain is None:
+    def local_view(g, i) -> tuple:
+        """Detector ``i``'s view of ``g``, its gain and its step matrices,
+        built the first time the run meets ``i``'s local edge set."""
+        key = _view_key(g, i)
+        entry = views.get(key)
+        if entry is None:
+            view = two_hop_view(g, i, gains)
+            # a certified design depends on the whole model, the structured
+            # gain only on the view size
             if certified:
                 gain = design_gain(view, k_consensus=settings.gain_kc)
             else:
-                gain = ObserverGain(
-                    h_matrix=gain_matrix(view, settings.gain_k1, settings.gain_kc),
-                    kappa_e=None,
-                    lambda_e=None,
-                    spectral_abscissa=None,
-                )
-            gain_cache[key] = gain
-        return gain
-
-    def observer_step_matrices(obs) -> tuple:
-        key = (obs.view.a_model.tobytes(), obs.gain.h_matrix.tobytes())
-        mats = step_cache.get(key)
-        if mats is None:
-            mats = _observer_step_matrices(obs._a_bar, obs.gain.h_matrix, h)
-            step_cache[key] = mats
-        return mats
+                gain = gain_cache.get(view.size)
+                if gain is None:
+                    h_matrix = gain_matrix(view, settings.gain_k1, settings.gain_kc)
+                    gain = gain_cache[view.size] = ObserverGain(h_matrix, None, None, None)
+            a_bar = view.a_model - gain.h_matrix @ view.c_meas
+            entry = views[key] = (view, gain, _observer_step_matrices(a_bar, gain.h_matrix, h))
+        return entry
 
     def on_edges(edges, t, x):
-        """Hand the bank's state back, reconfigure every observer whose model
+        """Hand the bank's state back, reconfigure every observer whose view
         changed and rebuild the bank; return the plant's step matrices and
-        the bank."""
+        the bank.  An equal local edge set gives the very view object the
+        observer holds, so identity tells an unchanged view."""
         nonlocal bank
         if bank is not None:
             bank.close(flag_t, epochs)
@@ -409,25 +406,19 @@ def run_rescue(problem: RescueProblem) -> RescueResult:
         plant = _plant_matrices(graph_eff, gains, agents, h)
         neighbor_map = {i: graph_eff.neighbors(i) for i in detectors}
         for i in detectors:
-            view = two_hop_view(graph_eff, i, gains)
+            view, gain, mats = local_view(graph_eff, i)
             obs = observers.get(i)
-            if (
-                obs is not None
-                and view.members == obs.view.members
-                and np.array_equal(view.a_model, obs.view.a_model)
-            ):
+            if obs is not None and view is obs.view:
                 continue
-            gain = observer_gain(view)
             if obs is None:
-                obs = ObserverState(view, gain, w_budget, t)
-                observers[i] = obs
+                obs = observers[i] = ObserverState(view, gain, w_budget, t)
                 obs.reinit(view.measure(x[:n], x[n:]), t)
             elif view.members == obs.view.members:
                 # pure edge change: swap the model, keep the estimate
                 obs.reconfigure(view, gain, t, keep_state=True)
             else:
                 obs.remap(view, gain, view.measure(x[:n], x[n:]), t)
-            step_matrices[i] = observer_step_matrices(obs)
+            step_matrices[i] = mats
         bank = _ObserverBank(
             detectors, observers, step_matrices, neighbor_map, n, settings, h, consts, x0_norm,
         )

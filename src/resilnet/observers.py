@@ -96,15 +96,24 @@ def _model_blocks(g: Graph, owner: int):
     return members, l_model
 
 
+def _view_key(g: Graph, owner: int) -> tuple:
+    """The owner's local edge set: the neighbors of the owner and of each of
+    its 1-hop neighbors, so every edge that touches one of them.  These are
+    exactly the model edges of ``two_hop_view`` (``_model_blocks`` keeps each
+    one and never an edge between two strictly-2-hop nodes), and they fix
+    its members.  So equal keys give equal views, and with alpha > 0
+    different keys give different ``members`` or ``a_model``."""
+    return owner, tuple(g.neighbors(u) for u in (owner, *g.neighbors(owner)))
+
+
 def two_hop_view(g: Graph, owner: int, gains: Gains) -> TwoHopView:
     members, l_model = _model_blocks(g, owner)
     m = len(members)
-    a_model = np.block(
-        [
-            [np.zeros((m, m)), np.eye(m)],
-            [-gains.alpha * l_model, -gains.gamma * np.eye(m)],
-        ]
-    )
+    a_model = np.zeros((2 * m, 2 * m))
+    a_model[:m, m:] = np.eye(m)
+    # the lower blocks are products assigned whole: their zeros are -0.0
+    a_model[m:, :m] = -gains.alpha * l_model
+    a_model[m:, m:] = -gains.gamma * np.eye(m)
     c_meas = np.zeros((m + 1, 2 * m))
     c_meas[:m, :m] = np.eye(m)
     c_meas[m, m] = 1.0  # owner velocity; owner is first in the ordering

@@ -1,5 +1,6 @@
-"""Per-step forms of the timeline walker's block callees: the references the
-block path is pinned against, bit for bit."""
+"""Per-step forms of the timeline walker's block callees, and the rescue
+loop that rebuilt every view on every edge-set change: the references the
+block path and the view cache are pinned against, bit for bit."""
 
 import math
 
@@ -7,7 +8,18 @@ import numpy as np
 import pytest
 
 from resilnet import isolation
-from resilnet.isolation import _ObserverBank
+from resilnet.dynamics import _attackers, _plant_matrices, _plant_rows, _walk, stability_constants
+from resilnet.graphs import Graph, pe_margin
+from resilnet.isolation import (
+    IsolationEvent,
+    RescueResult,
+    RescueRun,
+    ResidualLog,
+    _ObserverBank,
+    _auto_w_budget,
+    _observer_step_matrices,
+)
+from resilnet.observers import ObserverGain, ObserverState, design_gain, gain_matrix, two_hop_view
 
 
 def per_step(step, removed=None):
@@ -94,3 +106,86 @@ def stepwise_rescue(problem, keep=None):
         patch.setattr(isolation, "_plant_rows", stash)
         patch.setattr(_ObserverBank, "advance", advance)
         return isolation.run_rescue(problem)
+
+
+def rebuild_all_rescue(problem):
+    """``run_rescue`` as it was before its view cache: every edge-set change
+    builds every detector's view and compares it with the observer's by
+    members and model; gains are cached by size or by the certified model,
+    step matrices by the model's and the gain's bytes."""
+    net, gains, settings = problem.net, problem.gains, problem.detector
+    n, h = net.node_count, problem.step_h
+    certified = settings.threshold.kind == "analytic"
+    consts = None
+    x0_norm = float(np.linalg.norm(problem.initial.stacked()))
+    if certified:
+        consts = stability_constants(pe_margin(net, settings.pe_window).mu, settings.pe_window, gains, n)
+    w_budget = _auto_w_budget(problem, consts)
+    detectors = problem.cooperative
+    removed, observers, step_matrices, flag_t, events, epochs = set(), {}, {}, {}, [], []
+    gain_cache, step_cache = {}, {}
+    banks = []
+    agents = _attackers(problem.attacks)
+
+    def observer_gain(view):
+        key = (view.owner, view.a_model.tobytes()) if certified else view.size
+        if key not in gain_cache:
+            if certified:
+                gain_cache[key] = design_gain(view, k_consensus=settings.gain_kc)
+            else:
+                h_matrix = gain_matrix(view, settings.gain_k1, settings.gain_kc)
+                gain_cache[key] = ObserverGain(h_matrix, None, None, None)
+        return gain_cache[key]
+
+    def on_edges(edges, t, x):
+        if banks:
+            banks[-1].close(flag_t, epochs)
+        graph_eff = Graph(n, tuple(sorted(edges)))
+        plant = _plant_matrices(graph_eff, gains, agents, h)
+        neighbor_map = {i: graph_eff.neighbors(i) for i in detectors}
+        for i in detectors:
+            view = two_hop_view(graph_eff, i, gains)
+            obs = observers.get(i)
+            if (
+                obs is not None
+                and view.members == obs.view.members
+                and np.array_equal(view.a_model, obs.view.a_model)
+            ):
+                continue
+            gain = observer_gain(view)
+            if obs is None:
+                obs = observers[i] = ObserverState(view, gain, w_budget, t)
+                obs.reinit(view.measure(x[:n], x[n:]), t)
+            elif view.members == obs.view.members:
+                obs.reconfigure(view, gain, t, keep_state=True)
+            else:
+                obs.remap(view, gain, view.measure(x[:n], x[n:]), t)
+            key = (obs.view.a_model.tobytes(), obs.gain.h_matrix.tobytes())
+            if key not in step_cache:
+                step_cache[key] = _observer_step_matrices(obs._a_bar, obs.gain.h_matrix, h)
+            step_matrices[i] = step_cache[key]
+        banks.append(
+            _ObserverBank(
+                detectors, observers, step_matrices, neighbor_map, n, settings, h, consts, x0_norm
+            )
+        )
+        return plant, banks[-1]
+
+    def advance(context, X, k0, k1, U):
+        plant, bank = context
+        _plant_rows(plant, X, k0, k1, U)
+        k_end, verdicts = bank.advance(X, k0, k1)
+        for s, res, eps in verdicts:
+            i, j = bank.pairs[s]
+            flag_t[i, j] = k_end * h
+            removed.add((min(i, j), max(i, j)))
+            events.append(IsolationEvent(k_end * h, i, j, res, eps))
+        return k_end
+
+    trace = _walk(
+        net, problem.initial, problem.attacks, problem.dos, problem.horizon, h,
+        on_edges, advance, removed,
+    )
+    banks[-1].close(flag_t, epochs)
+    run = RescueRun(problem, tuple(events), frozenset(removed), detectors, consts)
+    return RescueResult(trace, run, ResidualLog(tuple(epochs)))

@@ -41,18 +41,20 @@ from resilnet.observers import (
     ThresholdRule,
     design_gain,
     gain_matrix,
+    _view_key,
     make_record,
     two_hop_view,
 )
 from resilnet import dynamics, isolation
 from resilnet.scenarios import (
     generate_example1,
+    generate_example2,
     materialize,
     network_union,
     random_connected_graph,
     split_edges_alternating,
 )
-from stepwise import per_step, stepwise_rescue
+from stepwise import per_step, rebuild_all_rescue, stepwise_rescue
 
 GAINS = Gains(1.0, 3.0)
 
@@ -270,28 +272,30 @@ def _pin_cases():
 PIN_CASES = list(_pin_cases())
 
 
+def _fields(result):
+    """The bytes of a rescue result's trace and log arrays."""
+    trace = result.trace
+    out = [trace.t, trace.p_tilde, trace.v, trace.mode_index, trace.dos_active]
+    for e in result.residual_log.epochs:
+        out += [e.t, e.res, e.eps, e.flag_t]
+    return [a.tobytes() for a in out]
+
+
+def _meta(result):
+    epochs = result.residual_log.epochs
+    return (
+        result.trace.segments,
+        result.run.events,
+        [(e.pairs, e.groups, e.res.shape) for e in epochs],
+    )
+
+
 @pytest.mark.parametrize("case", PIN_CASES, ids=[name for name, _ in PIN_CASES])
 def test_rescue_blocks_match_stepwise_rescue(case, monkeypatch):
     # blocks of one step, of three and of the default length: verdicts land
     # on a block's first and last step and mid-block
     name, problem = case
     want = stepwise_rescue(problem)
-
-    def fields(result):
-        trace = result.trace
-        out = [trace.t, trace.p_tilde, trace.v, trace.mode_index, trace.dos_active]
-        for e in result.residual_log.epochs:
-            out += [e.t, e.res, e.eps, e.flag_t]
-        return [a.tobytes() for a in out]
-
-    def meta(result):
-        epochs = result.residual_log.epochs
-        return (
-            result.trace.segments,
-            result.run.events,
-            [(e.pairs, e.groups, e.res.shape) for e in epochs],
-        )
-
     runs = [(cap, isolation._CHUNK_WORK) for cap in (1, 3, dynamics._STEP_BLOCK)]
     # and default blocks that the bank tests one step at a time
     runs.append((dynamics._STEP_BLOCK, 1))
@@ -299,10 +303,46 @@ def test_rescue_blocks_match_stepwise_rescue(case, monkeypatch):
         monkeypatch.setattr(dynamics, "_STEP_BLOCK", cap)
         monkeypatch.setattr(isolation, "_CHUNK_WORK", work)
         got = run_rescue(problem)
-        assert meta(got) == meta(want), (cap, work)
-        assert fields(got) == fields(want), (cap, work)
+        assert _meta(got) == _meta(want), (cap, work)
+        assert _fields(got) == _fields(want), (cap, work)
     # the analytic bound stays above this run's residuals
     assert bool(want.run.events) == (name != "analytic")
+
+
+def _view_cache_cases():
+    for seed in (0, 6):
+        yield f"example1_seed{seed}", materialize(generate_example1(seed))
+    rng = np.random.default_rng(20240817)
+    dos = DoSSchedule((DoSInterval(0.5, 2.0, random=DoSRandomSpec(10, 0.6, 5)),))
+    yield "certified", _small_problem(
+        rng, dos=dos, horizon=3.0, threshold=ThresholdRule(kind="analytic")
+    )
+    yield "example2_short", replace(materialize(generate_example2(0)), horizon=EX2_SHORT)
+
+
+# example2's DoS trials drop links from t = 0; by 3 s its run has 45
+# segments and nine isolations
+EX2_SHORT = 3.0
+VIEW_CACHE_CASES = list(_view_cache_cases())
+
+
+@pytest.mark.parametrize("case", VIEW_CACHE_CASES, ids=[name for name, _ in VIEW_CACHE_CASES])
+def test_view_cache_matches_rebuild_all(case, monkeypatch):
+    # views looked up by local edge set give the run of views rebuilt on
+    # every edge-set change, and no (owner, local edge set) is built twice
+    _, problem = case
+    want = rebuild_all_rescue(problem)
+    built = []
+
+    def counted(g, owner, gains):
+        built.append(_view_key(g, owner))
+        return two_hop_view(g, owner, gains)
+
+    monkeypatch.setattr(isolation, "two_hop_view", counted)
+    got = run_rescue(problem)
+    assert _meta(got) == _meta(want)
+    assert _fields(got) == _fields(want)
+    assert len(set(built)) == len(built) < len(got.trace.segments) * len(problem.cooperative)
 
 
 K4 = complete_graph(4)

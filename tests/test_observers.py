@@ -16,6 +16,8 @@ from resilnet.observers import (
     ObserverState,
     ThresholdRule,
     _lyapunov,
+    _model_blocks,
+    _view_key,
     decay_envelope,
     design_gain,
     gain_matrix,
@@ -25,7 +27,12 @@ from resilnet.observers import (
     two_hop_view,
     validate_envelope,
 )
-from resilnet.scenarios import generate_example2, materialize, random_connected_graph
+from resilnet.scenarios import (
+    generate_example2,
+    materialize,
+    random_connected_graph,
+    split_edges_alternating,
+)
 from resilnet.stealth import view_coupling
 
 GAINS = Gains(1.0, 3.0)
@@ -67,6 +74,47 @@ def test_two_hop_view_path_coupling_structure():
 def test_two_hop_view_star_hub_sees_all():
     view = two_hop_view(star_graph(6), 0, GAINS)
     assert set(view.members) == set(range(6))
+
+
+def test_view_key_is_exact(rng):
+    # the edge sets of switching modes, of each with one link dropped (a DoS
+    # trial) and with random links removed (isolations): for every owner,
+    # two edge sets share a key exactly when their views are equal
+    shared = distinct = 0
+    for _ in range(40):
+        n = int(rng.integers(3, 16))
+        overlay = random_connected_graph(rng, n, rng.uniform(0.1, 0.8))
+        net = split_edges_alternating(overlay, 0.5, 4.0, int(rng.integers(2**31)))
+        graphs = []
+        for mode in net.modes:
+            graphs.append(mode)
+            graphs += [mode.drop_edges([e]) for e in mode.edges]
+            for _ in range(3):
+                cut = rng.random(len(mode.edges)) < rng.uniform(0.1, 0.5)
+                graphs.append(mode.drop_edges([e for e, c in zip(mode.edges, cut) if c]))
+        for owner in range(n):
+            views, edge_sets = {}, {}
+            for g in graphs:
+                view = two_hop_view(g, owner, GAINS)
+                m = view.size
+                l_model = _model_blocks(g, owner)[1]
+                a_block = np.block(
+                    [
+                        [np.zeros((m, m)), np.eye(m)],
+                        [-GAINS.alpha * l_model, -GAINS.gamma * np.eye(m)],
+                    ]
+                )
+                assert view.a_model.tobytes() == a_block.tobytes()
+                value = (view.members, view.a_model.tobytes(), view.c_meas.tobytes())
+                key = _view_key(g, owner)
+                views.setdefault(key, set()).add(value)
+                edge_sets.setdefault(key, set()).add(g.edges)
+            assert all(len(values) == 1 for values in views.values())
+            assert len(set.union(*views.values())) == len(views)
+            shared += sum(len(e) > 1 for e in edge_sets.values())
+            distinct += len(views) > 1
+    # keys shared by different edge sets, and owners with several keys
+    assert shared > 100 and distinct > 100
 
 
 def test_pbh_observability_cases(rng):
