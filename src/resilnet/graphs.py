@@ -10,11 +10,11 @@ every breakpoint b and b - T in between: the window mean is affine in the
 start between those, so the minima over all starts are attained there.
 Starts whose windows cut the schedule into the same ``(duration, mode)``
 pieces share one mean, so the means are built for the distinct piece lists
-only, as a stack: ``_WINDOW_BLOCK`` lists at a time, summed one piece
-position after another, with the eigenvalue problems solved by one batched
-LAPACK call per block.  Each slice gets the same arithmetic as a
-single-window call, so the margin is bitwise that of a window-by-window loop
-over the same starts.
+only, as a stack of at most ``_WINDOW_WORK`` matrix entries at a time,
+summed one piece position after another, with the eigenvalue problems solved
+by one batched LAPACK call per block.  Each slice gets the same arithmetic
+as a single-window call, so the margin is bitwise that of a window-by-window
+loop over the same starts.
 """
 
 from __future__ import annotations
@@ -35,9 +35,11 @@ ZERO_TOL = 1e-9
 RANK_RTOL = 1e-12
 
 R_ROBUSTNESS_EXACT_CAP = 16
-# window means stacked at once by pe_margin and reports.lambda2_series: a
-# block, not every window, so that the stack stays small on large networks
-_WINDOW_BLOCK = 32
+# matrix entries of the window means stacked at once by pe_margin and
+# reports.lambda2_series, n^2 per window (256 KB of float64): 512 windows
+# of 8 nodes, 4 of 84.  Every window of a stack is padded to its longest
+# piece list, and a stack of thousands ran slower than one of 32
+_WINDOW_WORK = 2**15
 
 
 def _canonical_edges(edges) -> tuple:
@@ -94,9 +96,6 @@ class Graph:
     def degree(self, i: int) -> int:
         return len(self._neighbor_lists[i])
 
-    def is_connected(self) -> bool:
-        return _components(self) == 1
-
     def subgraph(self, nodes) -> "Graph":
         """Induced subgraph, renumbered by the sorted order of ``nodes``."""
         kept = sorted(set(nodes))
@@ -132,25 +131,6 @@ def union_graph(graphs) -> Graph:
             raise ValueError("graphs must share node_count")
         edges.update(g.edges)
     return Graph(n, tuple(sorted(edges)))
-
-
-def _components(g: Graph) -> int:
-    seen = [False] * g.node_count
-    nbrs = g._neighbor_lists
-    count = 0
-    for root in range(g.node_count):
-        if seen[root]:
-            continue
-        count += 1
-        stack = [root]
-        seen[root] = True
-        while stack:
-            u = stack.pop()
-            for w in nbrs[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-    return count
 
 
 @dataclass(frozen=True)
@@ -339,7 +319,7 @@ def pe_margin(net: SwitchingNetwork, window: float) -> PEReport:
     Records the spectral equivalence gap |lambda_min(Q Lbar Q^T) -
     lambda_2(Lbar)| over every evaluated window.  The window means and their
     eigenvalues are computed once per distinct ``(duration, mode)`` piece
-    list, ``_WINDOW_BLOCK`` lists at a time; the min and gap fold over the
+    list, ``_WINDOW_WORK`` entries at a time; the min and gap fold over the
     window starts in order.  The least mean adjacency is
     -max Lbar: off the diagonal the Laplacian mean is exactly the negated
     adjacency mean, and the diagonal, never positive, keeps no edge.
@@ -354,8 +334,9 @@ def pe_margin(net: SwitchingNetwork, window: float) -> PEReport:
     distinct = list(dict.fromkeys(keys))
     lam_mins, lam2s = [], []
     min_weights = np.full((n, n), math.inf)
-    for lo in range(0, len(distinct), _WINDOW_BLOCK):
-        lbar = _window_means(laps, distinct[lo : lo + _WINDOW_BLOCK], window)
+    block = max(1, _WINDOW_WORK // (n * n))
+    for lo in range(0, len(distinct), block):
+        lbar = _window_means(laps, distinct[lo : lo + block], window)
         lam_mins += np.linalg.eigvalsh(q @ lbar @ q.T)[:, 0].tolist()
         lam2s += _lambda2_stack(lbar).tolist()
         min_weights = np.minimum(min_weights, -lbar.max(axis=0))

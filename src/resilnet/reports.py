@@ -16,6 +16,7 @@ float as its integer, so the bytes are those of the per-cell ``fmt``, which
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from .dynamics import (
 )
 from .errors import ConfigurationError
 from .graphs import (
-    _WINDOW_BLOCK,
+    _WINDOW_WORK,
     Graph,
     _lambda2_stack,
     _window_means,
@@ -153,16 +154,21 @@ def lambda2_series(trace: SimulationTrace, window: float, points: int = 200):
         (a, b, index.setdefault(edges, len(index))) for a, b, _, edges, _ in trace.segments
     ]
     laps = np.stack([laplacian(Graph(n, tuple(edges))) for edges in index])
+    # segments are consecutive: those that end after t0 and start before t1
+    # are a slice
+    begins, ends = [a for a, _, _ in segments], [b for _, b, _ in segments]
     starts = np.linspace(0.0, horizon - window, points)
     out = np.empty(points)
-    for first in range(0, points, _WINDOW_BLOCK):
+    block = max(1, _WINDOW_WORK // (n * n))
+    for first in range(0, points, block):
         pieces = []
-        for t0 in starts[first : first + _WINDOW_BLOCK].tolist():
+        for t0 in starts[first : first + block].tolist():
             t1 = t0 + window
+            near = segments[bisect_right(ends, t0) : bisect_left(begins, t1)]
             pieces.append(
-                [(min(b, t1) - max(a, t0), k) for a, b, k in segments if min(b, t1) > max(a, t0)]
+                [(min(b, t1) - max(a, t0), k) for a, b, k in near if min(b, t1) > max(a, t0)]
             )
-        out[first : first + _WINDOW_BLOCK] = _lambda2_stack(_window_means(laps, pieces, window))
+        out[first : first + block] = _lambda2_stack(_window_means(laps, pieces, window))
     return starts, out
 
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from resilnet.errors import CapabilityError, ConfigurationError
+from resilnet import graphs
 from resilnet.graphs import (
-    _WINDOW_BLOCK,
     ZERO_TOL,
     Graph,
     SwitchingNetwork,
@@ -294,17 +294,19 @@ def test_pe_margin_matches_per_window_loop_edge_cases():
     _assert_pe_margin_matches_reference(net, 1.0)
 
 
-def test_pe_margin_matches_per_window_loop_many_distinct_windows():
+def test_pe_margin_matches_per_window_loop_many_distinct_windows(monkeypatch):
     # off-grid breakpoints and four modes: more distinct window piece lists
-    # than one stacked block holds
+    # than a stacked block of one or of 32 windows holds
     rng = np.random.default_rng(11)
     modes = tuple(random_connected_graph(rng, 6, rng.uniform(0.0, 0.6)) for _ in range(4))
     cuts = np.sort(rng.uniform(0.0, 20.0, 45))
     schedule = [(0.0, 1)] + [(float(t), int(rng.integers(4))) for t in cuts]
     net = SwitchingNetwork(modes, tuple(schedule), 20.0)
     pieces = {_window_pieces(net, t, 1.0) for t in _window_starts(net, 1.0)}
-    assert len(pieces) > _WINDOW_BLOCK
-    _assert_pe_margin_matches_reference(net, 1.0)
+    assert len(pieces) > 32
+    for windows in (1, 32, graphs._WINDOW_WORK // 36):
+        monkeypatch.setattr(graphs, "_WINDOW_WORK", windows * 36)
+        _assert_pe_margin_matches_reference(net, 1.0)
 
 
 def _scan_mode_at(net, t):
@@ -418,12 +420,23 @@ def _random_graph(rng, n):
     return Graph(n, tuple(e for e in pairs if rng.random() < p))
 
 
+def _is_connected(g):
+    """One component, by a depth-first search from node 0."""
+    seen, stack = {0}, [0]
+    while stack:
+        for w in g.neighbors(stack.pop()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == g.node_count
+
+
 def _brute_force_connectivity(g):
     """The smallest vertex cut, by trying every node set in size order."""
     n = g.node_count
     for k in range(n - 1):
         for cut in itertools.combinations(range(n), k):
-            if not g.subgraph(set(range(n)) - set(cut)).is_connected():
+            if not _is_connected(g.subgraph(set(range(n)) - set(cut))):
                 return k
     return n - 1
 
@@ -471,7 +484,7 @@ def _reference_r_robustness(g):
     """r-robustness by enumeration of disjoint subset pairs, O(3^N): the
     path that the subset-minimum transform replaced."""
     n = g.node_count
-    if not g.is_connected():
+    if not _is_connected(g):
         return 0
     adj_bits = [0] * n
     for i, j in g.edges:
@@ -526,7 +539,7 @@ def test_r_robustness_matches_pair_enumeration(rng):
         for g in cases:
             want = _reference_r_robustness(g)
             assert r_robustness(g) == want, g
-            if not g.is_connected():
+            if not _is_connected(g):
                 assert want == 0
         assert r_robustness(complete_graph(n)) == math.ceil(n / 2)
 

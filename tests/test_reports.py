@@ -16,8 +16,9 @@ from resilnet.dynamics import (
     Gains,
     SimulationTrace,
     SystemState,
+    simulate,
 )
-from resilnet.graphs import ZERO_TOL, Graph, laplacian
+from resilnet.graphs import ZERO_TOL, Graph, _lambda2_stack, _window_means, laplacian
 from resilnet.isolation import (
     DetectorSettings,
     IsolationEvent,
@@ -111,6 +112,28 @@ def _reference_files(out, trace, events, residual_log, window):
             yield [t, "lambda2_window", val]
 
     _write_cells(out / "plot_data.csv", ["t", "series", "value"], long_rows())
+
+
+def _scan_lambda2_series(trace, window, points=200):
+    """``reports.lambda2_series`` as it was before it bisected the segments:
+    every segment scanned for every window start, 32 windows per stack."""
+    n = trace.node_count
+    index = {}
+    segments = [
+        (a, b, index.setdefault(edges, len(index))) for a, b, _, edges, _ in trace.segments
+    ]
+    laps = np.stack([laplacian(Graph(n, tuple(edges))) for edges in index])
+    starts = np.linspace(0.0, float(trace.t[-1]) - window, points)
+    out = np.empty(points)
+    for first in range(0, points, 32):
+        pieces = []
+        for t0 in starts[first : first + 32].tolist():
+            t1 = t0 + window
+            pieces.append(
+                [(min(b, t1) - max(a, t0), k) for a, b, k in segments if min(b, t1) > max(a, t0)]
+            )
+        out[first : first + 32] = _lambda2_stack(_window_means(laps, pieces, window))
+    return starts, out
 
 
 EXPONENTIAL = ThresholdRule(kind="exponential", amplitude=10.0, rate=1.0, offset=0.95)
@@ -260,3 +283,21 @@ def test_columnar_log_matches_record_log(rule, tmp_path):
     reports.write_long_csv(out / "plot_data.csv", trace, log, window=1.0)
     for name in ("residuals.csv", "plot_data.csv"):
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+def test_lambda2_series_matches_segment_scan(monkeypatch):
+    # DoS trials blink single links on and off, so windows cut many short
+    # segments; windows of one stack, of 32 and of one
+    rng = np.random.default_rng(3)
+    overlay = random_connected_graph(rng, 10, 0.5)
+    net = split_edges_alternating(overlay, 0.5, 8.0, 9)
+    dos = DoSSchedule((DoSInterval(1.0, 5.0, random=DoSRandomSpec(60, 0.6, 4)),))
+    trace = simulate(net, Gains(1.0, 3.0), SystemState(rng.uniform(-5, 5, 10), np.zeros(10)), dos=dos)
+    assert sum(d for *_, d in trace.segments) > 20
+    for trace in (trace, run_rescue(_rescue_problem()).trace):
+        for windows in (200, 32, 1):
+            monkeypatch.setattr(reports, "_WINDOW_WORK", windows * trace.node_count**2)
+            for window in (1.0, 0.37):
+                got = reports.lambda2_series(trace, window)
+                want = _scan_lambda2_series(trace, window)
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
