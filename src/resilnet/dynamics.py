@@ -5,8 +5,10 @@ consensus protocol u_i = -alpha * sum_j (p~_i - p~_j) - gamma * v_i, plus an
 injected signal for malicious agents.  Stacked, the closed loop is a switched
 linear system xdot = A_sigma x + B_A u_A with A_sigma = [[0, I], [-alpha L,
 -gamma I]].  Deception attacks enter through named waveforms; DoS attacks
-nullify scheduled edge subsets.  Integration is fixed-step RK4 with every
-topology boundary aligned to the step grid.
+nullify scheduled edge subsets.  Integration is fixed-step RK4 on the grid
+t = k h, and the step index k is the only clock: the edge timeline lists its
+entries in steps, with schedule breakpoints on the grid and DoS bounds
+snapped to it.
 
 Between two edge-set changes the closed loop is linear time-invariant, so one
 RK4 step is a matrix: x+ = R x + G0 b(t) + Gm b(t + h/2) + G1 b(t + h), with R
@@ -27,7 +29,9 @@ from .errors import ConfigurationError
 from .graphs import (
     Graph,
     SwitchingNetwork,
-    algebraic_connectivity,
+    _lambda2_stack,
+    _laplacian,
+    _window_pieces,
     laplacian,
     projection_matrix,
 )
@@ -255,9 +259,9 @@ class SimulationTrace:
     ``segments`` lists the realized constant-topology intervals as
     ``(t0, t1, mode_index, edges, dos_active)``; their bounds are step-grid
     times k h, so they tile [0, horizon] exactly, and they are what graph
-    metrics over the *realized* network use.
-    Consecutive steps with equal edges share one segment, which carries the
-    mode and DoS flag of its first step.
+    metrics over the *realized* network use (cut into window pieces by
+    ``graphs._window_pieces``).  Consecutive steps with equal edges share one
+    segment, which carries the mode and DoS flag of its first step.
     """
 
     t: np.ndarray
@@ -281,44 +285,48 @@ def _on_grid(value: float, h: float) -> bool:
 def build_edge_timeline(
     net: SwitchingNetwork,
     dos: DoSSchedule | None,
-    horizon: float,
+    steps: int,
     step_h: float,
 ) -> tuple:
-    """Merge schedule and DoS boundaries into constant-edge segments.
+    """Merge schedule and DoS boundaries into constant-edge entries on the
+    step grid.
 
-    Schedule breakpoints must fall on the step grid; DoS sub-interval
-    boundaries are snapped to it.  Returns ``(t0, t1, mode, edges,
-    dos_active)`` tuples covering [0, horizon].
+    Schedule breakpoints must fall on the step grid; DoS sub-interval bounds
+    are snapped to it, so a sub-interval drops its edges on steps
+    [round(t0 / h), round(t1 / h)) and one shorter than half a step may drop
+    nothing.  Returns ``(k0, k1, mode, edges, dos_active)`` tuples that tile
+    steps [0, steps), each k0 < k1.
     """
     for t, _ in net.schedule:
         if not _on_grid(t, step_h):
             raise ConfigurationError(
                 f"schedule breakpoint {t} is not a multiple of step {step_h}"
             )
-    union_edges = set()
-    for g in net.modes:
-        union_edges.update(g.edges)
-    drops = dos.realize(sorted(union_edges), horizon) if dos is not None else ()
-    cuts = {0.0, horizon}
-    cuts.update(t for t, _ in net.schedule if t < horizon)
-    for a, b, _ in drops:
-        for x in (a, b):
-            snapped = round(x / step_h) * step_h
-            if 0.0 < snapped < horizon:
-                cuts.add(snapped)
-    cuts = sorted(cuts)
+    # every list ends in a sentinel that the walk never passes
+    switches = [(round(t / step_h), m) for t, m in net.schedule] + [(steps, None)]
+    union_edges = sorted(set().union(*(g.edges for g in net.modes)))
+    realized = dos.realize(union_edges, steps * step_h) if dos is not None else ()
+    drops = [
+        (max(round(a / step_h), 0), min(round(b / step_h), steps), dropped)
+        for a, b, dropped in realized
+    ]
+    # realize sorts the sub-intervals and rejects overlaps; one snapped to
+    # no step drops nothing
+    drops = [d for d in drops if d[0] < d[1]] + [(steps, steps, frozenset())]
     timeline = []
-    for a, b in zip(cuts, cuts[1:]):
-        mid = 0.5 * (a + b)
-        mode = net.mode_at(mid)
-        edges = set(net.modes[mode].edges)
-        dos_now = False
-        for d0, d1, dropped in drops:
-            if d0 - 1e-12 <= mid <= d1 + 1e-12:
-                dos_now = True
-                edges -= dropped
-                break
-        timeline.append((a, b, mode, frozenset(edges), dos_now))
+    s = d = k = 0  # the schedule entry and the drop in force or next, the step
+    while k < steps:
+        while switches[s + 1][0] <= k:
+            s += 1
+        while drops[d][1] <= k:
+            d += 1
+        mode = switches[s][1]
+        d0, d1, dropped = drops[d]
+        dos_now = d0 <= k
+        k1 = min(switches[s + 1][0], d1 if dos_now else d0)
+        edges = frozenset(net.modes[mode].edges)
+        timeline.append((k, k1, mode, edges - dropped if dos_now else edges, dos_now))
+        k = k1
     return tuple(timeline)
 
 
@@ -410,9 +418,7 @@ def _walk(
     steps = round(horizon / step_h)
     if steps < 1:
         raise ConfigurationError(f"horizon {horizon} is shorter than one step of {step_h}")
-    timeline = build_edge_timeline(net, dos, horizon, step_h)
-    # every cut lies on the step grid, so each entry ends at a whole step
-    ends = [round(t_end / step_h) for _, t_end, *_ in timeline]
+    timeline = build_edge_timeline(net, dos, steps, step_h)
 
     t_arr = np.arange(steps + 1) * step_h
     X = np.empty((steps + 1, 2 * n))
@@ -422,14 +428,15 @@ def _walk(
     columns = len(_attackers(attacks))
 
     segments: list = []
-    seg_idx = 0
+    entry = 0
     current = None
     k = 0
     while k < steps:
         t = k * step_h
-        while k >= ends[seg_idx]:
-            seg_idx += 1
-        _, _, mode, base_edges, dos_now = timeline[seg_idx]
+        # no block crosses its entry's end, so the walk stops at each end
+        if k == timeline[entry][1]:
+            entry += 1
+        _, k_stop, mode, base_edges, dos_now = timeline[entry]
         # a timeline entry keeps one frozenset, so while nothing is removed
         # the identity test settles most blocks without comparing edges
         edges = base_edges - removed if removed else base_edges
@@ -449,7 +456,7 @@ def _walk(
                 (2 * samples.strides[0], samples.itemsize),
                 writeable=False,
             )
-        k1 = min(ends[seg_idx], (k // _STEP_BLOCK + 1) * _STEP_BLOCK, first + _SAMPLE_BLOCK)
+        k1 = min(k_stop, (k // _STEP_BLOCK + 1) * _STEP_BLOCK, first + _SAMPLE_BLOCK)
         k_end = advance(context, X, k, k1, step_u[k - first : k1 - first])
         mode_arr[k:k_end] = mode
         dos_arr[k:k_end] = dos_now
@@ -615,25 +622,32 @@ def consensus_metrics(trace: SimulationTrace, cooperative=None) -> ConsensusMetr
     )
 
 
+def _segment_laplacians(trace: SimulationTrace) -> tuple:
+    """The bounds of the trace's segments, the index of each one's edge set
+    among the distinct ones, and one Laplacian per distinct edge set."""
+    index = {}
+    keys = [index.setdefault(edges, len(index)) for *_, edges, _ in trace.segments]
+    laps = np.stack([_laplacian(trace.node_count, edges) for edges in index])
+    begins = [seg[0] for seg in trace.segments]
+    ends = [seg[1] for seg in trace.segments]
+    return begins, ends, keys, laps
+
+
 def realized_disconnection_time(trace: SimulationTrace, window: float) -> float:
     """Worst-case time per window during which the realized instantaneous
-    graph was disconnected (the measurable form of the DoS budget)."""
-    disconnected = []
-    n = trace.node_count
-    for t0, t1, _, edges, _ in trace.segments:
-        if algebraic_connectivity(laplacian(Graph(n, tuple(edges)))) <= 0.0:
-            disconnected.append((t0, t1))
-    if not disconnected:
+    graph was disconnected (the measurable form of the DoS budget).  The
+    worst window starts at a disconnected segment's start or T before it,
+    clamped to [0, horizon - T]; each distinct edge set is classified once."""
+    begins, ends, keys, laps = _segment_laplacians(trace)
+    cut = (_lambda2_stack(laps) <= 0.0).tolist()
+    off = [k for k, key in enumerate(keys) if cut[key]]
+    if not off:
         return 0.0
-    starts = [max(0.0, seg[0] - window) for seg in disconnected] + [
-        seg[0] for seg in disconnected
-    ]
+    begins, ends = [begins[k] for k in off], [ends[k] for k in off]
+    last = max(trace.t[-1] - window, 0.0)
     worst = 0.0
-    horizon = trace.t[-1]
-    for t in starts:
-        t = min(max(t, 0.0), max(horizon - window, 0.0))
-        total = sum(
-            max(0.0, min(t + window, b) - max(t, a)) for a, b in disconnected
-        )
-        worst = max(worst, total)
+    for t in [max(0.0, a - window) for a in begins] + begins:
+        t = min(max(t, 0.0), last)
+        pieces = _window_pieces(begins, ends, off, t, t + window)
+        worst = max(worst, sum(d for d, _ in pieces))
     return worst

@@ -5,6 +5,12 @@ finite mode libraries with piecewise-constant switching schedules,
 connectivity in the integral ("persistently exciting") sense, and exact
 r-robustness and vertex-connectivity computation.
 
+Every window [t0, t1] is cut into pieces by ``_window_pieces``: the
+intervals of a sorted, disjoint list that overlap it are a bisect slice,
+each clipped to the window.  The PE margin cuts the schedule this way, and
+``reports.lambda2_series`` and ``dynamics.realized_disconnection_time`` cut
+a trace's realized segments.
+
 The PE margin evaluates the windows that start at 0, at horizon - T and at
 every breakpoint b and b - T in between: the window mean is affine in the
 start between those, so the minima over all starts are attained there.
@@ -164,29 +170,10 @@ class SwitchingNetwork:
             raise ValueError("schedule references unknown mode index")
         if self.horizon <= times[-1]:
             raise ValueError("horizon must exceed the last switch time")
-        # not a field: equality, hashing and the codec see ``schedule`` only
-        object.__setattr__(self, "_times", times)
 
     @property
     def node_count(self) -> int:
         return self.modes[0].node_count
-
-    def mode_at(self, t: float) -> int:
-        """Mode active at t; the first scheduled mode for t < 0."""
-        return self.schedule[max(bisect_right(self._times, t) - 1, 0)][1]
-
-    def segments(self, t0: float, t1: float):
-        """Yield ``(start, end, mode_index)`` covering [t0, t1] exactly."""
-        if t0 < -1e-12 or t1 > self.horizon + 1e-12:
-            raise ConfigurationError(
-                f"window [{t0}, {t1}] outside horizon [0, {self.horizon}]"
-            )
-        lo, hi = bisect_right(self._times, t0), bisect_left(self._times, t1)
-        cuts = [t0, *self._times[lo:hi], t1]
-        modes = [self.mode_at(t0), *(m for _, m in self.schedule[lo:hi])]
-        for a, b, m in zip(cuts, cuts[1:], modes):
-            if b > a:
-                yield a, b, m
 
 
 def static_network(g: Graph, horizon: float) -> SwitchingNetwork:
@@ -198,10 +185,18 @@ def static_network(g: Graph, horizon: float) -> SwitchingNetwork:
 # ---------------------------------------------------------------------------
 
 
+def _laplacian(n: int, edges) -> np.ndarray:
+    """L = D - A of the unit-weight ``edges`` on nodes 0..n-1, which need not
+    make a valid ``Graph`` (a 2-hop view may have one member)."""
+    a = np.zeros((n, n))
+    for i, j in edges:
+        a[i, j] = a[j, i] = 1.0
+    return np.diag(a.sum(axis=1)) - a
+
+
 def laplacian(g: Graph) -> np.ndarray:
     """Unit-weight Laplacian L = D - A; PSD with L @ 1 = 0 and ||L|| <= N."""
-    a = g.adjacency()
-    return np.diag(a.sum(axis=1)) - a
+    return _laplacian(g.node_count, g.edges)
 
 
 def projection_matrix(n: int) -> np.ndarray:
@@ -262,8 +257,15 @@ def _window_means(mats: np.ndarray, pieces, window: float) -> np.ndarray:
     return acc / window
 
 
-def _window_pieces(net: SwitchingNetwork, t: float, window: float) -> tuple:
-    return tuple((b - a, m) for a, b, m in net.segments(t, t + window))
+def _window_pieces(begins, ends, index, t0: float, t1: float) -> tuple:
+    """``(duration, index[k])`` of every interval [begins[k], ends[k]) of a
+    sorted, disjoint list that overlaps the window [t0, t1], clipped to it,
+    in order.  Those that end after t0 and begin before t1 are a slice, and
+    each of them overlaps the window by a positive duration."""
+    lo, hi = bisect_right(ends, t0), bisect_left(begins, t1)
+    return tuple(
+        (min(t1, ends[k]) - max(t0, begins[k]), index[k]) for k in range(lo, hi)
+    )
 
 
 def _window_starts(net: SwitchingNetwork, window: float):
@@ -329,8 +331,16 @@ def pe_margin(net: SwitchingNetwork, window: float) -> PEReport:
     n = net.node_count
     q = projection_matrix(n)
     laps = np.stack([laplacian(g) for g in net.modes])
+    begins = [t for t, _ in net.schedule]
+    # the last mode lasts: a window that ends an ulp past the horizon keeps
+    # its whole last piece
+    ends = [*begins[1:], math.inf]
+    modes = [m for _, m in net.schedule]
     # equal piece lists give bitwise-equal means: key each start by its own
-    keys = [_window_pieces(net, t, window) for t in _window_starts(net, window)]
+    keys = [
+        _window_pieces(begins, ends, modes, t, t + window)
+        for t in _window_starts(net, window)
+    ]
     distinct = list(dict.fromkeys(keys))
     lam_mins, lam2s = [], []
     min_weights = np.full((n, n), math.inf)

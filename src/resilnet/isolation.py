@@ -50,9 +50,11 @@ from .dynamics import (
 from .errors import ConfigurationError
 from .graphs import Graph, SwitchingNetwork, pe_margin, remove_nodes, PEReport
 from .observers import (
+    STRUCTURED_K1,
     ObserverGain,
     ObserverState,
     ThresholdRule,
+    TwoHopView,
     _view_key,
     design_gain,
     gain_matrix,
@@ -79,21 +81,19 @@ class DetectorSettings:
     model changes, members kept in its view keep their estimates, members
     back within ``observers.RETAIN_GRACE`` get their cached positions back
     and new members are mask-filled; the analytic threshold restarts from
-    that time.  The reinit error budget is ``_auto_w_budget``'s.
+    that time.  The reinit error budget is ``_auto_w_budget``'s, and an
+    uncertified gain is ``gain_matrix`` at k1 = ``STRUCTURED_K1``.
     """
 
     threshold: ThresholdRule = ThresholdRule(kind="constant", value=0.95)
     pe_window: float = 1.0
-    gain_k1: float = 0.3
-    gain_kc: float = 1.5
     residual_log_stride: int = 10
 
     def __post_init__(self):
         if self.residual_log_stride < 1:
             raise ValueError("residual_log_stride must be >= 1")
-        for name in ("gain_k1", "gain_kc", "pe_window"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+        if not 0 < self.pe_window < math.inf:
+            raise ValueError("pe_window must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,12 +181,14 @@ def _auto_w_budget(problem: RescueProblem, consts: StabilityConstants | None) ->
     return max(2.0 * v0, float(np.sqrt(n)) * consts.kappa_x * x0)
 
 
-def _observer_step_matrices(a_bar: np.ndarray, h_gain: np.ndarray, h: float) -> tuple:
-    """(R_o, F0, F1) of x^' = A_bar x^ + H y(t) with y linear across a step of
-    length h: x^+ = R_o x^ + F0 y_start + F1 y_end is the RK4 step of
-    ``ObserverState.step``.  The midpoint measurement (y_start + y_end)/2
-    splits Gm evenly: F0 = (G0 + Gm/2) H and F1 = (G1 + Gm/2) H."""
-    r, g0, gm = _rk4_matrices(a_bar, h)
+def _observer_step_matrices(view: TwoHopView, gain: ObserverGain, h: float) -> tuple:
+    """(R_o, F0, F1) of x^' = A_bar x^ + H y(t), A_bar = A - H C, with y
+    linear across a step of length h: x^+ = R_o x^ + F0 y_start + F1 y_end is
+    the RK4 step of ``ObserverState.step``.  The midpoint measurement
+    (y_start + y_end)/2 splits Gm evenly: F0 = (G0 + Gm/2) H and
+    F1 = (G1 + Gm/2) H."""
+    h_gain = gain.h_matrix
+    r, g0, gm = _rk4_matrices(view.a_model - h_gain @ view.c_meas, h)
     half = gm / 2.0
     return r, (g0 + half) @ h_gain, (h / 6.0) * h_gain + half @ h_gain
 
@@ -384,14 +386,13 @@ def run_rescue(problem: RescueProblem) -> RescueResult:
             # a certified design depends on the whole model, the structured
             # gain only on the view size
             if certified:
-                gain = design_gain(view, k_consensus=settings.gain_kc)
+                gain = design_gain(view)
             else:
                 gain = gain_cache.get(view.size)
                 if gain is None:
-                    h_matrix = gain_matrix(view, settings.gain_k1, settings.gain_kc)
+                    h_matrix = gain_matrix(view, STRUCTURED_K1)
                     gain = gain_cache[view.size] = ObserverGain(h_matrix, None, None, None)
-            a_bar = view.a_model - gain.h_matrix @ view.c_meas
-            entry = views[key] = (view, gain, _observer_step_matrices(a_bar, gain.h_matrix, h))
+            entry = views[key] = (view, gain, _observer_step_matrices(view, gain, h))
         return entry
 
     def on_edges(edges, t, x):

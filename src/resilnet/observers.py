@@ -17,9 +17,13 @@ import numpy as np
 
 from .dynamics import Gains
 from .errors import ConfigurationError, DesignFailureError
-from .graphs import RANK_RTOL, Graph, khop_neighbors
+from .graphs import RANK_RTOL, Graph, _laplacian, khop_neighbors
 
 GAIN_LADDER = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0)
+# k1 of the structured gain of a detector without a certified design, and
+# the consensus-direction weight k_c of every structured gain
+STRUCTURED_K1 = 0.3
+K_CONSENSUS = 1.5
 HURWITZ_MARGIN = 0.1
 # Newton steps allowed to the Lyapunov sign iteration; with determinant
 # scaling the observer matrices reach -I in about ten
@@ -73,27 +77,18 @@ def view_members(g: Graph, owner: int) -> tuple:
 
 
 def _model_blocks(g: Graph, owner: int):
-    one = khop_neighbors(g, owner, 1)
     members = view_members(g, owner)
-    member_set = set(members)
     index = {v: k for k, v in enumerate(members)}
-    m = len(members)
     # the model keeps only the edges the owner can infer: its own star,
     # edges among 1-hop neighbors and from 1-hop out to 2-hop nodes -- never
     # edges between two strictly-2-hop nodes
-    l_model = np.zeros((m, m))
-    two_only = member_set - {owner} - set(one)
-    for u, w in g.edges:
-        if u not in member_set or w not in member_set:
-            continue
-        if u in two_only and w in two_only:
-            continue
-        a, b = index[u], index[w]
-        l_model[a, a] += 1.0
-        l_model[b, b] += 1.0
-        l_model[a, b] -= 1.0
-        l_model[b, a] -= 1.0
-    return members, l_model
+    two_only = set(members) - {owner} - khop_neighbors(g, owner, 1)
+    edges = [
+        (index[u], index[w])
+        for u, w in g.edges
+        if u in index and w in index and not (u in two_only and w in two_only)
+    ]
+    return members, _laplacian(len(members), edges)
 
 
 def _view_key(g: Graph, owner: int) -> tuple:
@@ -148,8 +143,9 @@ class ObserverGain:
     spectral_abscissa: float | None
 
 
-def gain_matrix(view: TwoHopView, k1: float, k_consensus: float = 1.5) -> np.ndarray:
-    """Structured gain [[0, 0], [H, k1 e1]] with H = k1 I + k_c 11^T/|I|.
+def gain_matrix(view: TwoHopView, k1: float) -> np.ndarray:
+    """Structured gain [[0, 0], [H, k1 e1]] with H = k1 I + k_c 11^T/|I|,
+    k_c = ``K_CONSENSUS``.
 
     H is symmetric PD; the rank-one term damps the shared (consensus
     direction) estimation error much faster than the per-node terms, which
@@ -158,7 +154,7 @@ def gain_matrix(view: TwoHopView, k1: float, k_consensus: float = 1.5) -> np.nda
     """
     m = view.size
     h = np.zeros((2 * m, m + 1))
-    h[m:, :m] = k1 * np.eye(m) + k_consensus * np.ones((m, m)) / m
+    h[m:, :m] = k1 * np.eye(m) + K_CONSENSUS * np.ones((m, m)) / m
     h[m, m] = k1
     return h
 
@@ -225,12 +221,12 @@ def decay_envelope(a_bar: np.ndarray) -> tuple:
     return kappa_e, lambda_e
 
 
-def design_gain(view: TwoHopView, k_consensus: float = 1.5) -> ObserverGain:
+def design_gain(view: TwoHopView) -> ObserverGain:
     """Deterministic gain design: escalate k1 until the Hurwitz margin
     ``HURWITZ_MARGIN`` holds, then certify the decay envelope via the
     Lyapunov route."""
     for k1 in GAIN_LADDER:
-        h = gain_matrix(view, k1, k_consensus)
+        h = gain_matrix(view, k1)
         a_bar = view.a_model - h @ view.c_meas
         abscissa = float(np.max(np.linalg.eigvals(a_bar).real))
         if abscissa <= -HURWITZ_MARGIN:
@@ -287,10 +283,6 @@ class ObserverState:
         self.x_hat = np.zeros(2 * view.size)
         self.last_model_change = float(t0)
         self._departed: dict = {}
-        self._refresh_propagators()
-
-    def _refresh_propagators(self):
-        self._a_bar = self.view.a_model - self.gain.h_matrix @ self.view.c_meas
 
     def reconfigure(self, view: TwoHopView, gain: ObserverGain, t: float, keep_state: bool = False):
         """Swap in the model of a new mode at time ``t``, the model's t_k.
@@ -306,7 +298,6 @@ class ObserverState:
         if not keep_state:
             self.x_hat = np.zeros(2 * view.size)
         self.last_model_change = float(t)
-        self._refresh_propagators()
 
     def reinit(self, y: np.ndarray, t: float):
         """Masked restart: copy measured positions and the owner's velocity,
@@ -355,7 +346,6 @@ class ObserverState:
         self.gain = gain
         self.x_hat = x
         self.last_model_change = float(t)
-        self._refresh_propagators()
 
     def step(self, y_start: np.ndarray, h: float, y_end: np.ndarray | None = None):
         """One RK4 step of x^dot = A x^ + H (y - C x^).
@@ -366,7 +356,8 @@ class ObserverState:
         if y_end is None:
             y_end = y_start
         y_mid = 0.5 * (y_start + y_end)
-        a, hm = self._a_bar, self.gain.h_matrix
+        hm = self.gain.h_matrix
+        a = self.view.a_model - hm @ self.view.c_meas
         x = self.x_hat
         k1 = a @ x + hm @ y_start
         k2 = a @ (x + 0.5 * h * k1) + hm @ y_mid

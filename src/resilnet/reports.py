@@ -16,7 +16,6 @@ float as its integer, so the bytes are those of the per-cell ``fmt``, which
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -24,6 +23,7 @@ import numpy as np
 
 from .dynamics import (
     SimulationTrace,
+    _segment_laplacians,
     consensus_metrics,
     realized_disconnection_time,
     simulate,
@@ -31,12 +31,11 @@ from .dynamics import (
 from .errors import ConfigurationError
 from .graphs import (
     _WINDOW_WORK,
-    Graph,
     _lambda2_stack,
     _window_means,
+    _window_pieces,
     adversary_classification,
     check_bound_chain,
-    laplacian,
     pe_margin,
     R_ROBUSTNESS_EXACT_CAP,
     remove_nodes,
@@ -148,26 +147,15 @@ def lambda2_series(trace: SimulationTrace, window: float, points: int = 200):
     if horizon < window:
         return np.array([]), np.array([])
     n = trace.node_count
-    # one Laplacian per distinct edge set, indexed by the segments
-    index = {}
-    segments = [
-        (a, b, index.setdefault(edges, len(index))) for a, b, _, edges, _ in trace.segments
-    ]
-    laps = np.stack([laplacian(Graph(n, tuple(edges))) for edges in index])
-    # segments are consecutive: those that end after t0 and start before t1
-    # are a slice
-    begins, ends = [a for a, _, _ in segments], [b for _, b, _ in segments]
+    begins, ends, keys, laps = _segment_laplacians(trace)
     starts = np.linspace(0.0, horizon - window, points)
     out = np.empty(points)
     block = max(1, _WINDOW_WORK // (n * n))
     for first in range(0, points, block):
-        pieces = []
-        for t0 in starts[first : first + block].tolist():
-            t1 = t0 + window
-            near = segments[bisect_right(ends, t0) : bisect_left(begins, t1)]
-            pieces.append(
-                [(min(b, t1) - max(a, t0), k) for a, b, k in near if min(b, t1) > max(a, t0)]
-            )
+        pieces = [
+            _window_pieces(begins, ends, keys, t0, t0 + window)
+            for t0 in starts[first : first + block].tolist()
+        ]
         out[first : first + block] = _lambda2_stack(_window_means(laps, pieces, window))
     return starts, out
 

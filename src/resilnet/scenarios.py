@@ -350,8 +350,6 @@ def generate_example1(seed: int = 0) -> ScenarioConfig:
         detector=DetectorSettings(
             threshold=ThresholdRule(kind="constant", value=0.95),
             pe_window=1.0,
-            gain_k1=0.3,
-            gain_kc=1.5,
             residual_log_stride=10,
         ),
         step_h=1e-3,

@@ -39,18 +39,11 @@ def collective_measurement_matrix(g: Graph, malicious) -> np.ndarray:
     return np.array(rows)
 
 
-def attack_input_matrix(n: int, malicious) -> np.ndarray:
-    b = np.zeros((2 * n, len(tuple(malicious))))
-    for k, a in enumerate(sorted(malicious)):
-        b[n + a, k] = 1.0
-    return b
-
-
 def pencil_matrix(g: Graph, suspected, gains: Gains, lam: complex) -> np.ndarray:
     """Single-mode pencil [[lambda I - A, -B], [C, 0]]."""
     n = g.node_count
     a = closed_loop_matrix(g, gains)
-    b = attack_input_matrix(n, suspected)
+    b = malicious_velocity_span(n, suspected)
     c = collective_measurement_matrix(g, suspected)
     top = np.hstack([lam * np.eye(2 * n) - a, -b])
     bottom = np.hstack([c, np.zeros((c.shape[0], b.shape[1]))])
@@ -174,7 +167,7 @@ def zero_dynamics_search(
     candidates = [complex(z) for z in np.linalg.eigvals(a)]
     # random square projection of the rectangular pencil lam*E - G; spurious
     # eigenvalues are weeded out by verifying against the full pencil
-    b = attack_input_matrix(n, suspected)
+    b = malicious_velocity_span(n, suspected)
     c = collective_measurement_matrix(g, suspected)
     rows = 2 * n + c.shape[0]
     cols = 2 * n + b.shape[1]
@@ -208,7 +201,7 @@ def measurement_kernel(modes, malicious) -> np.ndarray:
 
 def malicious_velocity_span(n: int, malicious) -> np.ndarray:
     """span{ col(0_N, e_i) : i malicious } -- the states no cooperative agent
-    ever measures."""
+    ever measures, and the input matrix B of the malicious injections."""
     basis = np.zeros((2 * n, len(tuple(malicious))))
     for k, a in enumerate(sorted(malicious)):
         basis[n + a, k] = 1.0

@@ -19,7 +19,14 @@ from resilnet.isolation import (
     _auto_w_budget,
     _observer_step_matrices,
 )
-from resilnet.observers import ObserverGain, ObserverState, design_gain, gain_matrix, two_hop_view
+from resilnet.observers import (
+    STRUCTURED_K1,
+    ObserverGain,
+    ObserverState,
+    design_gain,
+    gain_matrix,
+    two_hop_view,
+)
 
 
 def per_step(step, removed=None):
@@ -131,10 +138,9 @@ def rebuild_all_rescue(problem):
         key = (view.owner, view.a_model.tobytes()) if certified else view.size
         if key not in gain_cache:
             if certified:
-                gain_cache[key] = design_gain(view, k_consensus=settings.gain_kc)
+                gain_cache[key] = design_gain(view)
             else:
-                h_matrix = gain_matrix(view, settings.gain_k1, settings.gain_kc)
-                gain_cache[key] = ObserverGain(h_matrix, None, None, None)
+                gain_cache[key] = ObserverGain(gain_matrix(view, STRUCTURED_K1), None, None, None)
         return gain_cache[key]
 
     def on_edges(edges, t, x):
@@ -162,7 +168,7 @@ def rebuild_all_rescue(problem):
                 obs.remap(view, gain, view.measure(x[:n], x[n:]), t)
             key = (obs.view.a_model.tobytes(), obs.gain.h_matrix.tobytes())
             if key not in step_cache:
-                step_cache[key] = _observer_step_matrices(obs._a_bar, obs.gain.h_matrix, h)
+                step_cache[key] = _observer_step_matrices(obs.view, obs.gain, h)
             step_matrices[i] = step_cache[key]
         banks.append(
             _ObserverBank(

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from resilnet.dynamics import (
     _attackers,
     _plant_matrices,
     _walk,
+    build_edge_timeline,
     closed_loop_matrix,
     consensus_metrics,
     output_series,
@@ -28,7 +30,16 @@ from resilnet.dynamics import (
     stability_constants,
 )
 from resilnet.errors import ConfigurationError
-from resilnet.graphs import Graph, complete_graph, path_graph, static_network, pe_margin
+from resilnet.graphs import (
+    Graph,
+    SwitchingNetwork,
+    algebraic_connectivity,
+    complete_graph,
+    laplacian,
+    path_graph,
+    pe_margin,
+    static_network,
+)
 from resilnet.scenarios import (
     generate_example1,
     materialize,
@@ -376,3 +387,139 @@ def test_realized_disconnection_time():
     bounds = [seg[:2] for seg in trace.segments]
     assert all(b == a for (_, b), (a, _) in zip(bounds, bounds[1:]))
     assert bounds[0][0] == 0.0 and bounds[-1][1] == trace.t[-1]
+
+
+def _float_edge_timeline(net, dos, horizon, step_h):
+    """``build_edge_timeline`` as it was in float time: cuts at the schedule
+    breakpoints and the snapped DoS bounds, each entry's mode and DoS
+    sub-interval looked up at its midpoint, the latter within 1e-12."""
+    union_edges = set()
+    for g in net.modes:
+        union_edges.update(g.edges)
+    drops = dos.realize(sorted(union_edges), horizon) if dos is not None else ()
+    cuts = {0.0, horizon}
+    cuts.update(t for t, _ in net.schedule if t < horizon)
+    for a, b, _ in drops:
+        for x in (a, b):
+            snapped = round(x / step_h) * step_h
+            if 0.0 < snapped < horizon:
+                cuts.add(snapped)
+    cuts = sorted(cuts)
+    times = [t for t, _ in net.schedule]
+    timeline = []
+    for a, b in zip(cuts, cuts[1:]):
+        mid = 0.5 * (a + b)
+        mode = net.schedule[max(bisect_right(times, mid) - 1, 0)][1]
+        edges = set(net.modes[mode].edges)
+        dos_now = False
+        for d0, d1, dropped in drops:
+            if d0 - 1e-12 <= mid <= d1 + 1e-12:
+                dos_now = True
+                edges -= dropped
+                break
+        timeline.append((a, b, mode, frozenset(edges), dos_now))
+    return tuple(timeline)
+
+
+def _segment_realized_disconnection_time(trace, window):
+    """``realized_disconnection_time`` as it was: one eigensolve per
+    segment, and every disconnected segment summed for every window."""
+    disconnected = []
+    n = trace.node_count
+    for t0, t1, _, edges, _ in trace.segments:
+        if algebraic_connectivity(laplacian(Graph(n, tuple(edges)))) <= 0.0:
+            disconnected.append((t0, t1))
+    if not disconnected:
+        return 0.0
+    starts = [max(0.0, seg[0] - window) for seg in disconnected] + [
+        seg[0] for seg in disconnected
+    ]
+    worst = 0.0
+    horizon = trace.t[-1]
+    for t in starts:
+        t = min(max(t, 0.0), max(horizon - window, 0.0))
+        total = sum(
+            max(0.0, min(t + window, b) - max(t, a)) for a, b in disconnected
+        )
+        worst = max(worst, total)
+    return worst
+
+
+def _random_dos(rng, horizon, h, edges):
+    """Explicit and random DoS intervals at off-grid bounds, some shorter
+    than a step, with random trials shorter than a step and intervals that
+    start where the previous one ends."""
+    intervals = []
+    t = rng.uniform(0.0, 0.2 * horizon)
+    while t < horizon:
+        if rng.random() < 0.5:
+            sub_step = rng.random() < 0.3
+            duration = rng.uniform(0.05, 0.95) * h if sub_step else rng.uniform(h, 0.3 * horizon)
+            size = min(len(edges), int(rng.integers(1, 4)))
+            picks = rng.choice(len(edges), size=size, replace=False)
+            dropped = tuple(edges[int(p)] for p in picks)
+            intervals.append(DoSInterval(t, duration, dropped_edges=dropped))
+        else:
+            trials = int(rng.integers(1, 40))
+            dt = rng.uniform(0.2, 0.95) * h if rng.random() < 0.4 else rng.uniform(h, 5 * h)
+            spec = DoSRandomSpec(trials, rng.uniform(0.3, 1.0), int(rng.integers(2**31)))
+            intervals.append(DoSInterval(t, trials * dt, random=spec))
+            duration = trials * dt
+        gap = 0.0 if rng.random() < 0.3 else rng.uniform(0.0, 0.2 * horizon)
+        t = t + duration + gap
+    return DoSSchedule(tuple(intervals))
+
+
+def _random_timeline_case(rng):
+    """A switching network on the 0.01 grid, a DoS document for it and a
+    walk of a whole number of steps no longer than the network."""
+    h = 0.01
+    n = int(rng.integers(3, 7))
+    modes = tuple(
+        random_connected_graph(rng, n, rng.uniform(0.0, 0.7))
+        for _ in range(int(rng.integers(1, 4)))
+    )
+    steps = int(rng.integers(20, 400))
+    grid = np.arange(1, steps + 40)
+    cuts = sorted(rng.choice(grid, size=int(rng.integers(0, 12)), replace=False))
+    schedule = [(0.0, int(rng.integers(len(modes))))]
+    schedule += [(int(k) * h, int(rng.integers(len(modes)))) for k in cuts]
+    net = SwitchingNetwork(modes, tuple(schedule), (steps + 40) * h)
+    union = sorted(set().union(*(g.edges for g in modes)) | {(0, n - 1)})
+    return net, _random_dos(rng, steps * h, h, union), steps, h
+
+
+def _per_step(entries, steps, to_step):
+    """Each step's (mode, edges, dos flag) from timeline entries."""
+    out = [None] * steps
+    for a, b, mode, edges, flag in entries:
+        for k in range(to_step(a), to_step(b)):
+            out[k] = (mode, edges, flag)
+    return out
+
+
+def test_step_timeline_matches_float_timeline(rng):
+    for _ in range(120):
+        net, dos, steps, h = _random_timeline_case(rng)
+        got = build_edge_timeline(net, dos, steps, h)
+        want = _float_edge_timeline(net, dos, steps * h, h)
+        # the entries tile the steps, and each one begins at a float cut
+        assert got[0][0] == 0 and got[-1][1] == steps
+        assert all(a[1] == b[0] for a, b in zip(got, got[1:]))
+        assert all(k0 < k1 for k0, k1, *_ in got)
+        assert {k0 for k0, *_ in got} <= {round(a / h) for a, *_ in want}
+        assert _per_step(got, steps, int) == _per_step(want, steps, lambda t: round(t / h))
+        assert got[-1][2:] == want[-1][2:]
+
+
+def test_realized_disconnection_time_matches_per_segment_sum(rng):
+    gains = Gains(1.0, 2.0)
+    for _ in range(40):
+        net, dos, steps, h = _random_timeline_case(rng)
+        n = net.node_count
+        init = SystemState(rng.uniform(-1, 1, n), np.zeros(n))
+        trace = simulate(net, gains, init, dos=dos, step_h=h, horizon=steps * h)
+        for window in (0.05, 0.5, steps * h, 2.0 * steps * h):
+            got = realized_disconnection_time(trace, window)
+            want = _segment_realized_disconnection_time(trace, window)
+            assert float(got).hex() == float(want).hex()

@@ -103,12 +103,29 @@ def test_projection_matrix_rejects_small_n():
         projection_matrix(1)
 
 
+def _scan_mode_at(net, t):
+    """The mode active at t by a linear scan of the schedule, the first
+    scheduled mode for t < 0."""
+    mode = net.schedule[0][1]
+    for start, m in net.schedule:
+        if start > t:
+            break
+        mode = m
+    return mode
+
+
+def _scan_segments(net, t0, t1):
+    """``(start, end, mode)`` pieces covering [t0, t1], by linear scans."""
+    cuts = [t0] + [t for t, _ in net.schedule if t0 < t < t1] + [t1]
+    return [(a, b, _scan_mode_at(net, a)) for a, b in itertools.pairwise(cuts) if b > a]
+
+
 def _window_mean(net, build, t, window):
     """(1/T) * integral over [t, t+T] of ``build(mode)``, summed segment by
     segment."""
     n = net.node_count
     acc = np.zeros((n, n))
-    for a, b, m in net.segments(t, t + window):
+    for a, b, m in _scan_segments(net, t, t + window):
         acc += (b - a) * build(net.modes[m])
     return acc / window
 
@@ -131,12 +148,6 @@ def test_integral_laplacian_two_modes_mean():
     assert np.allclose(integral_laplacian(net, 0.0, 2.0), want, atol=1e-12)
 
 
-def test_integral_laplacian_window_out_of_range():
-    net = static_network(path_graph(4), 5.0)
-    with pytest.raises(ConfigurationError):
-        integral_laplacian(net, 4.0, 2.0)
-
-
 def test_disconnected_modes_connected_in_integral_sense():
     # each mode alone is disconnected; their union is a path
     g1 = Graph(4, ((0, 1), (2, 3)))
@@ -155,6 +166,9 @@ def test_pe_margin_static_connected_equals_lambda2():
     assert report.mu == pytest.approx(5.0, abs=1e-9)
     assert report.lambda2_integral == pytest.approx(5.0, abs=1e-9)
     assert report.effective_graph.edges == g.edges
+    # no window longer than the horizon
+    with pytest.raises(ConfigurationError, match="shorter than the PE window"):
+        pe_margin(static_network(g, 4.0), 4.5)
 
 
 def test_pe_margin_static_disconnected_zero():
@@ -302,47 +316,16 @@ def test_pe_margin_matches_per_window_loop_many_distinct_windows(monkeypatch):
     cuts = np.sort(rng.uniform(0.0, 20.0, 45))
     schedule = [(0.0, 1)] + [(float(t), int(rng.integers(4))) for t in cuts]
     net = SwitchingNetwork(modes, tuple(schedule), 20.0)
-    pieces = {_window_pieces(net, t, 1.0) for t in _window_starts(net, 1.0)}
+    times = [t for t, _ in net.schedule]
+    modes = [m for _, m in net.schedule]
+    ends = [*times[1:], math.inf]
+    pieces = {
+        _window_pieces(times, ends, modes, t, t + 1.0) for t in _window_starts(net, 1.0)
+    }
     assert len(pieces) > 32
     for windows in (1, 32, graphs._WINDOW_WORK // 36):
         monkeypatch.setattr(graphs, "_WINDOW_WORK", windows * 36)
         _assert_pe_margin_matches_reference(net, 1.0)
-
-
-def _scan_mode_at(net, t):
-    """The linear scan that ``mode_at`` replaced, starting from the first
-    scheduled mode (the scan started from mode index 0)."""
-    mode = net.schedule[0][1]
-    for start, m in net.schedule:
-        if start > t:
-            break
-        mode = m
-    return mode
-
-
-def _scan_segments(net, t0, t1):
-    cuts = [t0] + [t for t, _ in net.schedule if t0 < t < t1] + [t1]
-    return [(a, b, _scan_mode_at(net, a)) for a, b in itertools.pairwise(cuts) if b > a]
-
-
-def test_mode_at_and_segments_match_linear_scan(rng):
-    for _ in range(30):
-        count = int(rng.integers(1, 40))
-        cuts = np.sort(rng.choice(np.arange(1, 400), count - 1, replace=False)) * 0.05
-        schedule = [(0.0, int(rng.integers(1, 4)))] + [(float(t), int(rng.integers(4))) for t in cuts]
-        net = SwitchingNetwork(tuple(path_graph(3) for _ in range(4)), tuple(schedule), 20.5)
-        times = [t for t, _ in schedule]
-        probes = [-5e-13, 20.5, *rng.uniform(0.0, 20.5, 20)]
-        for t in times:
-            probes += [t, np.nextafter(t, -math.inf), np.nextafter(t, math.inf)]
-        for t in probes:
-            assert net.mode_at(t) == _scan_mode_at(net, t)
-        assert net.mode_at(-5e-13) == schedule[0][1] != 0
-        for _ in range(40):
-            t0, t1 = sorted(rng.choice(probes, 2))
-            t0 = max(t0, -5e-13)
-            assert list(net.segments(t0, t1)) == _scan_segments(net, t0, t1)
-        assert list(net.segments(-5e-13, 20.5))[0][2] == schedule[0][1]
 
 
 def test_pe_margin_many_breakpoints_fast():

@@ -36,6 +36,7 @@ from resilnet.isolation import (
     run_rescue,
 )
 from resilnet.observers import (
+    STRUCTURED_K1,
     ObserverGain,
     ObserverState,
     ThresholdRule,
@@ -176,9 +177,8 @@ def _per_agent_rescue(problem):
 
     def gain_of(view):
         if certified:
-            return design_gain(view, k_consensus=settings.gain_kc)
-        h_matrix = gain_matrix(view, settings.gain_k1, settings.gain_kc)
-        return ObserverGain(h_matrix, None, None, None)
+            return design_gain(view)
+        return ObserverGain(gain_matrix(view, STRUCTURED_K1), None, None, None)
 
     def on_edges(edges, t, x):
         graph = Graph(n, tuple(sorted(edges)))
@@ -352,7 +352,7 @@ def _one_bank(rule, consts=None, gain=None, t0=0.0):
     """A bank of detector 0 on K4, testing its three neighbors."""
     view = two_hop_view(K4, 0, GAINS)
     obs = ObserverState(view, gain or design_gain(view), 1.0, t0)
-    mats = _observer_step_matrices(obs._a_bar, obs.gain.h_matrix, 1e-3)
+    mats = _observer_step_matrices(obs.view, obs.gain, 1e-3)
     settings = DetectorSettings(threshold=rule)
     return _ObserverBank((0,), {0: obs}, {0: mats}, {0: (1, 2, 3)}, 4, settings, 1e-3, consts, 1.0)
 
@@ -404,11 +404,7 @@ def test_bank_analytic_thresholds_match_evaluate(rng, monkeypatch):
 def test_detector_settings_validation():
     nan, inf = float("nan"), float("inf")
     bad = [
-        *(
-            {name: value}
-            for name in ("gain_k1", "gain_kc", "pe_window")
-            for value in (0.0, -1.0, nan, inf)
-        ),
+        *({"pe_window": value} for value in (0.0, -1.0, nan, inf)),
         {"residual_log_stride": 0},
     ]
     for kwargs in bad:

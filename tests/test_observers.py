@@ -226,7 +226,7 @@ def test_design_gain_certifies_envelope(rng):
 
 def test_gain_matrix_structure():
     view = two_hop_view(complete_graph(4), 1, GAINS)
-    h = gain_matrix(view, 0.5, 2.0)
+    h = gain_matrix(view, 0.5)
     m = view.size
     assert np.count_nonzero(h[:m]) == 0
     block = h[m:, :m]

@@ -162,15 +162,16 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-def test_rescue_cli_mutation_sweep(tmp_path, capsys):
-    # ``resilnet rescue`` in-process on every mutated document: exit 0 with
-    # a JSON report or exit 2 with a categorized JSON error, no traceback
+@pytest.mark.parametrize("verb", ["rescue", "simulate", "analyze-graph"])
+def test_cli_mutation_sweep(verb, tmp_path, capsys):
+    # the verb in-process on every mutated document: exit 0 with a JSON
+    # report or exit 2 with a categorized JSON error, no traceback
     config, out = tmp_path / "scenario.json", tmp_path / "out"
     codes = []
 
-    def rescue(d):
+    def run(d):
         config.write_text(json.dumps(d))
-        code = main(["rescue", "--config", str(config), "--out", str(out)])
+        code = main([verb, "--config", str(config), "--out", str(out)])
         captured = capsys.readouterr()
         codes.append(code)
         if code == 0:
@@ -179,7 +180,7 @@ def test_rescue_cli_mutation_sweep(tmp_path, capsys):
             error = _strict_json(captured.err)
             assert code == 2 and error["error"] and "message" in error, (code, captured.err)
 
-    assert not _mutation_sweep(rescue)
+    assert not _mutation_sweep(run)
     # both outcomes occur
     assert set(codes) == {0, 2}
 
