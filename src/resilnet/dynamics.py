@@ -238,13 +238,21 @@ class DoSSchedule:
 # ---------------------------------------------------------------------------
 
 
+def _closed_loop(lap: np.ndarray, gains: Gains) -> np.ndarray:
+    """[[0, I], [-alpha L, -gamma I]] of the Laplacian ``lap``."""
+    n = len(lap)
+    a = np.zeros((2 * n, 2 * n))
+    a[:n, n:] = np.eye(n)
+    # the lower blocks are products assigned whole: their zeros are -0.0
+    a[n:, :n] = -gains.alpha * lap
+    a[n:, n:] = -gains.gamma * np.eye(n)
+    return a
+
+
 def closed_loop_matrix(g: Graph, gains: Gains) -> np.ndarray:
     """A_sigma = [[0, I], [-alpha L, -gamma I]]; col(1, 0) is always in its
     nullspace."""
-    n = g.node_count
-    top = np.hstack([np.zeros((n, n)), np.eye(n)])
-    bottom = np.hstack([-gains.alpha * laplacian(g), -gains.gamma * np.eye(n)])
-    return np.vstack([top, bottom])
+    return _closed_loop(laplacian(g), gains)
 
 
 # ---------------------------------------------------------------------------
@@ -636,8 +644,12 @@ def _segment_laplacians(trace: SimulationTrace) -> tuple:
 def realized_disconnection_time(trace: SimulationTrace, window: float) -> float:
     """Worst-case time per window during which the realized instantaneous
     graph was disconnected (the measurable form of the DoS budget).  The
-    worst window starts at a disconnected segment's start or T before it,
-    clamped to [0, horizon - T]; each distinct edge set is classified once."""
+    worst window starts at a disconnected segment's start, clamped to
+    [0, horizon - T]: the disconnected time of [t, t + T) has slope
+    1[t + T off] - 1[t off] in t, so it does not fall from a connected t up
+    to the next disconnected start (or horizon - T) and does not rise from
+    a disconnected t back to its segment's start.  Each distinct edge set is
+    classified once."""
     begins, ends, keys, laps = _segment_laplacians(trace)
     cut = (_lambda2_stack(laps) <= 0.0).tolist()
     off = [k for k, key in enumerate(keys) if cut[key]]
@@ -646,8 +658,8 @@ def realized_disconnection_time(trace: SimulationTrace, window: float) -> float:
     begins, ends = [begins[k] for k in off], [ends[k] for k in off]
     last = max(trace.t[-1] - window, 0.0)
     worst = 0.0
-    for t in [max(0.0, a - window) for a in begins] + begins:
-        t = min(max(t, 0.0), last)
+    for t in begins:
+        t = min(t, last)
         pieces = _window_pieces(begins, ends, off, t, t + window)
         worst = max(worst, sum(d for d, _ in pieces))
     return worst

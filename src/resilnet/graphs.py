@@ -597,25 +597,16 @@ def remove_nodes(net: SwitchingNetwork, removed) -> ReducedNetwork:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CertifiedGraph:
-    """Graph plus the r-robustness certificate earned by its construction."""
-
-    graph: Graph
-    certified_r: int
-    seed_clique: int
-    attachment_order: tuple
-
-
 def generate_r_robust_preferential(
     n: int, r: int, seed, max_degree: int | None = None
-) -> CertifiedGraph:
+) -> Graph:
     """Grow an r-robust graph by preferential attachment from a K_{2r+1} seed.
 
     Each added node attaches to r distinct existing nodes drawn with
     probability proportional to degree, which preserves r-robustness of the
-    seed clique; the certificate removes any need for enumeration.  An
-    optional degree cap redirects attachments away from saturated nodes.
+    seed clique, so the returned graph is certified r-robust by construction
+    without enumeration.  An optional degree cap redirects attachments away
+    from saturated nodes.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -627,7 +618,6 @@ def generate_r_robust_preferential(
     rng = np.random.default_rng(seed)
     edges = set(itertools.combinations(range(clique), 2))
     degree = [clique - 1] * clique + [0] * (n - clique)
-    attachments = []
     for new in range(clique, n):
         eligible = [
             v
@@ -643,13 +633,7 @@ def generate_r_robust_preferential(
             edges.add((min(v, new), max(v, new)))
             degree[v] += 1
             degree[new] += 1
-        attachments.append((new, tuple(sorted(int(c) for c in chosen))))
-    return CertifiedGraph(
-        graph=Graph(n, tuple(sorted(edges))),
-        certified_r=r,
-        seed_clique=clique,
-        attachment_order=tuple(attachments),
-    )
+    return Graph(n, tuple(sorted(edges)))
 
 
 def adversary_classification(g: Graph, malicious) -> tuple:

@@ -485,14 +485,10 @@ def isolation_complete(run: RescueRun, effective: Graph) -> bool:
 @dataclass(frozen=True)
 class DPMSRConfig:
     f_max: int
-    sample_time: float = 1e-3
-    gains: Gains = field(default_factory=lambda: Gains(alpha=1.0, gamma=3.0))
 
     def __post_init__(self):
         if self.f_max < 0:
             raise ValueError("f_max must be >= 0")
-        if self.sample_time <= 0:
-            raise ValueError("sample_time must be positive")
 
 
 def _trimmed_control(p, v, nbrs, i: int, f: int, gains: Gains):
@@ -514,15 +510,17 @@ def dp_msr_run(problem: RescueProblem, cfg: DPMSRConfig) -> SimulationTrace:
     trimming: each cooperative agent sorts its neighbors' relative-position
     values, discards the f_max largest and smallest, and applies the control
     to the remainder.  Malicious agents run the untrimmed protocol plus their
-    injection.  A block of steps runs on Python floats: one ``tolist()`` of
-    its first state and one of its injections, and its rows written back at
-    once."""
+    injection.  The hold lasts the problem's ``step_h`` and the control uses
+    its ``gains``, so the run sees the network, attacks and realized DoS of
+    ``simulate`` and ``run_rescue`` on the same problem.  A block of steps
+    runs on Python floats: one ``tolist()`` of its first state and one of its
+    injections, and its rows written back at once."""
     n = problem.net.node_count
     # inj[columns[i]] is attacker i's injection at the sample time, the first
     # of the three instants the walker samples per step; None for the others
     column = {agent: c for c, agent in enumerate(_attackers(problem.attacks))}
     columns = [column.get(i) for i in range(n)]
-    f, gains, ts = cfg.f_max, cfg.gains, cfg.sample_time
+    f, gains, ts = cfg.f_max, problem.gains, problem.step_h
     alpha, gamma = gains.alpha, gains.gamma
 
     def neighbor_lists(edges, t, x):

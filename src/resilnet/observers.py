@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Gains
+from .dynamics import Gains, _closed_loop
 from .errors import ConfigurationError, DesignFailureError
 from .graphs import RANK_RTOL, Graph, _laplacian, khop_neighbors
 
@@ -104,11 +104,7 @@ def _view_key(g: Graph, owner: int) -> tuple:
 def two_hop_view(g: Graph, owner: int, gains: Gains) -> TwoHopView:
     members, l_model = _model_blocks(g, owner)
     m = len(members)
-    a_model = np.zeros((2 * m, 2 * m))
-    a_model[:m, m:] = np.eye(m)
-    # the lower blocks are products assigned whole: their zeros are -0.0
-    a_model[m:, :m] = -gains.alpha * l_model
-    a_model[m:, m:] = -gains.gamma * np.eye(m)
+    a_model = _closed_loop(l_model, gains)
     c_meas = np.zeros((m + 1, 2 * m))
     c_meas[:m, :m] = np.eye(m)
     c_meas[m, m] = 1.0  # owner velocity; owner is first in the ordering

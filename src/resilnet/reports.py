@@ -42,7 +42,7 @@ from .graphs import (
     vertex_connectivity,
 )
 from .isolation import RescueResult, dp_msr_run, post_isolation_connectivity, run_rescue
-from .scenarios import ScenarioConfig, build_network, materialize, overlay_certificate
+from .scenarios import ScenarioConfig, build_network, materialize
 
 # rows formatted per block: bounds the Python floats alive at once
 _BLOCK = 1024
@@ -213,9 +213,9 @@ def graph_metrics(config: ScenarioConfig) -> dict:
         "equivalence_gap": report.equivalence_gap,
         "effective_edge_count": len(eff.edges),
     }
-    cert = overlay_certificate(config.network)
-    if cert is not None:
-        out["certified_r"] = cert.certified_r
+    if config.network.generator is not None:
+        # both generators build an overlay that is r-robust by construction
+        out["certified_r"] = config.network.generator.r
     if eff.node_count <= R_ROBUSTNESS_EXACT_CAP:
         chain = check_bound_chain(report)
         out.update(
@@ -248,7 +248,6 @@ def rescue_report(config: ScenarioConfig, result: RescueResult) -> dict:
     """Summary of a detection-and-cooperation run."""
     run = result.run
     trace = result.trace
-    metrics = consensus_metrics(trace, run.cooperative)
     detection_times = {}
     for e in run.events:
         detection_times.setdefault(e.isolated, []).append(e.t)
@@ -256,8 +255,7 @@ def rescue_report(config: ScenarioConfig, result: RescueResult) -> dict:
     out = {
         "isolation_event_count": len(run.events),
         "removed_edge_count": len(run.removed_edges),
-        "final_consensus_gap": float(metrics.max_position_gap[-1]),
-        "final_max_speed": float(metrics.max_speed[-1]),
+        **_final_consensus(trace, run.cooperative),
         "post_isolation_mu": post.mu,
         "post_isolation_lambda2": post.lambda2_integral,
         "realized_disconnection_time": realized_disconnection_time(
@@ -268,6 +266,15 @@ def rescue_report(config: ScenarioConfig, result: RescueResult) -> dict:
         out[f"first_detection_t_agent_{agent}"] = min(times)
         out[f"last_detection_t_agent_{agent}"] = max(times)
     return out
+
+
+def _final_consensus(trace: SimulationTrace, cooperative) -> dict:
+    """The cooperative agents' position gap and largest speed at the end."""
+    metrics = consensus_metrics(trace, cooperative)
+    return {
+        "final_consensus_gap": float(metrics.max_position_gap[-1]),
+        "final_max_speed": float(metrics.max_speed[-1]),
+    }
 
 
 def write_report(path, report: dict):
@@ -305,9 +312,18 @@ def run_scenario(config: ScenarioConfig, out_dir) -> dict:
     return report
 
 
+def _write_plant_run(out_dir, config: ScenarioConfig, problem, trace, **fields) -> dict:
+    """Write a run's trace.csv and its report.json: the scenario name,
+    ``fields`` and the cooperative agents' final gap and speed."""
+    out_dir = Path(out_dir)
+    write_trace_csv(out_dir / "trace.csv", trace)
+    report = {"scenario": config.name, **fields, **_final_consensus(trace, problem.cooperative)}
+    write_report(out_dir / "report.json", report)
+    return report
+
+
 def run_plant_only(config: ScenarioConfig, out_dir) -> dict:
     """Plant simulation without detection (attacks and DoS still apply)."""
-    out_dir = Path(out_dir)
     problem = materialize(config)
     trace = simulate(
         problem.net,
@@ -317,35 +333,13 @@ def run_plant_only(config: ScenarioConfig, out_dir) -> dict:
         problem.dos,
         problem.step_h,
     )
-    write_trace_csv(out_dir / "trace.csv", trace)
-    write_long_csv(out_dir / "plot_data.csv", trace, window=config.detector.pe_window)
-    malicious = {a.agent for a in config.attacks}
-    coop = sorted(set(range(trace.node_count)) - malicious)
-    metrics = consensus_metrics(trace, coop)
-    report = {
-        "scenario": config.name,
-        "final_consensus_gap": float(metrics.max_position_gap[-1]),
-        "final_max_speed": float(metrics.max_speed[-1]),
-    }
-    write_report(out_dir / "report.json", report)
-    return report
+    write_long_csv(Path(out_dir) / "plot_data.csv", trace, window=config.detector.pe_window)
+    return _write_plant_run(out_dir, config, problem, trace)
 
 
 def run_dp_msr(config: ScenarioConfig, out_dir) -> dict:
     if config.dp_msr is None:
         raise ConfigurationError("scenario has no dp_msr section")
-    out_dir = Path(out_dir)
     problem = materialize(config)
     trace = dp_msr_run(problem, config.dp_msr)
-    write_trace_csv(out_dir / "trace.csv", trace)
-    malicious = {a.agent for a in config.attacks}
-    coop = sorted(set(range(trace.node_count)) - malicious)
-    metrics = consensus_metrics(trace, coop)
-    report = {
-        "scenario": config.name,
-        "f_max": config.dp_msr.f_max,
-        "final_consensus_gap": float(metrics.max_position_gap[-1]),
-        "final_max_speed": float(metrics.max_speed[-1]),
-    }
-    write_report(out_dir / "report.json", report)
-    return report
+    return _write_plant_run(out_dir, config, problem, trace, f_max=config.dp_msr.f_max)

@@ -28,7 +28,6 @@ from .dynamics import (
 )
 from .errors import ConfigurationError
 from .graphs import (
-    CertifiedGraph,
     Graph,
     SwitchingNetwork,
     generate_r_robust_preferential,
@@ -42,8 +41,11 @@ from .observers import ThresholdRule
 class GeneratorSpec:
     """Seeded overlay construction plus a two-mode alternating edge split.
 
-    "r_robust_preferential" grows a certified r-robust overlay and splits its
-    edges into disjoint alternating halves.  "clique_pendant" builds the
+    "r_robust_preferential" grows an r-robust overlay by preferential
+    attachment (robust by construction, so ``r`` is its certificate) and
+    blinks a seeded ``blink_fraction`` of its edges between well-connected
+    endpoints: half of them are missing from each mode, every other edge
+    stays shared (``split_edges_blinking``).  "clique_pendant" builds the
     8-node overlay used by the first case study: a clique core plus two
     degree-r pendant nodes (5 and 6) whose link sets alternate between the
     modes while the core stays mostly shared, keeping every core agent's
@@ -57,8 +59,7 @@ class GeneratorSpec:
     max_degree: int | None = None
     split_period: float = 0.5
     split_seed: int = 0
-    split_style: str = "halves"  # "halves": disjoint split; "blink": a small
-    blink_fraction: float = 0.1  # seeded edge subset alternates off per mode
+    blink_fraction: float = 0.1
 
     def __post_init__(self):
         if self.kind not in ("r_robust_preferential", "clique_pendant"):
@@ -67,8 +68,6 @@ class GeneratorSpec:
             raise ConfigurationError("clique_pendant overlay is defined for n=8, r=3")
         if not self.split_period > 0:
             raise ConfigurationError("split_period must be positive")
-        if self.split_style not in ("halves", "blink"):
-            raise ConfigurationError(f"unknown split style {self.split_style!r}")
         if not 0.0 < self.blink_fraction <= 1.0:
             raise ConfigurationError("blink_fraction must lie in (0, 1]")
 
@@ -212,15 +211,15 @@ def _alternating_schedule(period: float, horizon: float) -> tuple:
     return tuple(switches)
 
 
-def _clique_pendant_overlay(seed) -> tuple:
-    """8-node overlay: clique core {0,1,2,3,4,7} plus pendant nodes 5 and 6,
-    each attached to 3 seeded core nodes with exactly one target in common.
+def _clique_pendant_modes(seed) -> tuple:
+    """The two modes of an 8-node overlay: clique core {0,1,2,3,4,7} plus
+    pendant nodes 5 and 6, each attached to 3 seeded core nodes with exactly
+    one target in common.
 
-    Returns (overlay, mode_a, mode_b).  Each mode keeps two of every
-    pendant's three links and all but one core edge, so the modes' union is
-    the overlay and every core agent's 2-hop membership is mode-invariant.
-    The overlay inherits 3-robustness from the 3-robust clique core by
-    r-edge attachment.
+    Each mode keeps two of every pendant's three links and all but one core
+    edge, so the modes' union is the overlay and every core agent's 2-hop
+    membership is mode-invariant.  The overlay inherits 3-robustness from
+    the 3-robust clique core by r-edge attachment.
     """
     core = (0, 1, 2, 3, 4, 7)
     rng = np.random.default_rng(seed)
@@ -234,9 +233,10 @@ def _clique_pendant_overlay(seed) -> tuple:
     pendant6 = [(min(6, x), max(6, x)) for x in (c, d, e)]
     overlay = Graph(8, tuple(core_edges + pendant5 + pendant6))
     blink = [core_edges[int(i)] for i in rng.choice(len(core_edges), size=2, replace=False)]
-    mode_a = overlay.drop_edges([pendant5[0], pendant6[1], blink[0]])
-    mode_b = overlay.drop_edges([pendant5[1], pendant6[2], blink[1]])
-    return overlay, mode_a, mode_b
+    return (
+        overlay.drop_edges([pendant5[0], pendant6[1], blink[0]]),
+        overlay.drop_edges([pendant5[1], pendant6[2], blink[1]]),
+    )
 
 
 def build_network(spec: NetworkSpec) -> SwitchingNetwork:
@@ -244,40 +244,19 @@ def build_network(spec: NetworkSpec) -> SwitchingNetwork:
         return SwitchingNetwork(spec.modes, spec.schedule, spec.horizon)
     gen = spec.generator
     if gen.kind == "clique_pendant":
-        _, mode_a, mode_b = _clique_pendant_overlay(gen.seed)
         return SwitchingNetwork(
-            (mode_a, mode_b),
+            _clique_pendant_modes(gen.seed),
             _alternating_schedule(gen.split_period, spec.horizon),
             spec.horizon,
         )
-    cert = generate_r_robust_preferential(gen.n, gen.r, gen.seed, gen.max_degree)
-    if gen.split_style == "blink":
-        return split_edges_blinking(
-            cert.graph,
-            gen.split_period,
-            spec.horizon,
-            gen.split_seed,
-            gen.blink_fraction,
-            min_endpoint_degree=5,
-        )
-    return split_edges_alternating(
-        cert.graph, gen.split_period, spec.horizon, gen.split_seed
+    return split_edges_blinking(
+        generate_r_robust_preferential(gen.n, gen.r, gen.seed, gen.max_degree),
+        gen.split_period,
+        spec.horizon,
+        gen.split_seed,
+        gen.blink_fraction,
+        min_endpoint_degree=5,
     )
-
-
-def overlay_certificate(spec: NetworkSpec) -> CertifiedGraph | None:
-    if spec.generator is None:
-        return None
-    gen = spec.generator
-    if gen.kind == "clique_pendant":
-        overlay, _, _ = _clique_pendant_overlay(gen.seed)
-        return CertifiedGraph(
-            graph=overlay,
-            certified_r=gen.r,
-            seed_clique=6,
-            attachment_order=((5, ()), (6, ())),
-        )
-    return generate_r_robust_preferential(gen.n, gen.r, gen.seed, gen.max_degree)
 
 
 def build_initial(spec: InitialSpec, n: int) -> SystemState:
@@ -353,7 +332,7 @@ def generate_example1(seed: int = 0) -> ScenarioConfig:
             residual_log_stride=10,
         ),
         step_h=1e-3,
-        dp_msr=DPMSRConfig(f_max=1, sample_time=1e-3, gains=Gains(alpha=1.0, gamma=3.0)),
+        dp_msr=DPMSRConfig(f_max=1),
     )
 
 
@@ -400,9 +379,9 @@ def generate_example2(seed: int = 0) -> ScenarioConfig:
     horizon; threshold 10 e^{-t} + 0.95."""
     rng = np.random.default_rng(seed)
     sub = [int(s) for s in rng.integers(0, 2**31 - 1, size=6)]
-    cert = generate_r_robust_preferential(84, 2, sub[0], max_degree=9)
+    overlay = generate_r_robust_preferential(84, 2, sub[0], max_degree=9)
     placement_rng = np.random.default_rng(sub[1])
-    malicious = _pick_one_local_set(cert.graph, 9, placement_rng)
+    malicious = _pick_one_local_set(overlay, 9, placement_rng)
     slope_rng = np.random.default_rng(sub[2])
     attacks = tuple(
         DeceptionAttack(
@@ -424,7 +403,6 @@ def generate_example2(seed: int = 0) -> ScenarioConfig:
                 max_degree=9,
                 split_period=0.5,
                 split_seed=sub[3],
-                split_style="blink",
                 blink_fraction=0.03,
             ),
         ),

@@ -626,22 +626,20 @@ def test_khop_neighbors_ten_node_topology():
 
 
 def test_generate_r_robust_seed_clique():
-    cert = generate_r_robust_preferential(5, 2, seed=0)
-    assert cert.graph.edges == complete_graph(5).edges
-    assert cert.certified_r == 2
+    g = generate_r_robust_preferential(5, 2, seed=0)
+    assert g.edges == complete_graph(5).edges
 
 
 def test_generate_r_robust_certificate_vs_enumeration():
     for seed in range(3):
-        cert = generate_r_robust_preferential(8, 3, seed=seed)
-        assert r_robustness(cert.graph) >= 3
+        g = generate_r_robust_preferential(8, 3, seed=seed)
+        assert r_robustness(g) >= 3
 
 
 def test_generate_r_robust_large_with_cap():
-    cert = generate_r_robust_preferential(84, 2, seed=5, max_degree=9)
-    assert cert.graph.node_count == 84
-    assert max(cert.graph.degree(i) for i in range(84)) <= 9
-    assert cert.certified_r == 2
+    g = generate_r_robust_preferential(84, 2, seed=5, max_degree=9)
+    assert g.node_count == 84
+    assert max(g.degree(i) for i in range(84)) <= 9
 
 
 def test_generate_r_robust_invalid_parameters():

@@ -471,13 +471,13 @@ def test_residual_log_matches_identity():
 def test_dp_msr_config_validation():
     with pytest.raises(ValueError):
         DPMSRConfig(f_max=-1)
-    with pytest.raises(ValueError):
-        DPMSRConfig(f_max=1, sample_time=0.0)
     # a 1.0 s horizon is not a whole number of 7e-4 s samples
     net = static_network(complete_graph(4), 1.0)
-    problem = RescueProblem(net=net, gains=GAINS, initial=SystemState(np.ones(4), np.zeros(4)))
+    problem = RescueProblem(
+        net=net, gains=GAINS, initial=SystemState(np.ones(4), np.zeros(4)), step_h=7e-4
+    )
     with pytest.raises(ConfigurationError, match="multiple of the step"):
-        dp_msr_run(problem, DPMSRConfig(f_max=1, sample_time=7e-4, gains=GAINS))
+        dp_msr_run(problem, DPMSRConfig(f_max=1))
 
 
 def test_dp_msr_attack_free_consensus(rng):
@@ -485,7 +485,7 @@ def test_dp_msr_attack_free_consensus(rng):
     net = static_network(g, 20.0)
     init = SystemState(rng.uniform(-5, 5, 6), np.zeros(6))
     problem = RescueProblem(net=net, gains=GAINS, initial=init)
-    trace = dp_msr_run(problem, DPMSRConfig(f_max=1, sample_time=1e-3, gains=GAINS))
+    trace = dp_msr_run(problem, DPMSRConfig(f_max=1))
     metrics = consensus_metrics(trace)
     assert metrics.max_position_gap[-1] < 0.05
 
@@ -513,7 +513,8 @@ def _reference_dp_msr(problem, cfg):
     does not compensate ``np.float64`` items."""
     n = problem.net.node_count
     column = {agent: c for c, agent in enumerate(_attackers(problem.attacks))}
-    alpha, gamma, ts, f = cfg.gains.alpha, cfg.gains.gamma, cfg.sample_time, cfg.f_max
+    alpha, gamma = problem.gains.alpha, problem.gains.gamma
+    ts, f = problem.step_h, cfg.f_max
 
     def trimmed(p, v, nbrs, i):
         diffs = sorted(((p[i] - p[j], j) for j in nbrs), key=lambda x: (x[0], x[1]))
@@ -569,11 +570,11 @@ def _dp_msr_cases():
         attacks=(DeceptionAttack(5, 0.2, AttackSignal("sinusoid", amplitude=2.0, frequency=1.5)),),
     )
     for f in (0, 1, 2):
-        yield f"f_max{f}", small, DPMSRConfig(f_max=f, sample_time=1e-3, gains=GAINS)
+        yield f"f_max{f}", small, DPMSRConfig(f_max=f)
     # 300 steps: one block of 256, then a short last block of 44
     short = replace(small, horizon=0.3)
     assert round(short.horizon / 1e-3) % _STEP_BLOCK != 0
-    yield "short_last_block", short, DPMSRConfig(f_max=1, sample_time=1e-3, gains=GAINS)
+    yield "short_last_block", short, DPMSRConfig(f_max=1)
 
 
 @pytest.mark.parametrize("case", list(_dp_msr_cases()), ids=lambda c: c[0])

@@ -24,7 +24,6 @@ from resilnet.scenarios import (
     generate_example2,
     materialize,
     network_union,
-    overlay_certificate,
     split_edges_blinking,
     random_connected_graph,
 )
@@ -162,7 +161,7 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-@pytest.mark.parametrize("verb", ["rescue", "simulate", "analyze-graph"])
+@pytest.mark.parametrize("verb", ["rescue", "simulate", "analyze-graph", "dp-msr"])
 def test_cli_mutation_sweep(verb, tmp_path, capsys):
     # the verb in-process on every mutated document: exit 0 with a JSON
     # report or exit 2 with a categorized JSON error, no traceback
@@ -193,15 +192,13 @@ def test_example1_network_properties():
     assert adversary_classification(overlay, (5, 6)) == (2, 2)
     report = pe_margin(net, 1.0)
     assert report.mu > 0
-    cert = overlay_certificate(config.network)
-    assert cert.certified_r == 3
 
 
 def test_example2_network_properties():
     config = generate_example2(0)
     malicious = sorted({a.agent for a in config.attacks})
     assert len(malicious) == 9
-    overlay = overlay_certificate(config.network).graph
+    overlay = network_union(build_network(config.network))
     assert max(overlay.degree(i) for i in range(84)) <= 9
     f_total, f_local = adversary_classification(overlay, malicious)
     assert f_total == 9 and f_local <= 1
@@ -263,7 +260,7 @@ def _tiny_config(tmp_path, horizon=1.0):
         gains=Gains(1.0, 3.0),
         initial=InitialSpec(kind="uniform", low=-2.0, high=2.0, seed=5),
         detector=DetectorSettings(threshold=ThresholdRule(kind="constant", value=5.0)),
-        dp_msr=DPMSRConfig(f_max=1, sample_time=1e-3),
+        dp_msr=DPMSRConfig(f_max=1),
         step_h=1e-3,
     )
     path = tmp_path / "tiny.json"
@@ -296,12 +293,17 @@ def test_cli_simulate_and_rescue(tmp_path):
 
 
 def test_cli_dp_msr(tmp_path):
+    # DP-MSR steps on the document's step_h: 500 steps of 2 ms in 1 s
     cfg = _tiny_config(tmp_path)
+    d = json.loads(cfg.read_text())
+    d["step_h"] = 2e-3
+    cfg.write_text(json.dumps(d))
     out = tmp_path / "dp"
     proc = _run_cli(["dp-msr", "--config", str(cfg), "--out", str(out)])
     assert proc.returncode == 0, proc.stderr
     report = json.loads((out / "report.json").read_text())
     assert report["f_max"] == 1
+    assert len((out / "trace.csv").read_text().splitlines()) == 1 + 501
 
 
 def test_cli_malformed_config(tmp_path):
@@ -311,7 +313,12 @@ def test_cli_malformed_config(tmp_path):
         (("network", "generator", "kind"), "teleport", "configuration", "teleport"),
         (("step_h",), 0, "configuration", "step"),
         (("detector", "residual_log_stride"), 0, "invalid-parameter", "residual_log_stride"),
-        (("dp_msr", "gains", "alpha"), _DROP, "configuration", "scenario.dp_msr.gains.alpha"),
+        (
+            ("attacks", 0, "signal", "kind"),
+            _DROP,
+            "configuration",
+            "scenario.attacks[0].signal.kind",
+        ),
         (("attacks",), 5, "configuration", "scenario.attacks"),
         (
             ("dos", "intervals", 0, "random", "seed"),
@@ -325,6 +332,19 @@ def test_cli_malformed_config(tmp_path):
         (("step_h",), 1e-9, "configuration", "trace limit"),
         # options a scenario document no longer has
         (("detector", "dwell"), 1, "configuration", "scenario.detector.dwell"),
+        (("dp_msr", "sample_time"), 1e-3, "configuration", "scenario.dp_msr.sample_time"),
+        (
+            ("dp_msr", "gains"),
+            {"alpha": 1.0, "gamma": 3.0},
+            "configuration",
+            "scenario.dp_msr.gains",
+        ),
+        (
+            ("network", "generator", "split_style"),
+            "blink",
+            "configuration",
+            "scenario.network.generator.split_style",
+        ),
         (
             ("dos", "intervals", 0, "random", "scheme"),
             "event",
@@ -364,7 +384,7 @@ def test_step_count_cap_allocates_nothing():
     # 3e10 steps of 8 agents: every run rejects the document before any
     # array of the grid's size exists
     d = config_to_dict(generate_example1(0))
-    d["step_h"] = d["dp_msr"]["sample_time"] = 1e-9
+    d["step_h"] = 1e-9
     config = config_from_dict(d)
     problem = materialize(config)
     runs = (
