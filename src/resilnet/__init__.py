@@ -49,7 +49,6 @@ from .observers import (
     ThresholdRule,
     design_gain,
     pbh_observability,
-    residual_threshold,
     two_hop_view,
 )
 from .scenarios import (

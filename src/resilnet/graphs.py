@@ -80,12 +80,6 @@ class Graph:
             if not (0 <= i < self.node_count and 0 <= j < self.node_count):
                 raise ValueError(f"edge ({i},{j}) out of range for N={self.node_count}")
 
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.node_count, self.node_count))
-        for i, j in self.edges:
-            a[i, j] = a[j, i] = 1.0
-        return a
-
     @cached_property
     def _neighbor_lists(self) -> tuple:
         """Sorted neighbors of every node, built on first use.  Not a field:

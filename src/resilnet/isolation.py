@@ -253,31 +253,35 @@ class _ObserverBank:
         self.slot_meas = np.array([j for _, j in self.pairs], dtype=int)
         self.h = h
         self.stride = settings.residual_log_stride
-        self.rule = rule = settings.threshold
-        # a constant rule's thresholds never change
-        self.eps = np.full(len(self.pairs), rule.value) if rule.kind == "constant" else None
-        if rule.kind == "analytic":
-            terms = [rule.analytic_terms(obs, 0.0, x0_norm, consts) for obs in self.observers]
-            self.terms = np.array(terms).reshape(rows, 4).T  # a, b, -lambda_e, t_k
-            self.t_k_max = max(self.terms[3], default=-math.inf)
+        # the distinct threshold terms, a column each, those of rate 0 last: a
+        # rate of 0 gives d = 1 exactly, so their thresholds are fixed here
+        terms = [settings.threshold.terms(obs, 0.0, x0_norm, consts) for obs in self.observers]
+        distinct = sorted(dict.fromkeys(terms), key=lambda tm: tm[3] == 0)
+        column = {tm: c for c, tm in enumerate(distinct)}
+        self.slot_term = np.array([column[terms[k]] for k in slot_row], dtype=int)
+        a, b, c, rate, t_k = np.array(distinct, dtype=float).reshape(-1, 5).T
+        self.t_k_max = max(t_k, default=-math.inf)
+        self.live = live = int(np.count_nonzero(rate))
+        self.fixed = (c + (a + b * 0.0))[None, live:]
+        self.live_terms = tuple(x[:live] for x in (a, b, c, -rate, t_k))
         self.logged = []  # (t, residuals, thresholds) of the log steps, per chunk
 
     def thresholds(self, t: np.ndarray) -> np.ndarray:
         """Every slot's threshold at the times ``t``, a row per time:
-        ``ThresholdRule.evaluate`` of its detector, the analytic bound from
-        the terms fixed at build time, with ``math.exp`` per row and time
-        (``np.exp`` may round otherwise)."""
-        if self.eps is not None:
-            return np.repeat(self.eps[None], len(t), axis=0)
-        if self.rule.kind == "exponential":
-            eps = [self.rule.evaluate(x, None) for x in t.tolist()]
-            return np.repeat(np.array(eps)[:, None], len(self.pairs), axis=1)
+        ``ThresholdRule.evaluate`` of its detector, c + (a d + b (1 - d))
+        with d = exp(-rate (t - t_k)) on the terms fixed at build time, with
+        ``math.exp`` per term and time (``np.exp`` may round otherwise)."""
         if not t[0] >= self.t_k_max:
             raise ValueError("need t >= t_k >= t0")
-        a, b, neg_lambda, t_k = self.terms
-        arg = neg_lambda * (t[:, None] - t_k)
+        if not self.live:
+            return np.repeat(self.fixed, len(t), axis=0)[:, self.slot_term]
+        a, b, c, neg_rate, t_k = self.live_terms
+        arg = neg_rate * (t[:, None] - t_k)
         d = np.array([math.exp(x) for x in arg.ravel().tolist()]).reshape(arg.shape)
-        return (a * d + b * (1.0 - d))[:, self.slot_row]
+        eps = c + (a * d + b * (1.0 - d))
+        if self.fixed.size:
+            eps = np.hstack((eps, np.repeat(self.fixed, len(t), axis=0)))
+        return eps[:, self.slot_term]
 
     def advance(self, X: np.ndarray, k0: int, k1: int) -> tuple:
         """``ObserverState.step`` for every row across plant steps k0 to k1

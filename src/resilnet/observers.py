@@ -376,33 +376,20 @@ class ObserverState:
 # ---------------------------------------------------------------------------
 
 
-def residual_threshold(
-    t: float,
-    t_k: float,
-    t0: float,
-    kappa_e: float,
-    lambda_e: float,
-    kappa_r: float,
-    w_budget: float,
-    x0_norm: float,
-    lambda_x: float,
-) -> float:
-    """Attack-free residual bound for t >= t_k >= t0 within one mode:
-
-    eps = kappa_e w e^{-lambda_e (t-t_k)}
-          + (kappa_r/lambda_e) |x0| e^{-lambda_x (t_k-t0)} (1 - e^{-lambda_e (t-t_k)})
-    """
-    if not t >= t_k >= t0:
-        raise ValueError("need t >= t_k >= t0")
-    decay = math.exp(-lambda_e * (t - t_k))
-    return kappa_e * w_budget * decay + (kappa_r / lambda_e) * x0_norm * math.exp(
-        -lambda_x * (t_k - t0)
-    ) * (1.0 - decay)
-
-
 @dataclass(frozen=True)
 class ThresholdRule:
-    """Threshold policy: the analytic bound, a constant, or a + b e^{-c t}."""
+    """Threshold policy: a constant ``value``, ``amplitude e^{-rate (t - t0)}
+    + offset``, or the analytic bound
+
+        eps = kappa_e w e^{-lambda_e (t - t_k)}
+              + (kappa_r/lambda_e) |x0| e^{-lambda_x (t_k - t0)} (1 - e^{-lambda_e (t - t_k)}),
+
+    kappa_r = kappa_x kappa_e alpha, for t >= t_k >= t0 while one model
+    stands.  Each is c + (a d + b (1 - d)), d = e^{-rate (t - t_k)}, on the
+    terms (a, b, c, rate, t_k) of ``terms``: (0, 0, value, 0, t0),
+    (amplitude, 0, offset, rate, t0) and (kappa_e w, the bound's limit, 0,
+    lambda_e, t_k).  So ``evaluate`` raises for t < t0 under every rule.
+    """
 
     kind: str = "constant"
     value: float = 0.95
@@ -418,6 +405,25 @@ class ThresholdRule:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"threshold {name} must be finite")
 
+    def terms(self, obs: ObserverState, t0: float, x0_norm: float, consts) -> tuple:
+        """(a, b, c, rate, t_k) of ``obs``'s threshold while its model stands;
+        the only code that tells the rule kinds apart."""
+        if self.kind == "constant":
+            return 0.0, 0.0, self.value, 0.0, t0
+        if self.kind == "exponential":
+            return self.amplitude, 0.0, self.offset, self.rate, t0
+        if consts is None:
+            raise ConfigurationError("analytic threshold needs stability constants")
+        kappa_e, lambda_e = obs.gain.kappa_e, obs.gain.lambda_e
+        if kappa_e is None or lambda_e is None:
+            raise ConfigurationError("analytic threshold needs certified decay constants")
+        t_k = obs.last_model_change
+        if not t_k >= t0:
+            raise ValueError("need t >= t_k >= t0")
+        kappa_r = consts.kappa_x * kappa_e * obs.view.gains.alpha
+        b = (kappa_r / lambda_e) * x0_norm * math.exp(-consts.lambda_x * (t_k - t0))
+        return kappa_e * obs.w_budget, b, 0.0, lambda_e, t_k
+
     def evaluate(
         self,
         t: float,
@@ -426,35 +432,11 @@ class ThresholdRule:
         x0_norm: float = 0.0,
         consts=None,
     ) -> float:
-        if self.kind == "constant":
-            return self.value
-        if self.kind == "exponential":
-            return self.amplitude * math.exp(-self.rate * t) + self.offset
-        if consts is None:
-            raise ConfigurationError("analytic threshold needs stability constants")
-        if obs.gain.kappa_e is None or obs.gain.lambda_e is None:
-            raise ConfigurationError("analytic threshold needs certified decay constants")
-        kappa_r = consts.kappa_x * obs.gain.kappa_e * obs.view.gains.alpha
-        return residual_threshold(
-            t,
-            obs.last_model_change,
-            t0,
-            obs.gain.kappa_e,
-            obs.gain.lambda_e,
-            kappa_r,
-            obs.w_budget,
-            x0_norm,
-            consts.lambda_x,
-        )
-
-    def analytic_terms(self, obs: ObserverState, t0: float, x0_norm: float, consts) -> tuple:
-        """(a, b, -lambda_e, t_k) with ``evaluate`` = a d + b (1 - d), d =
-        exp(-lambda_e (t - t_k)), while ``obs``'s model stands: the bound at
-        t_k and its limit, bitwise, after every check of ``evaluate``."""
-        t_k = obs.last_model_change
-        a = self.evaluate(t_k, obs, t0, x0_norm, consts)
-        b = self.evaluate(math.inf, obs, t0, x0_norm, consts)
-        return a, b, -obs.gain.lambda_e, t_k
+        a, b, c, rate, t_k = self.terms(obs, t0, x0_norm, consts)
+        if not t >= t_k:
+            raise ValueError("need t >= t_k >= t0")
+        d = math.exp(-rate * (t - t_k))
+        return c + (a * d + b * (1.0 - d))
 
 
 @dataclass(frozen=True)

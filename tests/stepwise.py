@@ -2,8 +2,6 @@
 loop that rebuilt every view on every edge-set change: the references the
 block path and the view cache are pinned against, bit for bit."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -60,19 +58,20 @@ def _bank_step(bank, z, x_start, x_end):
     return x_end[bank.slot_meas] - z.ravel()[bank.slot_state]
 
 
-def _thresholds(bank, t):
-    """Every slot's threshold at ``t``."""
-    rule = bank.rule
-    if rule.kind == "constant":
-        return bank.eps
-    if rule.kind == "exponential":
-        return np.full(len(bank.pairs), rule.evaluate(t, None))
-    if not t >= bank.t_k_max:
-        raise ValueError("need t >= t_k >= t0")
-    eps = []
-    for a, b, neg_lambda, t_k in bank.terms.T.tolist():
-        d = math.exp(neg_lambda * (t - t_k))
-        eps.append(a * d + b * (1.0 - d))
+def _threshold_inputs(problem):
+    """(consts, x0_norm) of ``problem``'s thresholds: the stability constants
+    of an analytic rule, None otherwise, and |x0|."""
+    net, settings = problem.net, problem.detector
+    consts = None
+    if settings.threshold.kind == "analytic":
+        mu = pe_margin(net, settings.pe_window).mu
+        consts = stability_constants(mu, settings.pe_window, problem.gains, net.node_count)
+    return consts, float(np.linalg.norm(problem.initial.stacked()))
+
+
+def _thresholds(bank, rule, t, consts, x0_norm):
+    """Every slot's threshold at ``t``: ``rule.evaluate`` of its detector."""
+    eps = [rule.evaluate(t, obs, 0.0, x0_norm, consts) for obs in bank.observers]
     return np.array(eps)[bank.slot_row]
 
 
@@ -82,6 +81,7 @@ def stepwise_rescue(problem, keep=None):
     step, stopping after the first step with a verdict.  ``keep(bank, t,
     res, eps, hits)`` sees every log step."""
     pending = {}
+    consts, x0_norm = _threshold_inputs(problem)
 
     def stash(plant, X, k0, k1, U):
         pending.update(plant=plant, U=U)
@@ -97,7 +97,7 @@ def stepwise_rescue(problem, keep=None):
             X[k + 1] = plant_step(plant, X[k], U[k - k0])
             res = _bank_step(bank, z, X[k], X[k + 1])
             t = (k + 1) * bank.h
-            eps = _thresholds(bank, t)
+            eps = _thresholds(bank, problem.detector.threshold, t, consts, x0_norm)
             hits = (np.abs(res) > eps).nonzero()[0].tolist()
             if (k + 1) % bank.stride == 0:
                 bank.logged.append((np.array([t]), res[None], eps[None]))
@@ -123,10 +123,7 @@ def rebuild_all_rescue(problem):
     net, gains, settings = problem.net, problem.gains, problem.detector
     n, h = net.node_count, problem.step_h
     certified = settings.threshold.kind == "analytic"
-    consts = None
-    x0_norm = float(np.linalg.norm(problem.initial.stacked()))
-    if certified:
-        consts = stability_constants(pe_margin(net, settings.pe_window).mu, settings.pe_window, gains, n)
+    consts, x0_norm = _threshold_inputs(problem)
     w_budget = _auto_w_budget(problem, consts)
     detectors = problem.cooperative
     removed, observers, step_matrices, flag_t, events, epochs = set(), {}, {}, {}, [], []

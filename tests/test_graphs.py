@@ -130,6 +130,14 @@ def _window_mean(net, build, t, window):
     return acc / window
 
 
+def _adjacency(g):
+    """The 0/1 adjacency matrix of ``g``, one edge at a time."""
+    a = np.zeros((g.node_count, g.node_count))
+    for i, j in g.edges:
+        a[i, j] = a[j, i] = 1.0
+    return a
+
+
 def integral_laplacian(net, t, window):
     """Duration-weighted mean Laplacian (1/T) * integral of L_sigma over
     [t, t+T]: symmetric PSD with zero row sums."""
@@ -223,7 +231,7 @@ def _reference_pe_margin(net, window, starts):
         gap = max(gap, abs(max(lam_min, 0.0) - lam2))
         if lam_min < mu:
             mu, lam2_at_min = lam_min, lam2
-        min_weights = np.minimum(min_weights, _window_mean(net, Graph.adjacency, t, window))
+        min_weights = np.minimum(min_weights, _window_mean(net, _adjacency, t, window))
     if abs(mu) <= ZERO_TOL * max(1.0, float(n)):
         mu = 0.0
     positive = min_weights > ZERO_TOL

@@ -357,11 +357,20 @@ def _one_bank(rule, consts=None, gain=None, t0=0.0):
     return _ObserverBank((0,), {0: obs}, {0: mats}, {0: (1, 2, 3)}, 4, settings, 1e-3, consts, 1.0)
 
 
-def test_bank_analytic_thresholds_match_evaluate(rng, monkeypatch):
+@pytest.mark.parametrize(
+    "rule",
+    [
+        ThresholdRule(kind="constant", value=0.95),
+        ThresholdRule(kind="exponential", amplitude=10.0, rate=1.0, offset=0.95),
+        ThresholdRule(kind="analytic"),
+    ],
+    ids=lambda rule: rule.kind,
+)
+def test_bank_thresholds_match_evaluate(rng, monkeypatch, rule):
     # every row on every step of a run whose models change: the terms the
     # bank fixes at build time give ``ThresholdRule.evaluate`` bit for bit
     dos = DoSSchedule((DoSInterval(0.5, 2.0, random=DoSRandomSpec(10, 0.6, 5)),))
-    problem = _small_problem(rng, dos=dos, horizon=3.0, threshold=ThresholdRule(kind="analytic"))
+    problem = _small_problem(rng, dos=dos, horizon=3.0, threshold=rule)
     net, window, h = problem.net, problem.detector.pe_window, problem.step_h
     consts = stability_constants(pe_margin(net, window).mu, window, GAINS, net.node_count)
     x0_norm = float(np.linalg.norm(problem.initial.stacked()))
@@ -370,7 +379,7 @@ def test_bank_analytic_thresholds_match_evaluate(rng, monkeypatch):
     def checked(self, t):
         eps = thresholds(self, t)
         for row, t_step in zip(eps.tolist(), t.tolist()):
-            want = [self.rule.evaluate(t_step, obs, 0.0, x0_norm, consts) for obs in self.observers]
+            want = [rule.evaluate(t_step, obs, 0.0, x0_norm, consts) for obs in self.observers]
             assert row == [want[k] for k in self.slot_row.tolist()]
             covered.add(round(t_step / h))
         t_k.update(obs.last_model_change for obs in self.observers)
@@ -382,9 +391,10 @@ def test_bank_analytic_thresholds_match_evaluate(rng, monkeypatch):
     assert max(t_k) > 0.0
     # a model's t_k is the walker's grid time k h, not a running sum of h
     assert all(t == round(t / h) * h for t in t_k)
-    monkeypatch.undo()
 
-    # and every check of ``evaluate``, at build time or per step
+
+def test_bank_threshold_checks():
+    # every check of ``evaluate``, at build time or per step
     consts = stability_constants(pe_margin(static_network(K4, 4.0), 1.0).mu, 1.0, GAINS, 4)
     view = two_hop_view(K4, 0, GAINS)
     uncertified = ObserverGain(gain_matrix(view, 0.3), None, None, None)
@@ -399,6 +409,32 @@ def test_bank_analytic_thresholds_match_evaluate(rng, monkeypatch):
         late.thresholds(np.array([0.25, 0.75]))
     want = ThresholdRule(kind="analytic").evaluate(0.75, late.observers[0], 0.0, 1.0, consts)
     assert late.thresholds(np.array([0.75])).tolist() == [[want] * 3]
+
+
+def test_bank_thresholds_mix_fixed_and_decaying_terms(monkeypatch):
+    # terms of rate 0, fixed when the bank is built, and decaying terms in
+    # one bank, two detectors sharing a tuple: every slot still gets its
+    # detector's ``evaluate``, bit for bit
+    terms = {
+        0: (0.0, 0.0, 0.95, 0.0, 0.0),
+        1: (10.0, 0.0, 0.95, 1.0, 0.0),
+        2: (2.0, 0.5, 0.1, 3.0, 0.25),
+        3: (0.0, 0.0, 0.95, 0.0, 0.0),
+    }
+    monkeypatch.setattr(ThresholdRule, "terms", lambda self, obs, *_: terms[obs.view.owner])
+    rule = ThresholdRule()
+    observers, mats = {}, {}
+    for i in range(4):
+        view = two_hop_view(K4, i, GAINS)
+        observers[i] = ObserverState(view, design_gain(view), 1.0, 0.0)
+        mats[i] = _observer_step_matrices(view, observers[i].gain, 1e-3)
+    neighbor_map = {i: K4.neighbors(i) for i in range(4)}
+    settings = DetectorSettings(threshold=rule)
+    bank = _ObserverBank((0, 1, 2, 3), observers, mats, neighbor_map, 4, settings, 1e-3)
+    t = np.linspace(0.25, 3.0, 12)
+    want = [[rule.evaluate(x, observers[i]) for i, _ in bank.pairs] for x in t.tolist()]
+    assert bank.thresholds(t).tolist() == want
+    assert len(set(bank.slot_term.tolist())) == 3
 
 
 def test_detector_settings_validation():

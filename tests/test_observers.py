@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from resilnet.dynamics import Gains, SystemState, simulate
+from resilnet.dynamics import Gains, StabilityConstants, SystemState, simulate
 from resilnet.errors import ConfigurationError, DesignFailureError
 from resilnet.graphs import (
     Graph,
@@ -13,6 +13,7 @@ from resilnet.graphs import (
     static_network,
 )
 from resilnet.observers import (
+    ObserverGain,
     ObserverState,
     ThresholdRule,
     _lyapunov,
@@ -23,7 +24,6 @@ from resilnet.observers import (
     gain_matrix,
     make_record,
     pbh_observability,
-    residual_threshold,
     two_hop_view,
     validate_envelope,
 )
@@ -331,20 +331,31 @@ def test_observer_step_detects_ramp():
 
 
 def test_residual_threshold_formula():
-    eps0 = residual_threshold(2.0, 2.0, 0.0, kappa_e=2.0, lambda_e=1.0, kappa_r=3.0,
-                              w_budget=0.5, x0_norm=4.0, lambda_x=0.1)
+    # kappa_e = 2, lambda_e = 1 and kappa_r = kappa_x kappa_e alpha = 3, with
+    # the model changed at t_k = 2
+    view = two_hop_view(complete_graph(3), 0, GAINS)
+    gain = ObserverGain(gain_matrix(view, 1.0), kappa_e=2.0, lambda_e=1.0, spectral_abscissa=None)
+    obs = ObserverState(view, gain, w_budget=0.5, t0=2.0)
+    consts = StabilityConstants(
+        eta=1.0, lambda_chi=1.0, lambda_x=0.1, kappa_x=1.5, kappa_u=1.0, mu=1.0,
+        window_T=1.0, n_agents=3,
+    )
+    rule = ThresholdRule(kind="analytic")
+    eps0 = rule.evaluate(2.0, obs, t0=0.0, x0_norm=4.0, consts=consts)
     assert eps0 == pytest.approx(2.0 * 0.5)  # t = t_k: only the restart term
-    eps_inf = residual_threshold(60.0, 2.0, 0.0, kappa_e=2.0, lambda_e=1.0, kappa_r=3.0,
-                                 w_budget=0.5, x0_norm=4.0, lambda_x=0.1)
+    eps_inf = rule.evaluate(60.0, obs, t0=0.0, x0_norm=4.0, consts=consts)
     want = 3.0 / 1.0 * 4.0 * np.exp(-0.1 * 2.0)
     assert eps_inf == pytest.approx(want, rel=1e-6)
     with pytest.raises(ValueError):
-        residual_threshold(1.0, 2.0, 0.0, 1, 1, 1, 1, 1, 1)
+        rule.evaluate(1.0, obs, t0=0.0, x0_norm=4.0, consts=consts)
 
 
 def test_threshold_rule_overrides():
     rule = ThresholdRule(kind="constant", value=0.95)
     assert rule.evaluate(3.0, obs=None) == 0.95
+    # every rule's bound starts at t0
+    with pytest.raises(ValueError, match="t_k >= t0"):
+        rule.evaluate(-1.0, obs=None)
     exp_rule = ThresholdRule(kind="exponential", amplitude=10.0, rate=1.0, offset=0.95)
     assert exp_rule.evaluate(0.0, obs=None) == pytest.approx(10.95)
     assert exp_rule.evaluate(50.0, obs=None) == pytest.approx(0.95, abs=1e-6)
