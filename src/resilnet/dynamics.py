@@ -13,8 +13,9 @@ snapped to it.
 Between two edge-set changes the closed loop is linear time-invariant, so one
 RK4 step is a matrix: x+ = R x + G0 b(t) + Gm b(t + h/2) + G1 b(t + h), with R
 RK4's stability polynomial in hA.  ``simulate`` builds R and the attacker
-columns of G0, Gm, G1 once per distinct edge set of a run; the attack
-waveforms are sampled as arrays on the half-step grid.  The method is RK4
+columns of G0, Gm, G1 once per distinct edge set of a run and releases them
+after the last timeline entry that uses that edge set; the attack waveforms
+are sampled as arrays on the half-step grid.  The method is RK4
 either way; only rounding differs from the stage form.
 """
 
@@ -46,6 +47,9 @@ _SAMPLE_BLOCK = 4096
 # most steps a walker callee advances at once; it divides _SAMPLE_BLOCK, so
 # that the sample blocks cut no block short
 _STEP_BLOCK = 256
+# trace cells gathered at once by consensus_metrics: a row block, not the
+# whole trace, so that the gathered copies stay small beside the trace
+_METRIC_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -338,20 +342,23 @@ def build_edge_timeline(
     return tuple(timeline)
 
 
-def _rk4_matrices(a_mat: np.ndarray, h: float) -> tuple:
+def _rk4_matrices(a_mat: np.ndarray, h: float, cols=slice(None)) -> tuple:
     """RK4 on x' = A x + b(t) as x+ = R x + G0 b(t) + Gm b(t + h/2) + G1 b(t + h).
 
     Returns (R, G0, Gm); G1 = h/6 I.  With a = hA, R = I + a + a^2/2 + a^3/6
     + a^4/24 (RK4's stability polynomial), G0 = h/6 (I + a + a^2/2 + a^3/4)
-    and Gm = h/6 (4I + 2a + a^2/2) gather the two midpoint stages.
+    and Gm = h/6 (4I + 2a + a^2/2) gather the two midpoint stages.  G0 and
+    Gm are formed on the columns ``cols`` only: elementwise sums commute
+    with column slices, so they are bitwise those columns of the whole.
     """
     eye = np.eye(a_mat.shape[0])
     a = h * a_mat
     a2 = a @ a
     a3 = a2 @ a
-    r = eye + a + a2 / 2.0 + a3 / 6.0 + (a2 @ a2) / 24.0
-    g0 = (h / 6.0) * (eye + a + a2 / 2.0 + a3 / 4.0)
-    gm = (h / 6.0) * (4.0 * eye + 2.0 * a + a2 / 2.0)
+    s = eye + a + a2 / 2.0
+    r = s + a3 / 6.0 + (a2 @ a2) / 24.0
+    g0 = (h / 6.0) * (s[:, cols] + a3[:, cols] / 4.0)
+    gm = (h / 6.0) * (4.0 * eye[:, cols] + 2.0 * a[:, cols] + a2[:, cols] / 2.0)
     return r, g0, gm
 
 
@@ -359,11 +366,11 @@ def _plant_matrices(g: Graph, gains: Gains, agents: tuple, h: float) -> tuple:
     """R and [G0 | Gm | G1] of the closed loop on ``g``, the forcing blocks
     cut to the velocity columns of ``agents``."""
     n = g.node_count
-    r, g0, gm = _rk4_matrices(closed_loop_matrix(g, gains), h)
     cols = [n + i for i in agents]
+    r, g0, gm = _rk4_matrices(closed_loop_matrix(g, gains), h, cols)
     g1 = np.zeros((2 * n, len(cols)))
     g1[cols, np.arange(len(cols))] = h / 6.0
-    return r, np.hstack([g0[:, cols], gm[:, cols], g1])
+    return r, np.hstack([g0, gm, g1])
 
 
 def _plant_rows(plant: tuple, X: np.ndarray, k0: int, k1: int, U: np.ndarray) -> int:
@@ -386,7 +393,8 @@ def _plant_rows(plant: tuple, X: np.ndarray, k0: int, k1: int, U: np.ndarray) ->
 # than as a warning per step
 @np.errstate(over="ignore", invalid="ignore")
 def _walk(
-    net, initial, attacks, dos, horizon, step_h, on_edges, advance, removed=frozenset()
+    net, initial, attacks, dos, horizon, step_h, on_edges, advance, removed=frozenset(),
+    on_timeline=None,
 ):
     """Walk the edge timeline of [0, horizon] in blocks of steps and record
     the run.
@@ -394,8 +402,10 @@ def _walk(
     The step index k is the walk's only clock: every time it hands out or
     records is k ``step_h``, and each timeline entry ends at a whole step.
     The effective edges of a step are the timeline's edges minus ``removed``,
-    a set the caller may grow during the walk.  ``on_edges(edges, t, x)``
-    builds the caller's context whenever the effective edges change.
+    a set the caller may grow during the walk.  ``on_timeline(timeline)``,
+    if given, sees the ``build_edge_timeline`` entries before the first
+    step.  ``on_edges(edges, t, x)`` builds the caller's context whenever the
+    effective edges change.
     ``advance(context, X, k0, k1, U)`` fills rows k0 + 1 to k1 of the run's
     stacked states ``X`` and returns how far it got, k_end in (k0, k1]; the
     walk resumes at row k_end and writes later rows again.  A block [k0, k1)
@@ -427,6 +437,8 @@ def _walk(
     if steps < 1:
         raise ConfigurationError(f"horizon {horizon} is shorter than one step of {step_h}")
     timeline = build_edge_timeline(net, dos, steps, step_h)
+    if on_timeline is not None:
+        on_timeline(timeline)
 
     t_arr = np.arange(steps + 1) * step_h
     X = np.empty((steps + 1, 2 * n))
@@ -502,20 +514,34 @@ def simulate(
     """Fixed-step RK4 integration of the switched closed loop.
 
     The active mode (with DoS-nullified edges) is constant within each step;
-    deception inputs are evaluated at the RK4 stage times.
+    deception inputs are evaluated at the RK4 stage times.  The step
+    matrices of an edge set are built once, when the walk first enters it,
+    and released when it enters it for the last time: a plant-only run
+    removes no edge, so its timeline says in full which edge sets recur.
     """
     n = net.node_count
     agents = _attackers(attacks)
-    # step matrices by effective edge set: a DoS blink or a schedule that
-    # returns to a mode realizes an earlier edge set again
+    # step matrices by effective edge set, kept while the walk still has to
+    # enter it again: a DoS blink or a schedule that returns to a mode
+    # realizes an earlier edge set again
     plants = {}
+    entries = {}
+
+    def on_timeline(timeline):
+        # one on_edges call per run of entries with equal edges
+        current = None
+        for *_, edges, _ in timeline:
+            if edges is not current and edges != current:
+                current = edges
+                entries[edges] = entries.get(edges, 0) + 1
 
     def on_edges(edges, t, x):
-        plant = plants.get(edges)
+        plant = plants.pop(edges, None)
         if plant is None:
-            plant = plants[edges] = _plant_matrices(
-                Graph(n, tuple(edges)), gains, agents, step_h
-            )
+            plant = _plant_matrices(Graph(n, tuple(edges)), gains, agents, step_h)
+        entries[edges] -= 1
+        if entries[edges]:
+            plants[edges] = plant
         return plant
 
     return _walk(
@@ -527,6 +553,7 @@ def simulate(
         step_h,
         on_edges,
         _plant_rows,
+        on_timeline=on_timeline,
     )
 
 
@@ -614,20 +641,35 @@ class ConsensusMetrics:
     max_speed: np.ndarray
 
 
+def _gap_and_speed(p: np.ndarray, v: np.ndarray) -> tuple:
+    """Per row of gathered positions and velocities: the max pairwise
+    position gap and the largest speed."""
+    return p.max(axis=1) - p.min(axis=1), np.abs(v).max(axis=1)
+
+
+def _columns(trace: SimulationTrace, cooperative) -> np.ndarray:
+    """The trace columns of ``cooperative``, all agents for None."""
+    if cooperative is None:
+        return np.arange(trace.node_count)
+    return np.array(sorted(cooperative), dtype=int)
+
+
 def consensus_metrics(trace: SimulationTrace, cooperative=None) -> ConsensusMetrics:
-    """Max pairwise position gap and max speed over the cooperative set."""
-    idx = (
-        np.arange(trace.node_count)
-        if cooperative is None
-        else np.array(sorted(cooperative), dtype=int)
-    )
-    p = trace.p_tilde[:, idx]
-    v = trace.v[:, idx]
-    return ConsensusMetrics(
-        t=trace.t,
-        max_position_gap=p.max(axis=1) - p.min(axis=1),
-        max_speed=np.abs(v).max(axis=1),
-    )
+    """Max pairwise position gap and max speed over the cooperative set.
+
+    The cooperative columns are gathered one row block at a time, of at most
+    ``_METRIC_CELLS`` cells, so no whole-trace copy is made; max, min and
+    abs are exact, so the blocks give the bits of the whole-array formula."""
+    idx = _columns(trace, cooperative)
+    rows = len(trace.t)
+    gap, speed = np.empty(rows), np.empty(rows)
+    block = max(1, _METRIC_CELLS // max(1, len(idx)))
+    for lo in range(0, rows, block):
+        hi = min(lo + block, rows)
+        gap[lo:hi], speed[lo:hi] = _gap_and_speed(
+            trace.p_tilde[lo:hi, idx], trace.v[lo:hi, idx]
+        )
+    return ConsensusMetrics(t=trace.t, max_position_gap=gap, max_speed=speed)
 
 
 def _segment_laplacians(trace: SimulationTrace) -> tuple:

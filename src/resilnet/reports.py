@@ -4,10 +4,12 @@ Numeric CSV cells use 12 significant digits with a mandatory header row;
 metric reports are flat key->value JSON documents.  A long-format (t, series,
 value) CSV feeds external plotting.
 
-The trace, residual and plot writers format whole rows, not cells: a
-``%``-format row template (``"%.12g," * (1 + 2N) + "%d,%d\n"`` for the trace;
-for the residual log one per edge set and verdicts) is applied to rows read
-with ``ndarray.tolist()`` a block at a time, so no whole-trace list is built.
+The trace, residual and plot writers format whole blocks of rows, not
+cells: a ``%``-format row template (``"%.12g," * (1 + 2N) + "%d,%d\n"`` for
+the trace; for the residual log one per edge set and verdicts) is repeated
+once per row of a block of at most ``_BLOCK`` rows and applied in one format
+call to the block's cells, read with ``ndarray.tolist()``, so no whole-trace
+list is built and no Python list per row.
 ``"%.12g" % x`` is ``f"{float(x):.12g}"`` for every float, signed zeros,
 infinities, NaN and subnormals included, and ``"%d"`` prints an integral
 float as its integer, so the bytes are those of the per-cell ``fmt``, which
@@ -23,8 +25,9 @@ import numpy as np
 
 from .dynamics import (
     SimulationTrace,
+    _columns,
+    _gap_and_speed,
     _segment_laplacians,
-    consensus_metrics,
     realized_disconnection_time,
     simulate,
 )
@@ -44,8 +47,9 @@ from .graphs import (
 from .isolation import RescueResult, dp_msr_run, post_isolation_connectivity, run_rescue
 from .scenarios import ScenarioConfig, build_network, materialize
 
-# rows formatted per block: bounds the Python floats alive at once
-_BLOCK = 1024
+# rows formatted per block: bounds the Python floats, the argument tuple and
+# the block's string alive at once
+_BLOCK = 512
 
 
 def fmt(x) -> str:
@@ -69,10 +73,12 @@ def _csv_file(path, header):
 
 
 def _write_rows(fh, template, blocks):
-    """Write every row of every float block as ``template % row``; a block
-    holds at most ``_BLOCK`` rows, so only its Python floats exist at once."""
+    """Write every row of every float block as ``template % row``, a block
+    at a time: the template repeated once per row, applied to the block's
+    cells in one format call.  A block holds at most ``_BLOCK`` rows, so only
+    its Python floats and its string exist at once."""
     for block in blocks:
-        fh.writelines(template % tuple(row) for row in block.tolist())
+        fh.write((template * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_csv(path, header, rows):
@@ -269,12 +275,11 @@ def rescue_report(config: ScenarioConfig, result: RescueResult) -> dict:
 
 
 def _final_consensus(trace: SimulationTrace, cooperative) -> dict:
-    """The cooperative agents' position gap and largest speed at the end."""
-    metrics = consensus_metrics(trace, cooperative)
-    return {
-        "final_consensus_gap": float(metrics.max_position_gap[-1]),
-        "final_max_speed": float(metrics.max_speed[-1]),
-    }
+    """The cooperative agents' position gap and largest speed at the end:
+    ``consensus_metrics`` on the last row only."""
+    idx = _columns(trace, cooperative)
+    (gap,), (speed,) = _gap_and_speed(trace.p_tilde[-1:, idx], trace.v[-1:, idx])
+    return {"final_consensus_gap": float(gap), "final_max_speed": float(speed)}
 
 
 def write_report(path, report: dict):

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 from bisect import bisect_right
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from resilnet import dynamics
+from resilnet import dynamics, reports
 from resilnet.dynamics import (
     AttackSignal,
     DeceptionAttack,
@@ -17,6 +18,7 @@ from resilnet.dynamics import (
     SystemState,
     _attackers,
     _plant_matrices,
+    _rk4_matrices,
     _walk,
     build_edge_timeline,
     closed_loop_matrix,
@@ -248,6 +250,57 @@ def test_simulate_builds_step_matrices_once_per_edge_set(monkeypatch):
     assert trace.segments == ref.segments
 
 
+@pytest.mark.parametrize("agents", [(), (2,), (0, 3, 5)], ids=["0", "1", "3"])
+def test_plant_matrices_are_column_slices_of_rk4_matrices(rng, agents):
+    gains = Gains(1.3, 2.7)
+    h = 1e-3
+    for _ in range(4):
+        n = int(rng.integers(6, 12))
+        g = random_connected_graph(rng, n, 0.4)
+        r, g_cols = _plant_matrices(g, gains, agents, h)
+        r_ref, g0, gm = _rk4_matrices(closed_loop_matrix(g, gains), h)
+        cols = [n + i for i in agents]
+        g1 = np.zeros((2 * n, len(cols)))
+        g1[cols, np.arange(len(cols))] = h / 6.0
+        want = np.hstack([g0[:, cols], gm[:, cols], g1])
+        assert r.tobytes() == r_ref.tobytes()
+        assert g_cols.shape == want.shape
+        assert g_cols.tobytes() == want.tobytes()
+
+
+def _peak_beyond_trace(drops):
+    """tracemalloc peak of a 2 s ``simulate`` on a 60-ring whose first
+    ``drops`` edges are each dropped once by DoS, less the trace's arrays."""
+    n = 60
+    ring = Graph(n, tuple((i, i + 1) for i in range(n - 1)) + ((0, n - 1),))
+    dos = DoSSchedule(
+        tuple(
+            DoSInterval(0.05 + 0.09 * k, 0.05, dropped_edges=(ring.edges[k],))
+            for k in range(drops)
+        )
+    )
+    rng = np.random.default_rng(drops)
+    init = SystemState(rng.uniform(-1, 1, n), np.zeros(n))
+    tracemalloc.start()
+    try:
+        trace = simulate(static_network(ring, 2.0), Gains(1.0, 3.0), init, dos=dos, step_h=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len({seg[3] for seg in trace.segments}) == drops + 1
+    own = (trace.t, trace.p_tilde, trace.v, trace.mode_index, trace.dos_active)
+    return peak - sum(a.nbytes for a in own)
+
+
+def test_simulate_releases_step_matrices_after_last_use():
+    """Every dropped edge set is used once, so its step matrices are freed
+    when the walk leaves it: twice as many left behind cost no memory."""
+    few, many = _peak_beyond_trace(10), _peak_beyond_trace(20)
+    # one R of the 120-state ring; kept, the 10 more edge sets would hold ten
+    plant_bytes = 120 * 120 * 8
+    assert many - few < 2 * plant_bytes
+
+
 def test_simulate_rejects_misaligned_breakpoints():
     from resilnet.graphs import SwitchingNetwork
 
@@ -350,6 +403,35 @@ def test_consensus_metrics_equilibrium():
     metrics = consensus_metrics(trace)
     assert np.allclose(metrics.max_position_gap, 0.0, atol=1e-12)
     assert np.allclose(metrics.max_speed, 0.0, atol=1e-12)
+
+
+def test_consensus_metrics_row_blocks_match_whole_array(rng, monkeypatch):
+    monkeypatch.setattr(dynamics, "_METRIC_CELLS", 64)
+    n = 5
+    # more than two row blocks of every column count used, a multiple of none
+    rows = 2 * (64 // 3) + 5
+    p = rng.normal(size=(rows, n))
+    v = rng.normal(size=(rows, n))
+    p[3, 1], p[30, 4], v[7, 0], v[40, 2], v[11, 3] = np.nan, -0.0, -np.inf, np.nan, -0.0
+    trace = SimulationTrace(
+        t=np.arange(rows) * 0.5,
+        p_tilde=p,
+        v=v,
+        mode_index=np.zeros(rows, dtype=int),
+        dos_active=np.zeros(rows, dtype=bool),
+        segments=(),
+        step_h=0.5,
+    )
+    for cooperative in (None, {4, 0, 2}):
+        idx = list(range(n)) if cooperative is None else sorted(cooperative)
+        assert rows > 2 * (64 // len(idx)) and rows % (64 // len(idx))
+        metrics = consensus_metrics(trace, cooperative)
+        gap = p[:, idx].max(axis=1) - p[:, idx].min(axis=1)
+        speed = np.abs(v[:, idx]).max(axis=1)
+        assert metrics.max_position_gap.tobytes() == gap.tobytes()
+        assert metrics.max_speed.tobytes() == speed.tobytes()
+        final = reports._final_consensus(trace, idx)
+        assert final == {"final_consensus_gap": gap[-1], "final_max_speed": speed[-1]}
 
 
 @settings(max_examples=15)
