@@ -307,7 +307,8 @@ def build_edge_timeline(
     are snapped to it, so a sub-interval drops its edges on steps
     [round(t0 / h), round(t1 / h)) and one shorter than half a step may drop
     nothing.  Returns ``(k0, k1, mode, edges, dos_active)`` tuples that tile
-    steps [0, steps), each k0 < k1.
+    steps [0, steps), each k0 < k1; entries with equal edges share one
+    frozenset.
     """
     for t, _ in net.schedule:
         if not _on_grid(t, step_h):
@@ -325,6 +326,8 @@ def build_edge_timeline(
     # realize sorts the sub-intervals and rejects overlaps; one snapped to
     # no step drops nothing
     drops = [d for d in drops if d[0] < d[1]] + [(steps, steps, frozenset())]
+    mode_edges = [frozenset(g.edges) for g in net.modes]
+    interned = {}  # each distinct edge set, keyed by itself
     timeline = []
     s = d = k = 0  # the schedule entry and the drop in force or next, the step
     while k < steps:
@@ -336,8 +339,8 @@ def build_edge_timeline(
         d0, d1, dropped = drops[d]
         dos_now = d0 <= k
         k1 = min(switches[s + 1][0], d1 if dos_now else d0)
-        edges = frozenset(net.modes[mode].edges)
-        timeline.append((k, k1, mode, edges - dropped if dos_now else edges, dos_now))
+        edges = mode_edges[mode] - dropped if dos_now else mode_edges[mode]
+        timeline.append((k, k1, mode, interned.setdefault(edges, edges), dos_now))
         k = k1
     return tuple(timeline)
 
@@ -457,8 +460,8 @@ def _walk(
         if k == timeline[entry][1]:
             entry += 1
         _, k_stop, mode, base_edges, dos_now = timeline[entry]
-        # a timeline entry keeps one frozenset, so while nothing is removed
-        # the identity test settles most blocks without comparing edges
+        # entries with equal edges share one frozenset, so while nothing is
+        # removed the identity test settles most blocks without comparing edges
         edges = base_edges - removed if removed else base_edges
         if edges is not current and edges != current:
             current = edges

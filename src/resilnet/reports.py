@@ -9,11 +9,15 @@ cells: a ``%``-format row template (``"%.12g," * (1 + 2N) + "%d,%d\n"`` for
 the trace; for the residual log one per edge set and verdicts) is repeated
 once per row of a block of at most ``_BLOCK`` rows and applied in one format
 call to the block's cells, read with ``ndarray.tolist()``, so no whole-trace
-list is built and no Python list per row.
-``"%.12g" % x`` is ``f"{float(x):.12g}"`` for every float, signed zeros,
-infinities, NaN and subnormals included, and ``"%d"`` prints an integral
-float as its integer, so the bytes are those of the per-cell ``fmt``, which
-``write_csv`` keeps for rows of mixed cells."""
+list is built and no Python list per row.  The residual log and the plot
+data repeat a value across a row: each row's time is formatted once and
+joined into the block's template as text, and so is a threshold that is
+bitwise fixed over its epoch, so only the other cells are formatted; these
+blocks are formatted as bytes.  ``"%.12g" % x`` and ``b"%.12g" % x`` are
+``f"{float(x):.12g}"`` for every float, signed zeros, infinities, NaN and
+subnormals included, and ``"%d"`` prints an integral float as its integer,
+so the bytes are those of the per-cell ``fmt``, which ``write_csv`` keeps
+for rows of mixed cells."""
 
 from __future__ import annotations
 
@@ -64,11 +68,12 @@ def fmt(x) -> str:
 
 @contextmanager
 def _csv_file(path, header):
-    """Open ``path`` for writing, parent directories made, header written."""
+    """Open ``path`` for writing bytes, parent directories made, header
+    written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         yield fh
 
 
@@ -78,14 +83,14 @@ def _write_rows(fh, template, blocks):
     cells in one format call.  A block holds at most ``_BLOCK`` rows, so only
     its Python floats and its string exist at once."""
     for block in blocks:
-        fh.write((template * len(block)) % tuple(block.ravel().tolist()))
+        fh.write(((template * len(block)) % tuple(block.ravel().tolist())).encode())
 
 
 def write_csv(path, header, rows):
     """Write rows of mixed cells (str, bool, int, float) through ``fmt``."""
     with _csv_file(path, header) as fh:
         for row in rows:
-            fh.write(",".join(fmt(x) for x in row) + "\n")
+            fh.write((",".join(fmt(x) for x in row) + "\n").encode())
 
 
 def write_trace_csv(path, trace: SimulationTrace):
@@ -120,29 +125,63 @@ def write_events_csv(path, events):
     )
 
 
-def _slot_blocks(epoch, columns, lo, hi):
-    """Blocks of at most 16 ``_BLOCK`` cells of log rows lo:hi, slot by slot
-    through ``columns`` (None for the row's time, else (rows, slots) arrays)."""
-    rows = max(1, 16 * _BLOCK // (len(columns) * len(epoch.pairs)))
+def _write_timed_rows(fh, t, lines, cells, width, lo, hi):
+    """Write rows lo:hi of a series that has one time per row: row r is
+    every template of ``lines``, each after the text of t[r].  That text is
+    formatted once per row with ``%.12g`` and joined into the block's
+    template, so the ``%`` fields take only ``cells(a, b)``, the cells of
+    rows a:b in field order.  A block holds at most 16 ``_BLOCK`` of the
+    ``width`` numeric cells per row, formatted or written as text, so only
+    its time text, its cells and its string exist at once.  The block is
+    formatted as bytes, so no str copy of it is encoded on top: its
+    template's length changes with its times, and with that extra copy the
+    freed blocks fragmented the heap (about 1 MB more peak memory on
+    example1)."""
+    parts = [b"", *(line.encode() for line in lines)]
+    rows = max(1, 16 * _BLOCK // width)
     for a in range(lo, hi, rows):
         b = min(a + rows, hi)
-        cells = [epoch.t[a:b, None] if c is None else c[a:b] for c in columns]
-        yield np.stack(np.broadcast_arrays(*cells), axis=2).reshape(b - a, -1)
+        template = b"".join([(b"%.12g" % x).join(parts) for x in t[a:b].tolist()])
+        fh.write(template % tuple(cells(a, b).ravel().tolist()))
+
+
+def _threshold_fields(eps):
+    """Per slot of a log epoch, the text of its threshold if that is bitwise
+    fixed over the epoch, else a ``%.12g`` field; and the positions of the
+    fields among a row's (value, threshold) cells, slot by slot.  The bits
+    are compared as int64, so a slot holding both 0.0 and -0.0 keeps its
+    field."""
+    bits = eps.view(np.int64)
+    fixed = bits.min(axis=0) == bits.max(axis=0)
+    fields = ["%.12g" % x if f else "%.12g" for x, f in zip(eps[0].tolist(), fixed.tolist())]
+    return fields, np.flatnonzero(np.column_stack((np.ones_like(fixed), ~fixed)))
+
+
+def _slot_cells(values, eps, keep):
+    """A block's (value, threshold) cells, slot by slot, at ``keep``."""
+    return np.stack((values, eps), axis=2).reshape(len(values), -1)[:, keep]
 
 
 def write_residuals_csv(path, residual_log):
-    """One row template per run of log steps with equal verdicts."""
+    """One row template per run of log steps with equal verdicts; each log
+    time and each fixed threshold is formatted once and written into it as
+    text (``_write_timed_rows``, ``_threshold_fields``)."""
     header = ["t", "owner", "neighbor", "residual", "threshold", "verdict"]
     with _csv_file(path, header) as fh:
         for e in residual_log.epochs:
+            fields, keep = _threshold_fields(e.eps)
+
+            def cells(a, b):
+                return _slot_cells(e.res[a:b], e.eps[a:b], keep)
+
             # a verdict turns at the first row at or after its flag time
             bounds = sorted({0, len(e.t), *np.searchsorted(e.t, e.flag_t).tolist()})
             for lo, hi in zip(bounds, bounds[1:]):
                 verdicts = np.where(e.flag_t <= e.t[lo], "attacked", "null")
-                template = "".join(
-                    f"%.12g,{i},{j},%.12g,%.12g,{v}\n" for (i, j), v in zip(e.pairs, verdicts)
-                )
-                _write_rows(fh, template, _slot_blocks(e, (None, e.res, e.eps), lo, hi))
+                lines = [
+                    f",{i},{j},%.12g,{x},{v}\n" for (i, j), x, v in zip(e.pairs, fields, verdicts)
+                ]
+                _write_timed_rows(fh, e.t, lines, cells, 3 * len(e.pairs), lo, hi)
 
 
 def lambda2_series(trace: SimulationTrace, window: float, points: int = 200):
@@ -168,32 +207,34 @@ def lambda2_series(trace: SimulationTrace, window: float, points: int = 200):
 
 def write_long_csv(path, trace: SimulationTrace, residual_log=None, window: float | None = None):
     """Plot-ready long format: consensus trajectories, residual/threshold
-    pairs, and the sliding lambda_2 series."""
-    n = trace.node_count
-    steps = np.arange(0, len(trace.t), max(1, len(trace.t) // 3000))
-
-    def trajectory_blocks():
-        # row k interleaves (t_k, p_tilde_k[i]) over the agents
-        for lo in range(0, len(steps), _BLOCK):
-            k = steps[lo : lo + _BLOCK]
-            block = np.empty((len(k), n, 2))
-            block[:, :, 0] = trace.t[k, None]
-            block[:, :, 1] = trace.p_tilde[k]
-            yield block.reshape(len(k), 2 * n)
-
+    pairs, and the sliding lambda_2 series.  The time of a sampled step or
+    log step is formatted once for all its lines, and a fixed threshold once
+    per epoch (``_write_timed_rows``, ``_threshold_fields``)."""
+    # every stride-th step, views of the trace
+    stride = max(1, len(trace.t) // 3000)
+    p_tilde = trace.p_tilde[::stride]
     with _csv_file(path, ["t", "series", "value"]) as fh:
-        _write_rows(
+        _write_timed_rows(
             fh,
-            "".join(f"%.12g,p_tilde_{i},%.12g\n" for i in range(n)),
-            trajectory_blocks(),
+            trace.t[::stride],
+            [f",p_tilde_{i},%.12g\n" for i in range(trace.node_count)],
+            lambda a, b: p_tilde[a:b],
+            2 * trace.node_count,
+            0,
+            len(p_tilde),
         )
         for e in residual_log.epochs if residual_log is not None else ():
-            template = "".join(
-                f"%.12g,residual_{i}_{j},%.12g\n%.12g,threshold_{i}_{j},%.12g\n"
-                for i, j in e.pairs
-            )
-            columns = (None, np.abs(e.res), None, e.eps)
-            _write_rows(fh, template, _slot_blocks(e, columns, 0, len(e.t)))
+            fields, keep = _threshold_fields(e.eps)
+            lines = [
+                line
+                for (i, j), x in zip(e.pairs, fields)
+                for line in (f",residual_{i}_{j},%.12g\n", f",threshold_{i}_{j},{x}\n")
+            ]
+
+            def cells(a, b):
+                return _slot_cells(np.abs(e.res[a:b]), e.eps[a:b], keep)
+
+            _write_timed_rows(fh, e.t, lines, cells, 4 * len(e.pairs), 0, len(e.t))
         if window is not None:
             ts, lam = lambda2_series(trace, window)
             _write_rows(fh, "%.12g,lambda2_window,%.12g\n", [np.column_stack((ts, lam))])

@@ -594,6 +594,16 @@ def test_step_timeline_matches_float_timeline(rng):
         assert got[-1][2:] == want[-1][2:]
 
 
+def test_timeline_entries_share_equal_edge_sets():
+    # two alternating modes, and random trials that blink single links off
+    # and on again
+    net = split_edges_alternating(complete_graph(6), 0.5, 3.0, 4)
+    dos = DoSSchedule((DoSInterval(0.2, 2.4, random=DoSRandomSpec(40, 0.6, 5)),))
+    edge_sets = [edges for *_, edges, _ in build_edge_timeline(net, dos, 3000, 1e-3)]
+    assert len(set(edge_sets)) < len(edge_sets)
+    assert len({id(edges) for edges in edge_sets}) == len(set(edge_sets))
+
+
 def test_realized_disconnection_time_matches_per_segment_sum(rng):
     gains = Gains(1.0, 2.0)
     for _ in range(40):

@@ -215,7 +215,44 @@ def _edge_value_inputs():
     return trace, events, log
 
 
-@pytest.mark.parametrize("make_inputs", [_rescue_inputs, _edge_value_inputs], ids=["rescue", "edge_values"])
+def _fixed_threshold_inputs():
+    """The edge-value trace and events with a log whose thresholds are fixed
+    in some slots: a bitwise-fixed column, 0.0 then -0.0, NaN of one sign
+    and of both signs and a fixed -0.0, beside a varying slot, in an epoch
+    whose verdicts turn twice; and a one-row epoch."""
+    trace, events, _ = _edge_value_inputs()
+    t = trace.t
+    values = np.array(EDGE_VALUES + (0.1,))
+    rows = 6
+    eps = np.empty((rows, 6))
+    eps[:, 0] = 0.95
+    eps[:, 1] = -0.0
+    eps[0, 1] = 0.0
+    eps[:, 2] = np.nan
+    eps[:, 3] = np.where(np.arange(rows) % 2, np.nan, -np.nan)
+    eps[:, 4] = -0.0
+    eps[:, 5] = values[:rows]
+    res = np.stack([np.roll(values, k)[:6] for k in range(rows)])
+    pairs = ((0, 1), (0, 2), (0, 7), (3, 1), (3, 2), (3, 7))
+    flags = np.array([np.inf, t[2], np.inf, t[4], np.inf, np.inf])
+    groups = ((0, (1, 2, 7), 0, 3), (3, (1, 2, 7), 3, 6))
+    mixed = LogEpoch(t[:rows], res, eps, pairs, flags, groups)
+    one_row = LogEpoch(
+        t[rows : rows + 1],
+        np.array([[5e-324, -np.inf, 0.1]]),
+        np.array([[-0.0, np.nan, 1e300]]),
+        pairs[3:],
+        np.array([t[4], np.inf, t[rows]]),
+        ((3, (1, 2, 7), 0, 3),),
+    )
+    return trace, events, ResidualLog((mixed, one_row))
+
+
+@pytest.mark.parametrize(
+    "make_inputs",
+    [_rescue_inputs, _edge_value_inputs, _fixed_threshold_inputs],
+    ids=["rescue", "edge_values", "fixed_thresholds"],
+)
 def test_writers_match_per_cell_format(make_inputs, tmp_path):
     trace, events, log = make_inputs()
     window = 1.0
@@ -283,6 +320,31 @@ def test_columnar_log_matches_record_log(rule, tmp_path):
     reports.write_long_csv(out / "plot_data.csv", trace, log, window=1.0)
     for name in ("residuals.csv", "plot_data.csv"):
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [ThresholdRule(kind="constant", value=0.95), EXPONENTIAL, ThresholdRule(kind="analytic")],
+    ids=["constant", "exponential", "analytic"],
+)
+def test_writer_blocks_do_not_show(rule, tmp_path, monkeypatch):
+    result = run_rescue(_rescue_problem(rule))
+    log = result.residual_log
+    # a block holds at most 16 _BLOCK cells, more than one per slot and row,
+    # so at 7 (and 1) block ends fall inside a run of equal verdicts
+    runs = []
+    for e in log.epochs:
+        bounds = sorted({0, len(e.t), *np.searchsorted(e.t, e.flag_t).tolist()})
+        runs += [hi - lo > 16 * 7 // len(e.pairs) for lo, hi in zip(bounds, bounds[1:])]
+    assert any(runs)
+    files = {}
+    for block in (1, 7, 512):
+        monkeypatch.setattr(reports, "_BLOCK", block)
+        out = tmp_path / str(block)
+        reports.write_residuals_csv(out / "residuals.csv", log)
+        reports.write_long_csv(out / "plot_data.csv", result.trace, log, window=1.0)
+        files[block] = [(out / name).read_bytes() for name in ("residuals.csv", "plot_data.csv")]
+    assert files[1] == files[7] == files[512]
 
 
 def test_lambda2_series_matches_segment_scan(monkeypatch):
