@@ -19,7 +19,8 @@ Up to its first verdict, a run on one edge set is a fixed function of the
 trajectory, so the loop goes in blocks of steps: the plant's rows first,
 then every estimate by one batched product per step, then measurements,
 residuals, thresholds, the test |r| > eps and the residual log as array
-operations over the block.  A block ends one step past its first verdict
+operations over the block.  A monotone threshold rule is evaluated only at
+the block's ends and log steps while every residual stays below both ends.  A block ends one step past its first verdict
 and the walk resumes there on the pruned edge set, so at most one block of
 work is repeated per verdict.  Each agent's ``ObserverState`` stays its
 reconfiguration record: on every edge-set change the bank writes the
@@ -262,6 +263,8 @@ class _ObserverBank:
         a, b, c, rate, t_k = np.array(distinct, dtype=float).reshape(-1, 5).T
         self.t_k_max = max(t_k, default=-math.inf)
         self.live = live = int(np.count_nonzero(rate))
+        # thresholds monotone in t with no cancellation: see _chunk
+        self.monotone = bool(live) and bool((np.stack((a, b, c, rate)) >= 0.0).all())
         self.fixed = (c + (a + b * 0.0))[None, live:]
         self.live_terms = tuple(x[:live] for x in (a, b, c, -rate, t_k))
         self.logged = []  # (t, residuals, thresholds) of the log steps, per chunk
@@ -302,7 +305,19 @@ class _ObserverBank:
         return k_end, verdicts
 
     def _chunk(self, X: np.ndarray, k0: int, k1: int) -> tuple:
-        """``advance`` over plant steps k0 to k1, in one go."""
+        """``advance`` over plant steps k0 to k1, in one go.
+
+        Under a rule whose terms are all nonnegative and which has a rate
+        (``monotone``), each threshold c + b + (a - b) d is monotone in t,
+        since d = exp(-rate (t - t_k)) is, and so is its computed value: the
+        computed d never rises with t, and a sum of nonnegative products
+        rounds within a few ulp of its exact value.  Over the chunk every
+        threshold is then at least the smallest one at its first and last
+        step, less a relative 1e-9 for rounding.  If every |r| lies below
+        that, no slot is flagged, and only the log steps' thresholds are
+        evaluated; ``thresholds`` computes each entry on its own, so they
+        have the bits of the full evaluation.  Otherwise (a residual near
+        its threshold, a NaN) every step's thresholds are evaluated."""
         est, length = self.est, k1 - k0
         if len(self.z) <= length:
             self.z = np.empty((length + 1, *self.z.shape[1:]))
@@ -317,20 +332,32 @@ class _ObserverBank:
         # a neighbor's residual is its measured position minus its estimate
         res = X[k0 + 1 : k1 + 1, self.slot_meas] - z[1:].reshape(length, -1)[:, self.slot_state]
         t = np.arange(k0 + 1, k1 + 1) * self.h
-        eps = self.thresholds(t)
-        over = np.abs(res) > eps
-        hit = over.any(axis=1).nonzero()[0]
-        stop = int(hit[0]) + 1 if hit.size else length
+        stop, flagged, eps = length, [], None
+        if not self._clear(res, t):
+            eps = self.thresholds(t)
+            over = np.abs(res) > eps
+            hit = over.any(axis=1).nonzero()[0]
+            if hit.size:
+                stop = int(hit[0]) + 1
+                flagged = over[stop - 1].nonzero()[0].tolist()
         # a view that the next chunk copies to its first row
         self.x_hat = z[stop, :, :est]
         first = -(k0 + 1) % self.stride
         if first < stop:
             log = slice(first, stop, self.stride)
-            self.logged.append((t[log], res[log], eps[log]))
+            self.logged.append(
+                (t[log], res[log], self.thresholds(t[log]) if eps is None else eps[log])
+            )
         last = stop - 1
-        return k0 + stop, [
-            (s, float(res[last, s]), float(eps[last, s])) for s in over[last].nonzero()[0].tolist()
-        ]
+        return k0 + stop, [(s, float(res[last, s]), float(eps[last, s])) for s in flagged]
+
+    def _clear(self, res: np.ndarray, t: np.ndarray) -> bool:
+        """Whether no residual of ``res`` can reach its threshold at the
+        times ``t``, by the bound of a monotone rule (see ``_chunk``)."""
+        if not self.monotone:
+            return False
+        floor = self.thresholds(t[[0, -1]]).min(initial=math.inf) * (1.0 - 1e-9)
+        return bool((np.abs(res) < floor).all())
 
     def close(self, flag_t: dict, epochs: list):
         """Return the estimates to their owners and append the log to

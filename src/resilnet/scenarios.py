@@ -45,11 +45,13 @@ class GeneratorSpec:
     attachment (robust by construction, so ``r`` is its certificate) and
     blinks a seeded ``blink_fraction`` of its edges between well-connected
     endpoints: half of them are missing from each mode, every other edge
-    stays shared (``split_edges_blinking``).  "clique_pendant" builds the
-    8-node overlay used by the first case study: a clique core plus two
-    degree-r pendant nodes (5 and 6) whose link sets alternate between the
-    modes while the core stays mostly shared, keeping every core agent's
-    2-hop membership identical across modes.
+    stays shared (``split_edges_blinking``, drawn from ``split_seed``; they
+    default to 0.1 and 0).  "clique_pendant" builds the 8-node overlay used
+    by the first case study: a clique core plus two degree-r pendant nodes
+    (5 and 6) whose link sets alternate between the modes while the core
+    stays mostly shared, keeping every core agent's 2-hop membership
+    identical across modes.  It draws from ``seed`` alone and rejects a
+    ``split_seed`` or ``blink_fraction``, which would change nothing.
     """
 
     kind: str
@@ -58,16 +60,25 @@ class GeneratorSpec:
     seed: int
     max_degree: int | None = None
     split_period: float = 0.5
-    split_seed: int = 0
-    blink_fraction: float = 0.1
+    split_seed: int | None = None
+    blink_fraction: float | None = None
 
     def __post_init__(self):
         if self.kind not in ("r_robust_preferential", "clique_pendant"):
             raise ConfigurationError(f"unknown network generator {self.kind!r}")
-        if self.kind == "clique_pendant" and (self.n != 8 or self.r != 3):
-            raise ConfigurationError("clique_pendant overlay is defined for n=8, r=3")
         if not self.split_period > 0:
             raise ConfigurationError("split_period must be positive")
+        if self.kind == "clique_pendant":
+            if self.n != 8 or self.r != 3:
+                raise ConfigurationError("clique_pendant overlay is defined for n=8, r=3")
+            for name in ("split_seed", "blink_fraction"):
+                if getattr(self, name) is not None:
+                    raise ConfigurationError(f"{name} has no effect on a clique_pendant overlay")
+            return
+        if self.split_seed is None:
+            object.__setattr__(self, "split_seed", 0)
+        if self.blink_fraction is None:
+            object.__setattr__(self, "blink_fraction", 0.1)
         if not 0.0 < self.blink_fraction <= 1.0:
             raise ConfigurationError("blink_fraction must lie in (0, 1]")
 
@@ -297,6 +308,8 @@ def generate_example1(seed: int = 0) -> ScenarioConfig:
     and 6 inject 0.3t / 0.5t ramps; counted-trials DoS (100 draws at 0.3)
     runs for the first 10 s; constant detection threshold 0.95."""
     rng = np.random.default_rng(seed)
+    # sub[1] is unused (the overlay draws from sub[0] alone), but still drawn
+    # so that the initial state and the DoS trials keep their seeds
     sub = [int(s) for s in rng.integers(0, 2**31 - 1, size=4)]
     return ScenarioConfig(
         name="example1",
@@ -308,7 +321,6 @@ def generate_example1(seed: int = 0) -> ScenarioConfig:
                 r=3,
                 seed=sub[0],
                 split_period=0.5,
-                split_seed=sub[1],
             ),
         ),
         gains=Gains(alpha=1.0, gamma=3.0),

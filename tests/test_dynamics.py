@@ -18,6 +18,7 @@ from resilnet.dynamics import (
     SystemState,
     _attackers,
     _plant_matrices,
+    _plant_rows,
     _rk4_matrices,
     _walk,
     build_edge_timeline,
@@ -158,6 +159,25 @@ def test_simulate_step_halving_order():
     assert np.max(diff) < 1e-8 * (1.0 + np.max(np.abs(final(fine))))
 
 
+def test_example1_plant_is_fourth_order():
+    # schedule switches and DoS bounds fall on all three grids, so the run
+    # is one piecewise-smooth solution and RK4 keeps its order across them
+    problem = materialize(generate_example1(0))
+    for attacks in (problem.attacks, ()):
+        finals = []
+        for h in (1e-2, 5e-3, 2.5e-3):
+            trace = simulate(
+                problem.net, problem.gains, problem.initial, attacks, problem.dos,
+                step_h=h, horizon=2.0,
+            )
+            finals.append(np.concatenate([trace.p_tilde[-1], trace.v[-1]]))
+        coarse = np.max(np.abs(finals[0] - finals[1]))
+        fine = np.max(np.abs(finals[1] - finals[2]))
+        # 16x for a fourth-order method; both differences stay far above
+        # rounding (about 2e-10 for the finer pair)
+        assert coarse >= 12.0 * fine > 0.0, (len(attacks), coarse, fine)
+
+
 def _stage_rk4_step(a_mat, x, b_fun, t, h):
     """Stage-form RK4 step of x' = A x + b(t), the reference for the step
     matrices."""
@@ -266,6 +286,62 @@ def test_plant_matrices_are_column_slices_of_rk4_matrices(rng, agents):
         assert r.tobytes() == r_ref.tobytes()
         assert g_cols.shape == want.shape
         assert g_cols.tobytes() == want.tobytes()
+
+
+def _per_step_rows(plant, x0, U):
+    """Rows of a run from ``x0`` stepped one ``np.matmul`` and one ``+=`` of
+    its forcing row at a time, the reference of ``_plant_rows``."""
+    r, g = plant
+    forcing = np.matmul(g, U[:, :, None])[:, :, 0]
+    X = np.empty((len(U) + 1, len(x0)))
+    X[0] = x0
+    for k, gu in enumerate(forcing):
+        np.matmul(r, X[k], out=X[k + 1])
+        X[k + 1] += gu
+    return X
+
+
+def _plant_row_cases():
+    rng = np.random.default_rng(23)
+    steps = 600
+    gains = Gains(1.0, 3.0)
+    x0 = rng.uniform(-1.0, 1.0, 12)
+    x0[[0, 7]] = 0.0, -0.0
+    g6 = random_connected_graph(rng, 6)
+    yield "no_attackers", _plant_matrices(g6, gains, (), 1e-3), x0, np.zeros((steps, 0))
+    # numpy multiplies a 1 x 1 matrix as a scalar, so R x is -0.0 of +0.0
+    # on every other step, which the per-step add turns into +0.0 (BLAS
+    # products of two or more states start their sums at +0.0)
+    minus_identity = (-np.eye(1), np.zeros((1, 0)))
+    yield "minus_identity", minus_identity, np.zeros(1), np.zeros((steps, 0))
+    # products that underflow to zero give the forcing -0.0 entries on
+    # fused multiply-add kernels; rows of zero samples give +0.0 ones, and
+    # R's zero rows give zero states
+    r = rng.uniform(-0.3, 0.3, (8, 8))
+    r[:2] = 0.0
+    U = np.zeros((steps, 9))
+    U[::2] = 1e-200
+    yield "negative_zero_forcing", (r, np.full((8, 9), -1e-200)), x0[:8], U
+    # a +0.0 prefix, then an injection from within the first block on
+    U = np.zeros((steps, 3))
+    U[100:] = np.arange(100, steps)[:, None] * 1e-3
+    yield "zero_prefix", _plant_matrices(g6, gains, (2,), 1e-3), x0, U
+
+
+PLANT_ROW_CASES = list(_plant_row_cases())
+
+
+@pytest.mark.parametrize("case", PLANT_ROW_CASES, ids=[c[0] for c in PLANT_ROW_CASES])
+def test_plant_rows_match_per_step_matmul(case):
+    _, plant, x0, U = case
+    want = _per_step_rows(plant, x0, U)
+    for block in (1, 3, 256):
+        got = np.empty_like(want)
+        got[0] = x0
+        for k0 in range(0, len(U), block):
+            k1 = min(k0 + block, len(U))
+            assert _plant_rows(plant, got, k0, k1, U[k0:k1]) == k1
+        assert got.tobytes() == want.tobytes(), block
 
 
 def _peak_beyond_trace(drops):

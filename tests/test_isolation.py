@@ -267,9 +267,33 @@ def _pin_cases():
             rng, attacks, dos=dos, horizon=3.0, threshold=ThresholdRule(kind=kind)
         )
     yield "example1_seed6", materialize(generate_example1(6))
+    # the certified sweep's recipe: attack-free under the analytic rule, so
+    # every chunk's residuals sit below its smallest end threshold
+    yield "analytic_attack_free", _small_problem(
+        np.random.default_rng(5001), horizon=4.0, threshold=ThresholdRule(kind="analytic")
+    )
+    # a decaying threshold that a residual crosses at t = 1.315, inside a
+    # block, and the same problem under a rising one, whose negative
+    # amplitude makes every chunk evaluate every step's thresholds
+    attacks = (DeceptionAttack(5, 0.0, AttackSignal("ramp", slope=1.0)),)
+    for name, amplitude, offset in (("crossing", 5.0, 0.5), ("negative_amplitude", -0.5, 1.5)):
+        rule = ThresholdRule(kind="exponential", amplitude=amplitude, rate=1.0, offset=offset)
+        yield f"exponential_{name}", _small_problem(
+            np.random.default_rng(7), attacks, dos=dos, horizon=3.0, threshold=rule
+        )
 
 
 PIN_CASES = list(_pin_cases())
+# whether a run's chunks found every residual clear of the thresholds at the
+# chunk's ends (True) or evaluated every step's thresholds (False)
+PIN_CLEAR = {
+    "constant": {False},
+    "analytic": {True},
+    "example1_seed6": {False},
+    "analytic_attack_free": {True},
+    "exponential_crossing": {True, False},
+    "exponential_negative_amplitude": {False},
+}
 
 
 def _fields(result):
@@ -299,14 +323,24 @@ def test_rescue_blocks_match_stepwise_rescue(case, monkeypatch):
     runs = [(cap, isolation._CHUNK_WORK) for cap in (1, 3, dynamics._STEP_BLOCK)]
     # and default blocks that the bank tests one step at a time
     runs.append((dynamics._STEP_BLOCK, 1))
+    clear = _ObserverBank._clear
+    seen = set()
+
+    def spy(bank, res, t):
+        found = clear(bank, res, t)
+        seen.add(found)
+        return found
+
+    monkeypatch.setattr(_ObserverBank, "_clear", spy)
     for cap, work in runs:
         monkeypatch.setattr(dynamics, "_STEP_BLOCK", cap)
         monkeypatch.setattr(isolation, "_CHUNK_WORK", work)
         got = run_rescue(problem)
         assert _meta(got) == _meta(want), (cap, work)
         assert _fields(got) == _fields(want), (cap, work)
-    # the analytic bound stays above this run's residuals
-    assert bool(want.run.events) == (name != "analytic")
+    assert seen == PIN_CLEAR[name]
+    # the analytic bound stays above these runs' residuals
+    assert bool(want.run.events) == (name not in ("analytic", "analytic_attack_free"))
 
 
 def _view_cache_cases():
@@ -386,6 +420,9 @@ def test_bank_thresholds_match_evaluate(rng, monkeypatch, rule):
         return eps
 
     monkeypatch.setattr(_ObserverBank, "thresholds", checked)
+    # every step's thresholds, also where the residuals sit clear of a
+    # monotone rule's end values
+    monkeypatch.setattr(_ObserverBank, "_clear", lambda self, res, t: False)
     result = run_rescue(problem)
     assert covered == set(range(1, len(result.trace.t)))
     assert max(t_k) > 0.0
@@ -409,6 +446,36 @@ def test_bank_threshold_checks():
         late.thresholds(np.array([0.25, 0.75]))
     want = ThresholdRule(kind="analytic").evaluate(0.75, late.observers[0], 0.0, 1.0, consts)
     assert late.thresholds(np.array([0.75])).tolist() == [[want] * 3]
+
+
+@pytest.mark.parametrize(
+    "terms, near",
+    [((0.5, 2.0, 0.1, 1.0, 0.0), 1.0), ((2.0, 0.5, 0.1, 1.0, 0.0), 1.3)],
+    ids=["rising", "falling"],
+)
+def test_bank_clear_bounds_by_the_smaller_end(monkeypatch, terms, near):
+    # c + b + (a - b) d rises when a < b and falls when a > b: the bound is
+    # the smaller end threshold, whichever end that is
+    monkeypatch.setattr(ThresholdRule, "terms", lambda self, *_: terms)
+    bank = _one_bank(ThresholdRule(kind="exponential"))
+    assert bank.monotone
+    t = np.linspace(0.25, 1.0, 16)
+    eps = bank.thresholds(t)
+    assert eps.min() < near < eps.max()
+    assert not bank._clear(np.full(eps.shape, near), t)
+    assert bank._clear(np.full(eps.shape, 0.5), t)
+    res = np.full(eps.shape, 0.5)
+    res[3, 1] = np.nan
+    assert not bank._clear(res, t)
+
+
+def test_bank_clear_needs_nonnegative_terms(monkeypatch):
+    # a negative amplitude: thresholds still monotone, but the bank
+    # evaluates every step rather than bound rounding with cancellation
+    monkeypatch.setattr(ThresholdRule, "terms", lambda self, *_: (-0.5, 0.0, 1.5, 1.0, 0.0))
+    bank = _one_bank(ThresholdRule(kind="exponential"))
+    assert not bank.monotone
+    assert not bank._clear(np.zeros((4, 3)), np.linspace(0.25, 1.0, 4))
 
 
 def test_bank_thresholds_mix_fixed_and_decaying_terms(monkeypatch):

@@ -351,6 +351,9 @@ def test_cli_malformed_config(tmp_path):
             "configuration",
             "scenario.dos.intervals[0].random.scheme",
         ),
+        # example1's overlay draws from its seed alone
+        (("network", "generator", "split_seed"), 7, "configuration", "split_seed"),
+        (("network", "generator", "blink_fraction"), 0.5, "configuration", "blink_fraction"),
     ]
     for k, (field_path, value, category, fragment) in enumerate(cases):
         path = tmp_path / f"bad{k}.json"
