@@ -5,19 +5,18 @@ metric reports are flat key->value JSON documents.  A long-format (t, series,
 value) CSV feeds external plotting.
 
 The trace, residual and plot writers format whole blocks of rows, not
-cells: a ``%``-format row template (``"%.12g," * (1 + 2N) + "%d,%d\n"`` for
-the trace; for the residual log one per edge set and verdicts) is repeated
-once per row of a block of at most ``_BLOCK`` rows and applied in one format
-call to the block's cells, read with ``ndarray.tolist()``, so no whole-trace
-list is built and no Python list per row.  The residual log and the plot
-data repeat a value across a row: each row's time is formatted once and
-joined into the block's template as text, and so is a threshold that is
-bitwise fixed over its epoch, so only the other cells are formatted; these
-blocks are formatted as bytes.  ``"%.12g" % x`` and ``b"%.12g" % x`` are
+cells, through one writer, ``_write_timed_rows``: a row template is repeated
+once per row of a block and applied in one format call to the block's
+cells, read with ``ndarray.tolist()``, so no whole-trace list is built and
+no Python list per row.  Every row's time is formatted once and joined into
+the block's template as text, and so is every cell that is fixed over a run
+of rows: the trace's mode index and DoS flag over a run of steps where both
+are equal, the residual log's verdicts, and a threshold that is bitwise
+fixed over its epoch; only the other cells are formatted, and the blocks
+are formatted as bytes.  ``"%.12g" % x`` and ``b"%.12g" % x`` are
 ``f"{float(x):.12g}"`` for every float, signed zeros, infinities, NaN and
-subnormals included, and ``"%d"`` prints an integral float as its integer,
-so the bytes are those of the per-cell ``fmt``, which ``write_csv`` keeps
-for rows of mixed cells."""
+subnormals included, so the bytes are those of the per-cell ``fmt``, which
+``write_csv`` keeps for rows of mixed cells."""
 
 from __future__ import annotations
 
@@ -51,8 +50,8 @@ from .graphs import (
 from .isolation import RescueResult, dp_msr_run, post_isolation_connectivity, run_rescue
 from .scenarios import ScenarioConfig, build_network, materialize
 
-# rows formatted per block: bounds the Python floats, the argument tuple and
-# the block's string alive at once
+# a block of rows holds at most 16 _BLOCK cells: bounds the Python floats,
+# the argument tuple and the block's bytes alive at once
 _BLOCK = 512
 
 
@@ -77,15 +76,6 @@ def _csv_file(path, header):
         yield fh
 
 
-def _write_rows(fh, template, blocks):
-    """Write every row of every float block as ``template % row``, a block
-    at a time: the template repeated once per row, applied to the block's
-    cells in one format call.  A block holds at most ``_BLOCK`` rows, so only
-    its Python floats and its string exist at once."""
-    for block in blocks:
-        fh.write(((template * len(block)) % tuple(block.ravel().tolist())).encode())
-
-
 def write_csv(path, header, rows):
     """Write rows of mixed cells (str, bool, int, float) through ``fmt``."""
     with _csv_file(path, header) as fh:
@@ -94,6 +84,11 @@ def write_csv(path, header, rows):
 
 
 def write_trace_csv(path, trace: SimulationTrace):
+    """One row per step: t, every p_tilde, every v, the mode index and the
+    DoS flag.  Each run of steps with equal mode index and DoS flag has one
+    row template with the two written into it as text, and each step's time
+    is formatted once (``_write_timed_rows``), so the ``%`` fields take only
+    the positions and velocities."""
     n = trace.node_count
     header = (
         ["t"]
@@ -101,20 +96,20 @@ def write_trace_csv(path, trace: SimulationTrace):
         + [f"v_{i}" for i in range(n)]
         + ["active_mode", "dos_active"]
     )
-    # mode index and DoS flag ride in the float block; %d prints them as ints
-    columns = (
-        trace.t[:, None],
-        trace.p_tilde,
-        trace.v,
-        trace.mode_index[:, None],
-        trace.dos_active[:, None],
-    )
-    blocks = (
-        np.hstack([c[lo : lo + _BLOCK] for c in columns])
-        for lo in range(0, len(trace.t), _BLOCK)
-    )
+    # the runs come from the per-step columns, not from the segments: a
+    # segment keeps its first step's mode and flag across a change of either
+    # that leaves the edges equal
+    mode, dos = trace.mode_index, trace.dos_active
+    turns = np.flatnonzero((mode[1:] != mode[:-1]) | (dos[1:] != dos[:-1])) + 1
+    bounds = [0, *turns.tolist(), len(mode)]
+
+    def cells(a, b):
+        return np.hstack((trace.p_tilde[a:b], trace.v[a:b]))
+
     with _csv_file(path, header) as fh:
-        _write_rows(fh, "%.12g," * (1 + 2 * n) + "%d,%d\n", blocks)
+        for lo, hi in zip(bounds, bounds[1:]):
+            line = ",%.12g" * (2 * n) + f",{int(mode[lo])},{int(dos[lo])}\n"
+            _write_timed_rows(fh, trace.t, [line], cells, 1 + 2 * n, lo, hi)
 
 
 def write_events_csv(path, events):
@@ -237,7 +232,9 @@ def write_long_csv(path, trace: SimulationTrace, residual_log=None, window: floa
             _write_timed_rows(fh, e.t, lines, cells, 4 * len(e.pairs), 0, len(e.t))
         if window is not None:
             ts, lam = lambda2_series(trace, window)
-            _write_rows(fh, "%.12g,lambda2_window,%.12g\n", [np.column_stack((ts, lam))])
+            _write_timed_rows(
+                fh, ts, [",lambda2_window,%.12g\n"], lambda a, b: lam[a:b], 2, 0, len(ts)
+            )
 
 
 # ---------------------------------------------------------------------------

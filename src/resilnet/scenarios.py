@@ -287,6 +287,8 @@ def materialize(config: ScenarioConfig) -> RescueProblem:
     for atk in config.attacks:
         if not 0 <= atk.agent < net.node_count:
             raise ConfigurationError(f"attack agent {atk.agent} out of range")
+    if len({atk.agent for atk in config.attacks}) == net.node_count:
+        raise ConfigurationError("every agent is attacked: no agent is cooperative")
     return RescueProblem(
         net=net,
         gains=config.gains,

@@ -337,13 +337,23 @@ def test_writer_blocks_do_not_show(rule, tmp_path, monkeypatch):
         bounds = sorted({0, len(e.t), *np.searchsorted(e.t, e.flag_t).tolist()})
         runs += [hi - lo > 16 * 7 // len(e.pairs) for lo, hi in zip(bounds, bounds[1:])]
     assert any(runs)
+    # the trace has more than one run of equal mode and DoS flag, and at 7
+    # one of them spans a block end too
+    trace = result.trace
+    mode, dos = trace.mode_index, trace.dos_active
+    turns = np.flatnonzero((mode[1:] != mode[:-1]) | (dos[1:] != dos[:-1])) + 1
+    lengths = np.diff([0, *turns.tolist(), len(mode)])
+    assert len(lengths) >= 2
+    assert (lengths > 16 * 7 // (1 + 2 * trace.node_count)).any()
+    names = ("residuals.csv", "plot_data.csv", "trace.csv")
     files = {}
     for block in (1, 7, 512):
         monkeypatch.setattr(reports, "_BLOCK", block)
         out = tmp_path / str(block)
         reports.write_residuals_csv(out / "residuals.csv", log)
-        reports.write_long_csv(out / "plot_data.csv", result.trace, log, window=1.0)
-        files[block] = [(out / name).read_bytes() for name in ("residuals.csv", "plot_data.csv")]
+        reports.write_long_csv(out / "plot_data.csv", trace, log, window=1.0)
+        reports.write_trace_csv(out / "trace.csv", trace)
+        files[block] = [(out / name).read_bytes() for name in names]
     assert files[1] == files[7] == files[512]
 
 

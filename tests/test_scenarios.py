@@ -383,6 +383,23 @@ def test_cli_zero_step_horizon(tmp_path, capsys):
         assert "shorter than one step" in error["message"]
 
 
+def test_cli_no_cooperative_agent(tmp_path, capsys):
+    # attacks that name every agent leave no agent to detect or to report
+    # on: every verb that walks the timeline rejects the document before any
+    # step, not after the horizon with numpy's text
+    d = config_to_dict(generate_example1(0))
+    d["attacks"] = [dict(d["attacks"][k % 2], agent=k) for k in range(8)]
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(d))
+    for verb in ("rescue", "simulate", "dp-msr"):
+        code = main([verb, "--config", str(config), "--out", str(tmp_path / verb)])
+        error = json.loads(capsys.readouterr().err)
+        assert code == 2, verb
+        assert error["error"] == "configuration"
+        assert "no agent is cooperative" in error["message"]
+        assert not (tmp_path / verb).exists()
+
+
 def test_step_count_cap_allocates_nothing():
     # 3e10 steps of 8 agents: every run rejects the document before any
     # array of the grid's size exists
