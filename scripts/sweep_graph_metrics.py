@@ -2,24 +2,18 @@
 """Batch sweep of graph-resilience metrics over seeded random networks.
 
 For each seed: build a two-mode switching network, compute the PE margin,
-the effective graph's exact robustness and vertex connectivity, and check
-the ceil(lambda2/2) <= r <= kappa <= N-1 chain.  Rows go to stdout as CSV;
-the exit status is 1 when the chain fails on any row.
+and read the effective graph's exact robustness, vertex connectivity and
+the ceil(lambda2/2) <= r <= kappa <= N-1 chain from ``check_bound_chain``.
+Rows go to stdout as CSV; the exit status is 1 when the chain fails on any
+row.
 """
 
 import argparse
-import math
 import sys
 
 import numpy as np
 
-from resilnet.graphs import (
-    algebraic_connectivity,
-    laplacian,
-    pe_margin,
-    r_robustness,
-    vertex_connectivity,
-)
+from resilnet.graphs import algebraic_connectivity, check_bound_chain, laplacian, pe_margin
 from resilnet.scenarios import random_connected_graph, split_edges_alternating
 
 
@@ -30,12 +24,10 @@ def one_row(seed, n_low, n_high):
         random_connected_graph(rng, n), 0.5, 4.0, int(rng.integers(0, 2**31))
     )
     report = pe_margin(net, 1.0)
-    eff = report.effective_graph
-    r = r_robustness(eff)
-    kappa = vertex_connectivity(eff)
-    lam2 = algebraic_connectivity(laplacian(eff))
-    holds = math.ceil(report.lambda2_integral / 2 - 1e-12) <= r <= kappa <= n - 1
-    return (seed, n, report.mu, report.lambda2_integral, lam2, r, kappa, int(holds))
+    chain = check_bound_chain(report)
+    lam2 = algebraic_connectivity(laplacian(report.effective_graph))
+    row = (report.mu, report.lambda2_integral, lam2, chain.r, chain.kappa)
+    return (seed, n, *row, int(chain.chain_holds))
 
 
 def main():

@@ -71,7 +71,7 @@ def main(argv=None) -> int:
     try:
         if args.verb in ("example1", "example2"):
             if args.config is not None:
-                config = _load_config(args.config)
+                config = _reseed(_load_config(args.config), args.seed)
             else:
                 gen = generate_example1 if args.verb == "example1" else generate_example2
                 config = gen(args.seed if args.seed is not None else 0)

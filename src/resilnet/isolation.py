@@ -10,22 +10,27 @@ baseline is included for comparison runs.
 Between edge-set changes all observers run as one bank.  An observer's
 model is linear time-invariant there and its measurement is interpolated
 linearly across a plant step, so its RK4 step is one matrix: x^+ = R_o x^ +
-F0 y_start + F1 y_end.  The bank stacks [R_o | F0 | F1] in a zero-padded
-batch.  A view, its gain and its step matrix depend only on the owner's
-local edge set (``observers._view_key``), so a run builds them once per
-owner and local edge set, also for edge sets it returns to.
+F0 y_start + F1 y_end.  The bank is built from one row per detector: its
+observer, (R_o, F0, F1), its neighbors and its threshold terms, and stacks
+[R_o | F0 | F1] in a zero-padded batch.  A view is a function of the owner's
+local edge set (``observers._view_key``), so a run keeps one cache of
+(view, gain, step matrices) under that key and builds each entry once, also
+for edge sets it returns to.
 
 Up to its first verdict, a run on one edge set is a fixed function of the
 trajectory, so the loop goes in blocks of steps: the plant's rows first,
 then every estimate by one batched product per step, then measurements,
 residuals, thresholds, the test |r| > eps and the residual log as array
 operations over the block.  A monotone threshold rule is evaluated only at
-the block's ends and log steps while every residual stays below both ends.  A block ends one step past its first verdict
-and the walk resumes there on the pruned edge set, so at most one block of
-work is repeated per verdict.  Each agent's ``ObserverState`` stays its
-reconfiguration record: on every edge-set change the bank writes the
-estimates back, the observers whose view changed reconfigure at the
-walker's time k h, and a new bank is built.
+the block's ends and log steps while every residual stays below both ends.
+A block ends one step past its first verdict and the walk resumes there on
+the pruned edge set, so at most one block of work is repeated per verdict.
+A flagged pair leaves the edge set, so a bank's verdicts all fall on its
+last step, and the bank records their times in its own slots.  Each
+agent's ``ObserverState`` stays its reconfiguration record: on every
+edge-set change the old bank hands the estimates back and logs its slots,
+the observers whose view changed reconfigure at the walker's time k h, and
+a new bank is built from their rows.
 """
 
 from __future__ import annotations
@@ -208,41 +213,37 @@ class _ObserverBank:
     view size), the measurement at the start of the step and the one at its
     end (m + 1 entries each), each part zero-padded to the largest view.
     Row k of ``step_mat`` holds [R_o | F0 | F1] on the same padding with
-    zeros elsewhere, so padding never mixes into an estimate.  The residual
-    slots are the (detector, neighbor) pairs in neighbor-map order.
+    zeros elsewhere, so padding never mixes into an estimate.  ``rows`` holds
+    one (observer, (R_o, F0, F1), neighbors, threshold terms) per detector;
+    the residual slots are its (detector, neighbor) pairs in row order, and
+    ``flag_t`` holds each slot's verdict time, inf if none.
     """
 
-    def __init__(
-        self, detectors, observers, step_matrices, neighbor_map, n, settings, h,
-        consts=None, x0_norm=0.0,
-    ):
-        self.observers = [observers[i] for i in detectors]
+    def __init__(self, rows, n, h, stride):
+        self.observers = [obs for obs, *_ in rows]
         size = max((obs.view.size for obs in self.observers), default=0)
-        rows = len(self.observers)
         est, meas = 2 * size, size + 1
         self.est = est
-        self.step_mat = np.zeros((rows, est, est + 2 * meas))
-        self.x_hat = np.zeros((rows, est, 1))
+        self.step_mat = np.zeros((len(rows), est, est + 2 * meas))
+        self.x_hat = np.zeros((len(rows), est, 1))
         # a chunk's z of every step, kept for the next chunk
-        self.z = np.empty((0, rows, est + 2 * meas, 1))
+        self.z = np.empty((0, len(rows), est + 2 * meas, 1))
         # index into col(x_start, x_end) of every measurement: member
         # positions, then the owner's velocity; padded entries read p~_0
         # into zero columns
-        self.gather = np.zeros((rows, 2 * meas, 1), dtype=int)
+        self.gather = np.zeros((len(rows), 2 * meas, 1), dtype=int)
         self.pairs = []
         self.groups = []  # (detector, neighbors, first slot, end slot)
         slot_row, slot_state = [], []
-        for k, (i, obs) in enumerate(zip(detectors, self.observers)):
-            m = obs.view.size
-            r, f0, f1 = step_matrices[i]
+        for k, (obs, (r, f0, f1), nbrs, _) in enumerate(rows):
+            i, m = obs.view.owner, obs.view.size
             self.step_mat[k, : 2 * m, : 2 * m] = r
             self.step_mat[k, : 2 * m, est : est + m + 1] = f0
             self.step_mat[k, : 2 * m, est + meas : est + meas + m + 1] = f1
             self.x_hat[k, : 2 * m, 0] = obs.x_hat
-            measured = np.array([*obs.view.members, n + obs.view.owner])
+            measured = np.array([*obs.view.members, n + i])
             self.gather[k, : m + 1, 0] = measured
             self.gather[k, meas : meas + m + 1, 0] = 2 * n + measured
-            nbrs = neighbor_map[i]
             if nbrs:
                 self.groups.append((i, nbrs, len(self.pairs), len(self.pairs) + len(nbrs)))
             for j in nbrs:
@@ -252,11 +253,12 @@ class _ObserverBank:
         self.slot_row = np.array(slot_row, dtype=int)
         self.slot_state = np.array(slot_state, dtype=int)
         self.slot_meas = np.array([j for _, j in self.pairs], dtype=int)
+        self.flag_t = np.full(len(self.pairs), math.inf)
         self.h = h
-        self.stride = settings.residual_log_stride
+        self.stride = stride
         # the distinct threshold terms, a column each, those of rate 0 last: a
         # rate of 0 gives d = 1 exactly, so their thresholds are fixed here
-        terms = [settings.threshold.terms(obs, 0.0, x0_norm, consts) for obs in self.observers]
+        terms = [row[3] for row in rows]
         distinct = sorted(dict.fromkeys(terms), key=lambda tm: tm[3] == 0)
         column = {tm: c for c, tm in enumerate(distinct)}
         self.slot_term = np.array([column[terms[k]] for k in slot_row], dtype=int)
@@ -291,7 +293,8 @@ class _ObserverBank:
         (rows of ``X``, already stepped), then every slot's test |r| > eps;
         keep the log steps.  Stops after the first step that flags a slot:
         returns (k_end, verdicts), the (slot, residual, threshold) of each
-        slot flagged on the step to k_end.  Runs in chunks of at most
+        slot flagged on the step to k_end, and records k_end h as their
+        verdict time in ``flag_t``.  Runs in chunks of at most
         ``_CHUNK_WORK`` multiply-adds, so that a large bank repeats little
         work past a verdict.
 
@@ -340,6 +343,7 @@ class _ObserverBank:
             if hit.size:
                 stop = int(hit[0]) + 1
                 flagged = over[stop - 1].nonzero()[0].tolist()
+                self.flag_t[flagged] = (k0 + stop) * self.h
         # a view that the next chunk copies to its first row
         self.x_hat = z[stop, :, :est]
         first = -(k0 + 1) % self.stride
@@ -359,15 +363,16 @@ class _ObserverBank:
         floor = self.thresholds(t[[0, -1]]).min(initial=math.inf) * (1.0 - 1e-9)
         return bool((np.abs(res) < floor).all())
 
-    def close(self, flag_t: dict, epochs: list):
-        """Return the estimates to their owners and append the log to
-        ``epochs``; later flags postdate every row."""
+    def close(self, epochs: list):
+        """Return the estimates to their owners and append the log, with the
+        slots' verdict times, to ``epochs``."""
         for k, obs in enumerate(self.observers):
             obs.x_hat = self.x_hat[k, : 2 * obs.view.size, 0].copy()
         if self.logged and self.pairs:
             t, res, eps = (np.concatenate(part) for part in zip(*self.logged))
-            flags = np.array([flag_t.get(p, math.inf) for p in self.pairs])
-            epochs.append(LogEpoch(t, res, eps, tuple(self.pairs), flags, tuple(self.groups)))
+            epochs.append(
+                LogEpoch(t, res, eps, tuple(self.pairs), self.flag_t, tuple(self.groups))
+            )
 
 
 def run_rescue(problem: RescueProblem) -> RescueResult:
@@ -385,24 +390,19 @@ def run_rescue(problem: RescueProblem) -> RescueResult:
 
     consts = None
     x0_norm = float(np.linalg.norm(problem.initial.stacked()))
-    if settings.threshold.kind == "analytic":
+    certified = settings.threshold.kind == "analytic"
+    if certified:
         report = pe_margin(net, settings.pe_window)
         if report.mu <= 0:
-            raise ConfigurationError(
-                "analytic thresholds require a positive PE margin"
-            )
+            raise ConfigurationError("analytic thresholds require a positive PE margin")
         consts = stability_constants(report.mu, settings.pe_window, gains, n)
     w_budget = _auto_w_budget(problem, consts)
-    certified = settings.threshold.kind == "analytic"
 
     detectors = problem.cooperative
     removed: set = set()
     observers: dict[int, ObserverState] = {}
     bank: _ObserverBank | None = None
-    gain_cache: dict = {}  # view size -> structured gain
     views: dict = {}  # (owner, local edge set) -> (view, gain, step matrices)
-    step_matrices: dict[int, tuple] = {}
-    flag_t: dict = {}  # (detector, neighbor) -> time of its verdict
     events: list[IsolationEvent] = []
     epochs: list[LogEpoch] = []
     agents = _attackers(problem.attacks)
@@ -414,46 +414,39 @@ def run_rescue(problem: RescueProblem) -> RescueResult:
         entry = views.get(key)
         if entry is None:
             view = two_hop_view(g, i, gains)
-            # a certified design depends on the whole model, the structured
-            # gain only on the view size
             if certified:
                 gain = design_gain(view)
             else:
-                gain = gain_cache.get(view.size)
-                if gain is None:
-                    h_matrix = gain_matrix(view, STRUCTURED_K1)
-                    gain = gain_cache[view.size] = ObserverGain(h_matrix, None, None, None)
+                gain = ObserverGain(gain_matrix(view, STRUCTURED_K1), None, None, None)
             entry = views[key] = (view, gain, _observer_step_matrices(view, gain, h))
         return entry
 
     def on_edges(edges, t, x):
         """Hand the bank's state back, reconfigure every observer whose view
-        changed and rebuild the bank; return the plant's step matrices and
-        the bank.  An equal local edge set gives the very view object the
-        observer holds, so identity tells an unchanged view."""
+        changed and build the bank from a row per detector; return the
+        plant's step matrices and the bank.  An equal local edge set gives
+        the very view object the observer holds, so identity tells an
+        unchanged view."""
         nonlocal bank
         if bank is not None:
-            bank.close(flag_t, epochs)
+            bank.close(epochs)
         graph_eff = Graph(n, tuple(sorted(edges)))
         plant = _plant_matrices(graph_eff, gains, agents, h)
-        neighbor_map = {i: graph_eff.neighbors(i) for i in detectors}
+        rows = []
         for i in detectors:
             view, gain, mats = local_view(graph_eff, i)
             obs = observers.get(i)
-            if obs is not None and view is obs.view:
-                continue
             if obs is None:
                 obs = observers[i] = ObserverState(view, gain, w_budget, t)
                 obs.reinit(view.measure(x[:n], x[n:]), t)
-            elif view.members == obs.view.members:
+            elif view.members != obs.view.members:
+                obs.remap(view, gain, view.measure(x[:n], x[n:]), t)
+            elif view is not obs.view:
                 # pure edge change: swap the model, keep the estimate
                 obs.reconfigure(view, gain, t, keep_state=True)
-            else:
-                obs.remap(view, gain, view.measure(x[:n], x[n:]), t)
-            step_matrices[i] = mats
-        bank = _ObserverBank(
-            detectors, observers, step_matrices, neighbor_map, n, settings, h, consts, x0_norm,
-        )
+            terms = settings.threshold.terms(obs, 0.0, x0_norm, consts)
+            rows.append((obs, mats, graph_eff.neighbors(i), terms))
+        bank = _ObserverBank(rows, n, h, settings.residual_log_stride)
         return plant, bank
 
     def advance(context, X, k0, k1, U):
@@ -465,7 +458,6 @@ def run_rescue(problem: RescueProblem) -> RescueResult:
         t = k_end * h
         for s, res, eps in verdicts:
             i, j = bank.pairs[s]
-            flag_t[i, j] = t
             removed.add((min(i, j), max(i, j)))
             events.append(IsolationEvent(t, i, j, res, eps))
         return k_end
@@ -474,7 +466,7 @@ def run_rescue(problem: RescueProblem) -> RescueResult:
         net, problem.initial, problem.attacks, problem.dos, problem.horizon, h,
         on_edges, advance, removed,
     )
-    bank.close(flag_t, epochs)
+    bank.close(epochs)
     run = RescueRun(
         problem=problem,
         events=tuple(events),

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import Gains, _closed_loop
 from .errors import ConfigurationError, DesignFailureError
-from .graphs import RANK_RTOL, Graph, _laplacian, khop_neighbors
+from .graphs import RANK_RTOL, Graph, _laplacian
 
 GAIN_LADDER = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0)
 # k1 of the structured gain of a detector without a certified design, and
@@ -68,43 +68,32 @@ class TwoHopView:
         return np.concatenate([p_tilde[idx], v[idx]])
 
 
+def _view_key(g: Graph, owner: int) -> tuple:
+    """The owner's local edge set: the neighbors of the owner and of each of
+    its 1-hop neighbors, so every edge that touches one of them.  A view is
+    built from this key alone (``view_members``, ``two_hop_view``), so equal
+    keys give equal views by construction, and with alpha > 0 different keys
+    give different ``members`` or ``a_model``."""
+    return owner, tuple(g.neighbors(u) for u in (owner, *g.neighbors(owner)))
+
+
 def view_members(g: Graph, owner: int) -> tuple:
     """Agents whose positions ``owner`` measures: itself, then its 1-hop and
     2-hop neighbors in sorted order.  The order keeps an estimate's
     numbering across mode switches that change edges but not membership."""
-    reach = khop_neighbors(g, owner, 1) | khop_neighbors(g, owner, 2)
-    return (owner, *sorted(reach - {owner}))
-
-
-def _model_blocks(g: Graph, owner: int):
-    members = view_members(g, owner)
-    index = {v: k for k, v in enumerate(members)}
-    # the model keeps only the edges the owner can infer: its own star,
-    # edges among 1-hop neighbors and from 1-hop out to 2-hop nodes -- never
-    # edges between two strictly-2-hop nodes
-    two_only = set(members) - {owner} - khop_neighbors(g, owner, 1)
-    edges = [
-        (index[u], index[w])
-        for u, w in g.edges
-        if u in index and w in index and not (u in two_only and w in two_only)
-    ]
-    return members, _laplacian(len(members), edges)
-
-
-def _view_key(g: Graph, owner: int) -> tuple:
-    """The owner's local edge set: the neighbors of the owner and of each of
-    its 1-hop neighbors, so every edge that touches one of them.  These are
-    exactly the model edges of ``two_hop_view`` (``_model_blocks`` keeps each
-    one and never an edge between two strictly-2-hop nodes), and they fix
-    its members.  So equal keys give equal views, and with alpha > 0
-    different keys give different ``members`` or ``a_model``."""
-    return owner, tuple(g.neighbors(u) for u in (owner, *g.neighbors(owner)))
+    lists = _view_key(g, owner)[1]
+    return (owner, *sorted(set().union(*lists) - {owner}))
 
 
 def two_hop_view(g: Graph, owner: int, gains: Gains) -> TwoHopView:
-    members, l_model = _model_blocks(g, owner)
+    members = view_members(g, owner)
+    index = {v: k for k, v in enumerate(members)}
+    lists = _view_key(g, owner)[1]
+    # the model edges (u, w), u the owner or a 1-hop neighbor and w in N(u),
+    # are those the owner can infer: never one between two strictly-2-hop nodes
+    edges = [(index[u], index[w]) for u, nbrs in zip((owner, *lists[0]), lists) for w in nbrs]
     m = len(members)
-    a_model = _closed_loop(l_model, gains)
+    a_model = _closed_loop(_laplacian(m, edges), gains)
     c_meas = np.zeros((m + 1, 2 * m))
     c_meas[:m, :m] = np.eye(m)
     c_meas[m, m] = 1.0  # owner velocity; owner is first in the ordering

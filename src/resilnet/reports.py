@@ -242,6 +242,16 @@ def write_long_csv(path, trace: SimulationTrace, residual_log=None, window: floa
 # ---------------------------------------------------------------------------
 
 
+def _check_cooperative(n: int, attacked) -> None:
+    """The removal check's floor: the graph metrics of an attacked network
+    and a rescue report need at least 3 cooperative agents."""
+    if n - len(attacked) < 3:
+        raise ConfigurationError(
+            f"{len(attacked)} of {n} agents are attacked: "
+            "fewer than 3 cooperative agents would remain"
+        )
+
+
 def graph_metrics(config: ScenarioConfig) -> dict:
     """Connectivity/robustness report of the configured network plus the
     removal check for the configured adversary set."""
@@ -273,6 +283,7 @@ def graph_metrics(config: ScenarioConfig) -> dict:
         out["vertex_connectivity"] = vertex_connectivity(eff)
     malicious = sorted({a.agent for a in config.attacks})
     if malicious:
+        _check_cooperative(net.node_count, malicious)
         f_total, f_local = adversary_classification(eff, malicious)
         out.update(adversary_f_total=f_total, adversary_f_local=f_local)
         kept = remove_nodes(net, malicious)
@@ -335,9 +346,12 @@ def write_report(path, report: dict):
 
 def run_scenario(config: ScenarioConfig, out_dir) -> dict:
     """Full pipeline: rescue run, trace/event/residual CSVs, metric report,
-    plot data.  Returns the report dict."""
+    plot data.  Returns the report dict.  A document with too few
+    cooperative agents for the graph metrics is rejected before any step,
+    so it writes nothing."""
     out_dir = Path(out_dir)
     problem = materialize(config)
+    _check_cooperative(problem.net.node_count, problem.malicious)
     result = run_rescue(problem)
     write_trace_csv(out_dir / "trace.csv", result.trace)
     write_events_csv(out_dir / "events.csv", result.run.events)

@@ -105,6 +105,7 @@ def stepwise_rescue(problem, keep=None):
                     keep(bank, t, res, eps, hits)
             if hits:
                 verdicts = [(s, float(res[s]), float(eps[s])) for s in hits]
+                bank.flag_t[hits] = t
                 break
         bank.x_hat = z[:, : bank.est].copy()
         return k + 1, verdicts
@@ -126,7 +127,7 @@ def rebuild_all_rescue(problem):
     consts, x0_norm = _threshold_inputs(problem)
     w_budget = _auto_w_budget(problem, consts)
     detectors = problem.cooperative
-    removed, observers, step_matrices, flag_t, events, epochs = set(), {}, {}, {}, [], []
+    removed, observers, step_matrices, events, epochs = set(), {}, {}, [], []
     gain_cache, step_cache = {}, {}
     banks = []
     agents = _attackers(problem.attacks)
@@ -142,10 +143,9 @@ def rebuild_all_rescue(problem):
 
     def on_edges(edges, t, x):
         if banks:
-            banks[-1].close(flag_t, epochs)
+            banks[-1].close(epochs)
         graph_eff = Graph(n, tuple(sorted(edges)))
         plant = _plant_matrices(graph_eff, gains, agents, h)
-        neighbor_map = {i: graph_eff.neighbors(i) for i in detectors}
         for i in detectors:
             view = two_hop_view(graph_eff, i, gains)
             obs = observers.get(i)
@@ -167,11 +167,16 @@ def rebuild_all_rescue(problem):
             if key not in step_cache:
                 step_cache[key] = _observer_step_matrices(obs.view, obs.gain, h)
             step_matrices[i] = step_cache[key]
-        banks.append(
-            _ObserverBank(
-                detectors, observers, step_matrices, neighbor_map, n, settings, h, consts, x0_norm
+        rows = [
+            (
+                observers[i],
+                step_matrices[i],
+                graph_eff.neighbors(i),
+                settings.threshold.terms(observers[i], 0.0, x0_norm, consts),
             )
-        )
+            for i in detectors
+        ]
+        banks.append(_ObserverBank(rows, n, h, settings.residual_log_stride))
         return plant, banks[-1]
 
     def advance(context, X, k0, k1, U):
@@ -180,7 +185,6 @@ def rebuild_all_rescue(problem):
         k_end, verdicts = bank.advance(X, k0, k1)
         for s, res, eps in verdicts:
             i, j = bank.pairs[s]
-            flag_t[i, j] = k_end * h
             removed.add((min(i, j), max(i, j)))
             events.append(IsolationEvent(k_end * h, i, j, res, eps))
         return k_end
@@ -189,6 +193,6 @@ def rebuild_all_rescue(problem):
         net, problem.initial, problem.attacks, problem.dos, problem.horizon, h,
         on_edges, advance, removed,
     )
-    banks[-1].close(flag_t, epochs)
+    banks[-1].close(epochs)
     run = RescueRun(problem, tuple(events), frozenset(removed), detectors, consts)
     return RescueResult(trace, run, ResidualLog(tuple(epochs)))

@@ -388,7 +388,8 @@ def _one_bank(rule, consts=None, gain=None, t0=0.0):
     obs = ObserverState(view, gain or design_gain(view), 1.0, t0)
     mats = _observer_step_matrices(obs.view, obs.gain, 1e-3)
     settings = DetectorSettings(threshold=rule)
-    return _ObserverBank((0,), {0: obs}, {0: mats}, {0: (1, 2, 3)}, 4, settings, 1e-3, consts, 1.0)
+    terms = settings.threshold.terms(obs, 0.0, 1.0, consts)
+    return _ObserverBank([(obs, mats, (1, 2, 3), terms)], 4, 1e-3, settings.residual_log_stride)
 
 
 @pytest.mark.parametrize(
@@ -497,7 +498,11 @@ def test_bank_thresholds_mix_fixed_and_decaying_terms(monkeypatch):
         mats[i] = _observer_step_matrices(view, observers[i].gain, 1e-3)
     neighbor_map = {i: K4.neighbors(i) for i in range(4)}
     settings = DetectorSettings(threshold=rule)
-    bank = _ObserverBank((0, 1, 2, 3), observers, mats, neighbor_map, 4, settings, 1e-3)
+    rows = [
+        (observers[i], mats[i], neighbor_map[i], rule.terms(observers[i], 0.0, 0.0, None))
+        for i in range(4)
+    ]
+    bank = _ObserverBank(rows, 4, 1e-3, settings.residual_log_stride)
     t = np.linspace(0.25, 3.0, 12)
     want = [[rule.evaluate(x, observers[i]) for i, _ in bank.pairs] for x in t.tolist()]
     assert bank.thresholds(t).tolist() == want

@@ -7,7 +7,9 @@ from resilnet.dynamics import Gains, StabilityConstants, SystemState, simulate
 from resilnet.errors import ConfigurationError, DesignFailureError
 from resilnet.graphs import (
     Graph,
+    _laplacian,
     complete_graph,
+    khop_neighbors,
     path_graph,
     star_graph,
     static_network,
@@ -17,7 +19,6 @@ from resilnet.observers import (
     ObserverState,
     ThresholdRule,
     _lyapunov,
-    _model_blocks,
     _view_key,
     decay_envelope,
     design_gain,
@@ -26,6 +27,7 @@ from resilnet.observers import (
     pbh_observability,
     two_hop_view,
     validate_envelope,
+    view_members,
 )
 from resilnet.scenarios import (
     generate_example2,
@@ -76,12 +78,11 @@ def test_two_hop_view_star_hub_sees_all():
     assert set(view.members) == set(range(6))
 
 
-def test_view_key_is_exact(rng):
-    # the edge sets of switching modes, of each with one link dropped (a DoS
-    # trial) and with random links removed (isolations): for every owner,
-    # two edge sets share a key exactly when their views are equal
-    shared = distinct = 0
-    for _ in range(40):
+def _edge_set_families(rng, count):
+    """(n, edge sets) of ``count`` random networks: the edge sets of their
+    switching modes, of each with one link dropped (a DoS trial) and with
+    random links removed (isolations)."""
+    for _ in range(count):
         n = int(rng.integers(3, 16))
         overlay = random_connected_graph(rng, n, rng.uniform(0.1, 0.8))
         net = split_edges_alternating(overlay, 0.5, 4.0, int(rng.integers(2**31)))
@@ -92,19 +93,56 @@ def test_view_key_is_exact(rng):
             for _ in range(3):
                 cut = rng.random(len(mode.edges)) < rng.uniform(0.1, 0.5)
                 graphs.append(mode.drop_edges([e for e, c in zip(mode.edges, cut) if c]))
+        yield n, graphs
+
+
+def _reference_model(g, owner):
+    """The 2-hop model by its definition over the whole graph: the owner,
+    then its 1-hop and 2-hop neighbors sorted; the edges of ``g`` with both
+    ends among them, except those between two strictly-2-hop nodes."""
+    one = khop_neighbors(g, owner, 1)
+    members = (owner, *sorted((one | khop_neighbors(g, owner, 2)) - {owner}))
+    index = {v: k for k, v in enumerate(members)}
+    two_only = set(members) - {owner} - one
+    edges = [
+        (index[u], index[w])
+        for u, w in g.edges
+        if u in index and w in index and not (u in two_only and w in two_only)
+    ]
+    m = len(members)
+    a_model = np.block(
+        [
+            [np.zeros((m, m)), np.eye(m)],
+            [-GAINS.alpha * _laplacian(m, edges), -GAINS.gamma * np.eye(m)],
+        ]
+    )
+    return members, a_model
+
+
+def test_two_hop_view_matches_whole_graph_definition(rng):
+    # the view read off the local edge set is the model defined over every
+    # edge of the graph, bit for bit, on every owner of every edge set
+    isolated = 0
+    for n, graphs in _edge_set_families(rng, 40):
+        for g in graphs:
+            for owner in range(n):
+                members, a_model = _reference_model(g, owner)
+                view = two_hop_view(g, owner, GAINS)
+                assert view.members == view_members(g, owner) == members
+                assert view.a_model.tobytes() == a_model.tobytes()
+                isolated += not g.neighbors(owner)
+    assert isolated > 0
+
+
+def test_view_key_is_exact(rng):
+    # for every owner, two edge sets share a key exactly when their views
+    # are equal
+    shared = distinct = 0
+    for n, graphs in _edge_set_families(rng, 40):
         for owner in range(n):
             views, edge_sets = {}, {}
             for g in graphs:
                 view = two_hop_view(g, owner, GAINS)
-                m = view.size
-                l_model = _model_blocks(g, owner)[1]
-                a_block = np.block(
-                    [
-                        [np.zeros((m, m)), np.eye(m)],
-                        [-GAINS.alpha * l_model, -GAINS.gamma * np.eye(m)],
-                    ]
-                )
-                assert view.a_model.tobytes() == a_block.tobytes()
                 value = (view.members, view.a_model.tobytes(), view.c_meas.tobytes())
                 key = _view_key(g, owner)
                 views.setdefault(key, set()).add(value)

@@ -400,6 +400,60 @@ def test_cli_no_cooperative_agent(tmp_path, capsys):
         assert not (tmp_path / verb).exists()
 
 
+def _short_example1(tmp_path, attacked):
+    """example1 seed 0's document on a 2 s horizon, written to a file, with
+    ``attacked`` agents attacked (all with seed 0's attack signals)."""
+    d = config_to_dict(generate_example1(0))
+    d["network"]["horizon"] = 2.0
+    d["dos"]["intervals"][0]["duration"] = 1.0
+    d["attacks"] = [dict(d["attacks"][k % 2], agent=k) for k in attacked]
+    path = tmp_path / f"attacked{len(attacked)}.json"
+    path.write_text(json.dumps(d))
+    return path
+
+
+def test_cli_too_few_cooperative_agents(tmp_path, capsys):
+    # six of eight agents attacked leaves two cooperative agents: the verbs
+    # that report graph metrics reject the document before writing anything;
+    # the plant-only verbs still run it
+    six = _short_example1(tmp_path, range(6))
+    eight = _short_example1(tmp_path, range(8))
+    for verb, config in (("rescue", six), ("analyze-graph", six), ("analyze-graph", eight)):
+        out = tmp_path / f"{verb}_{config.stem}"
+        code = main([verb, "--config", str(config), "--out", str(out)])
+        error = json.loads(capsys.readouterr().err)
+        assert code == 2, verb
+        assert error["error"] == "configuration"
+        assert "fewer than 3 cooperative agents" in error["message"]
+        assert not out.exists()
+    for verb in ("simulate", "dp-msr"):
+        out = tmp_path / verb
+        assert main([verb, "--config", str(six), "--out", str(out)]) == 0, verb
+        capsys.readouterr()
+        assert (out / "report.json").exists()
+
+
+def test_cli_example_config_takes_seed(tmp_path, capsys):
+    # --seed reseeds a loaded document under the example verbs as under
+    # rescue, and the written scenario.json is the reseeded document
+    config = _short_example1(tmp_path, (5, 6))
+    runs = {}
+    for verb in ("example1", "rescue"):
+        out = tmp_path / verb
+        assert main([verb, "--config", str(config), "--seed", "3", "--out", str(out)]) == 0
+        runs[verb] = out
+    capsys.readouterr()
+    for name in ("trace.csv", "report.json"):
+        assert (runs["example1"] / name).read_bytes() == (runs["rescue"] / name).read_bytes()
+    written = json.loads((runs["example1"] / "scenario.json").read_text())
+    assert written["network"]["generator"]["seed"] == 3
+    assert written["initial"]["seed"] == 4
+    unseeded = tmp_path / "unseeded"
+    assert main(["example1", "--config", str(config), "--out", str(unseeded)]) == 0
+    capsys.readouterr()
+    assert (unseeded / "trace.csv").read_bytes() != (runs["rescue"] / "trace.csv").read_bytes()
+
+
 def test_step_count_cap_allocates_nothing():
     # 3e10 steps of 8 agents: every run rejects the document before any
     # array of the grid's size exists
