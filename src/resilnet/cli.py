@@ -3,7 +3,11 @@
 Verbs: analyze-graph, simulate, rescue, dp-msr, example1, example2.  All read
 a JSON scenario (--config) or generate one (--seed), write CSV traces and a
 JSON report under --out, and exit 0 on success or 2 with a machine-readable
-error category on failure.
+error category on failure.  Every verb checks the whole document through
+``scenarios.materialize`` before it writes anything, so a rejected document
+leaves no file behind and gets the same category under every verb (``dp-msr``
+also needs the document's ``dp_msr`` section).  The example verbs write the
+run's ``scenario.json`` last.
 """
 
 from __future__ import annotations
@@ -75,12 +79,10 @@ def main(argv=None) -> int:
             else:
                 gen = generate_example1 if args.verb == "example1" else generate_example2
                 config = gen(args.seed if args.seed is not None else 0)
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            with open(out / "scenario.json", "w") as fh:
+            report = run_scenario(config, args.out)
+            with open(Path(args.out) / "scenario.json", "w") as fh:
                 json.dump(config_to_dict(config), fh, indent=2)
                 fh.write("\n")
-            report = run_scenario(config, out)
         else:
             config = _reseed(_load_config(args.config), args.seed)
             if args.verb == "analyze-graph":

@@ -38,6 +38,7 @@ from .graphs import (
     _window_pieces,
     laplacian,
     projection_matrix,
+    union_graph,
 )
 
 _GRID_RTOL = 1e-9
@@ -188,6 +189,8 @@ class DoSRandomSpec:
             raise ValueError("trials must be >= 1")
         if not 0.0 <= self.success_prob <= 1.0:
             raise ValueError("success_prob must lie in [0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -293,8 +296,36 @@ class SimulationTrace:
 
 
 def _on_grid(value: float, h: float) -> bool:
-    k = round(value / h)
-    return abs(value - k * h) <= _GRID_RTOL * max(1.0, abs(value))
+    # the exact remainder, which no quotient too large for an int breaks
+    return abs(math.remainder(value, h)) <= _GRID_RTOL * max(1.0, abs(value))
+
+
+def _grid_steps(net_horizon, node_count, step_h, breakpoints=(), horizon=None) -> int:
+    """The step count of a walk of [0, horizon] (``net_horizon`` for None)
+    on the grid t = k ``step_h``, checked before anything of the grid's
+    size exists: the step is positive and finite, the horizon lies in
+    (0, ``net_horizon``], (steps + 1) x ``node_count`` trace cells are
+    within the limit, the horizon is a whole number of at least one step,
+    and every schedule breakpoint lies on the grid."""
+    if not (math.isfinite(step_h) and step_h > 0):
+        raise ConfigurationError(f"step must be positive and finite, got {step_h}")
+    horizon = net_horizon if horizon is None else horizon
+    if not 0 < horizon <= net_horizon + 1e-12:
+        raise ConfigurationError("horizon must lie in (0, network horizon]")
+    if not (horizon / step_h + 1) * node_count <= _MAX_TRACE_CELLS:
+        raise ConfigurationError(
+            f"{horizon / step_h:.3g} steps of {node_count} agents exceed the "
+            f"{_MAX_TRACE_CELLS:.0e}-cell trace limit"
+        )
+    if not _on_grid(horizon, step_h):
+        raise ConfigurationError("horizon must be a multiple of the step")
+    steps = round(horizon / step_h)
+    if steps < 1:
+        raise ConfigurationError(f"horizon {horizon} is shorter than one step of {step_h}")
+    for t in breakpoints:
+        if not _on_grid(t, step_h):
+            raise ConfigurationError(f"schedule breakpoint {t} is not a multiple of step {step_h}")
+    return steps
 
 
 def build_edge_timeline(
@@ -306,18 +337,13 @@ def build_edge_timeline(
     """Merge schedule and DoS boundaries into constant-edge entries on the
     step grid.
 
-    Schedule breakpoints must fall on the step grid; DoS sub-interval bounds
-    are snapped to it, so a sub-interval drops its edges on steps
-    [round(t0 / h), round(t1 / h)) and one shorter than half a step may drop
-    nothing.  Returns ``(k0, k1, mode, edges, dos_active)`` tuples that tile
-    steps [0, steps), each k0 < k1; entries with equal edges share one
-    frozenset.
+    Schedule breakpoints fall on the step grid (``_grid_steps`` checks
+    them); DoS sub-interval bounds are snapped to it, so a sub-interval
+    drops its edges on steps [round(t0 / h), round(t1 / h)) and one shorter
+    than half a step may drop nothing.  Returns ``(k0, k1, mode, edges,
+    dos_active)`` tuples that tile steps [0, steps), each k0 < k1; entries
+    with equal edges share one frozenset.
     """
-    for t, _ in net.schedule:
-        if not _on_grid(t, step_h):
-            raise ConfigurationError(
-                f"schedule breakpoint {t} is not a multiple of step {step_h}"
-            )
     # every list ends in a sentinel that the walk never passes
     switches = [(round(t / step_h), m) for t, m in net.schedule] + [(steps, None)]
     union_edges = sorted(set().union(*(g.edges for g in net.modes)))
@@ -366,6 +392,48 @@ def _rk4_matrices(a_mat: np.ndarray, h: float, cols=slice(None)) -> tuple:
     g0 = (h / 6.0) * (s[:, cols] + a3[:, cols] / 4.0)
     gm = (h / 6.0) * (4.0 * eye[:, cols] + 2.0 * a[:, cols] + a2[:, cols] / 2.0)
     return r, g0, gm
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def check_step_stability(net: SwitchingNetwork, gains: Gains, step_h: float) -> None:
+    """Reject a step at which RK4 amplifies a mode of the closed loop on
+    some edge set the run may meet.
+
+    Every such edge set (a mode, DoS-pruned or isolation-pruned) is a
+    subgraph of the modes' union, so its Laplacian eigenvalues lie in
+    [0, lam_max], lam_max the union's largest; each gives the eigenvalues s
+    of s^2 + gamma s + alpha lambda = 0, and RK4 is stable there when its
+    polynomial P has |P(h s)| <= 1.  Up to lambda = gamma^2 / (4 alpha) the
+    two roots are real, start at -gamma and 0 and close in on -gamma/2;
+    RK4's real stability set is an interval [-2.785..., 0], so this branch
+    is stable when P(-h gamma) <= 1.  Past it the roots are -gamma/2 +- i y
+    with y in [0, y_max], y_max = sqrt(4 alpha lam_max - gamma^2) / 2, a
+    conjugate pair with equal |P(h s)|, and |P(h s)|^2 is a polynomial in
+    y: its maximum on [0, y_max] lies at an end or at a stationary point,
+    so evaluating it there covers the branch.
+
+    This covers RK4's plant step only.  DP-MSR's zero-order hold has
+    another stability region, and its guard stays the walk's overflow
+    check.  The observers' RK4 step matrices get no check of their own: on
+    example1 seeds 0-2 their spectral radius is 0.9992 for every alpha up
+    to 1e6 and passes 1 only where this check rejects the step."""
+    h, gamma = step_h, gains.gamma
+    rk4 = [1 / 24, 1 / 6, 1 / 2, 1.0, 1.0]  # P's coefficients, highest first
+    lam_max = np.linalg.eigvalsh(laplacian(union_graph(net.modes)))[-1]
+    disc = 4.0 * gains.alpha * lam_max - gamma * gamma
+    stable = abs(np.polyval(rk4, -h * gamma)) <= 1.0
+    if stable and disc > 0.0:
+        # P(h (-gamma/2 + i y)) and |P|^2 as polynomials in y
+        line = np.polyval(rk4, np.poly1d([1j * h, -h * gamma / 2]))
+        square = (line * np.poly1d(line.coeffs.conj())).coeffs.real
+        y_max = math.sqrt(disc) / 2
+        ys = np.clip(np.r_[0.0, y_max, np.roots(np.polyder(square)).real], 0.0, y_max)
+        stable = bool((np.polyval(square, ys) <= 1.0).all())
+    if not stable:
+        raise ConfigurationError(
+            f"step {h} is outside RK4's stability region for alpha {gains.alpha} "
+            f"and gamma {gamma} on this network: |P(h s)| > 1"
+        )
 
 
 def _plant_matrices(g: Graph, gains: Gains, agents: tuple, h: float) -> tuple:
@@ -440,22 +508,8 @@ def _walk(
     n = net.node_count
     if initial.node_count != n:
         raise ConfigurationError("initial state dimension != network size")
-    if not (math.isfinite(step_h) and step_h > 0):
-        raise ConfigurationError(f"step must be positive and finite, got {step_h}")
-    horizon = net.horizon if horizon is None else horizon
-    if not 0 < horizon <= net.horizon + 1e-12:
-        raise ConfigurationError("horizon must lie in (0, network horizon]")
-    # checked before anything of the grid's size exists
-    if not (horizon / step_h + 1) * n <= _MAX_TRACE_CELLS:
-        raise ConfigurationError(
-            f"{horizon / step_h:.3g} steps of {n} agents exceed the "
-            f"{_MAX_TRACE_CELLS:.0e}-cell trace limit"
-        )
-    if not _on_grid(horizon, step_h):
-        raise ConfigurationError("horizon must be a multiple of the step")
-    steps = round(horizon / step_h)
-    if steps < 1:
-        raise ConfigurationError(f"horizon {horizon} is shorter than one step of {step_h}")
+    # the guard of an API caller; a document has passed it in materialize
+    steps = _grid_steps(net.horizon, n, step_h, (t for t, _ in net.schedule), horizon)
     timeline = build_edge_timeline(net, dos, steps, step_h)
     if on_timeline is not None:
         on_timeline(timeline)

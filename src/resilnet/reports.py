@@ -48,7 +48,7 @@ from .graphs import (
     vertex_connectivity,
 )
 from .isolation import RescueResult, dp_msr_run, post_isolation_connectivity, run_rescue
-from .scenarios import ScenarioConfig, build_network, materialize
+from .scenarios import ScenarioConfig, materialize
 
 # a block of rows holds at most 16 _BLOCK cells: bounds the Python floats,
 # the argument tuple and the block's bytes alive at once
@@ -242,20 +242,17 @@ def write_long_csv(path, trace: SimulationTrace, residual_log=None, window: floa
 # ---------------------------------------------------------------------------
 
 
-def _check_cooperative(n: int, attacked) -> None:
-    """The removal check's floor: the graph metrics of an attacked network
-    and a rescue report need at least 3 cooperative agents."""
-    if n - len(attacked) < 3:
-        raise ConfigurationError(
-            f"{len(attacked)} of {n} agents are attacked: "
-            "fewer than 3 cooperative agents would remain"
-        )
-
-
 def graph_metrics(config: ScenarioConfig) -> dict:
     """Connectivity/robustness report of the configured network plus the
-    removal check for the configured adversary set."""
-    net = build_network(config.network)
+    removal check for the configured adversary set, which needs at least 3
+    cooperative agents."""
+    problem = materialize(config)
+    net, malicious = problem.net, sorted(problem.malicious)
+    if net.node_count - len(malicious) < 3:
+        raise ConfigurationError(
+            f"{len(malicious)} of {net.node_count} agents are attacked: "
+            "fewer than 3 cooperative agents would remain"
+        )
     window = config.detector.pe_window
     report = pe_margin(net, window)
     eff = report.effective_graph
@@ -281,9 +278,7 @@ def graph_metrics(config: ScenarioConfig) -> dict:
         )
     else:
         out["vertex_connectivity"] = vertex_connectivity(eff)
-    malicious = sorted({a.agent for a in config.attacks})
     if malicious:
-        _check_cooperative(net.node_count, malicious)
         f_total, f_local = adversary_classification(eff, malicious)
         out.update(adversary_f_total=f_total, adversary_f_local=f_local)
         kept = remove_nodes(net, malicious)
@@ -346,13 +341,12 @@ def write_report(path, report: dict):
 
 def run_scenario(config: ScenarioConfig, out_dir) -> dict:
     """Full pipeline: rescue run, trace/event/residual CSVs, metric report,
-    plot data.  Returns the report dict.  A document with too few
-    cooperative agents for the graph metrics is rejected before any step,
-    so it writes nothing."""
+    plot data.  Returns the report dict.  The graph metrics come first, so a
+    document with too few cooperative agents for them is rejected before
+    any step and writes nothing."""
     out_dir = Path(out_dir)
-    problem = materialize(config)
-    _check_cooperative(problem.net.node_count, problem.malicious)
-    result = run_rescue(problem)
+    report = {"scenario": config.name, **graph_metrics(config)}
+    result = run_rescue(materialize(config))
     write_trace_csv(out_dir / "trace.csv", result.trace)
     write_events_csv(out_dir / "events.csv", result.run.events)
     write_residuals_csv(out_dir / "residuals.csv", result.residual_log)
@@ -362,8 +356,6 @@ def run_scenario(config: ScenarioConfig, out_dir) -> dict:
         result.residual_log,
         window=config.detector.pe_window,
     )
-    report = {"scenario": config.name}
-    report.update(graph_metrics(config))
     report.update(rescue_report(config, result))
     write_report(out_dir / "report.json", report)
     return report

@@ -4,6 +4,13 @@ A scenario document pins everything a run needs -- network (inline modes or a
 seeded generator), gains, initial state, attacks, DoS schedule, observer
 settings, integrator step -- with every random choice carried as an explicit
 seed so identical configs reproduce identical traces bit for bit.
+
+The dataclasses are plain data: each checks its own fields as it is built,
+and ``materialize`` checks how the fields relate (the step grid, the trace
+limit, the PE window, the attacked agents, RK4's stability) before it builds
+anything of a run's size.  Every verb materializes its document before it
+writes a file, so a rejected document gets one error category whatever the
+verb.
 """
 
 from __future__ import annotations
@@ -23,8 +30,9 @@ from .dynamics import (
     DoSSchedule,
     Gains,
     SystemState,
-    _MAX_TRACE_CELLS,
+    _grid_steps,
     _on_grid,
+    check_step_stability,
 )
 from .errors import ConfigurationError
 from .graphs import (
@@ -125,32 +133,6 @@ class ScenarioConfig:
     detector: DetectorSettings = field(default_factory=DetectorSettings)
     step_h: float = 1e-3
     dp_msr: DPMSRConfig | None = None
-
-    def __post_init__(self):
-        """Bound what materializing and running the document build, before
-        they are built: a generated schedule switches on the step grid and,
-        like the trace, within the trace limit, and a random DoS trial lasts
-        at least one step."""
-        h = self.step_h
-        if not h > 0:
-            raise ConfigurationError(f"step must be positive, got {h}")
-        gen = self.network.generator
-        if gen is not None:
-            period = gen.split_period
-            if not (round(period / h) >= 1 and _on_grid(period, h)):
-                raise ConfigurationError(f"split_period {period} is not a multiple of step {h}")
-            switches = self.network.horizon / period
-            if not (switches + 1) * gen.n <= _MAX_TRACE_CELLS:
-                raise ConfigurationError(
-                    f"{switches:.3g} mode switches of {gen.n} agents exceed the "
-                    f"{_MAX_TRACE_CELLS:.0e}-cell trace limit"
-                )
-        for k, iv in enumerate(self.dos.intervals if self.dos is not None else ()):
-            if iv.random is not None and not iv.duration / iv.random.trials >= h:
-                raise ConfigurationError(
-                    f"the {iv.random.trials} trials of DoS interval {k} are shorter "
-                    f"than one step of {h}"
-                )
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +264,39 @@ def build_initial(spec: InitialSpec, n: int) -> SystemState:
 
 
 def materialize(config: ScenarioConfig) -> RescueProblem:
-    net = build_network(config.network)
+    """Check the document as a whole and build its run's inputs.
+
+    Every verb calls this before it writes anything.  What relates fields
+    to each other is checked here, each field alone in its dataclass.  The
+    grid, the split period and the DoS trials are checked before anything
+    of the run's size is built: a generated schedule holds one entry per
+    ``split_period``, at most one per step."""
+    spec, h = config.network, config.step_h
+    gen = spec.generator
+    if gen is None:
+        n = spec.modes[0].node_count if spec.modes else 0
+        _grid_steps(spec.horizon, n, h, (t for t, _ in spec.schedule))
+    else:
+        _grid_steps(spec.horizon, gen.n, h)
+        period = gen.split_period
+        if not (period > h / 2 and _on_grid(period, h)):
+            raise ConfigurationError(f"split_period {period} is not a multiple of step {h}")
+    for k, iv in enumerate(config.dos.intervals if config.dos is not None else ()):
+        if iv.random is not None and not iv.duration / iv.random.trials >= h:
+            raise ConfigurationError(
+                f"the {iv.random.trials} trials of DoS interval {k} are shorter "
+                f"than one step of {h}"
+            )
+    if spec.horizon - config.detector.pe_window < -1e-12:
+        raise ConfigurationError("horizon shorter than the PE window")
+    net = build_network(spec)
     initial = build_initial(config.initial, net.node_count)
     for atk in config.attacks:
         if not 0 <= atk.agent < net.node_count:
             raise ConfigurationError(f"attack agent {atk.agent} out of range")
     if len({atk.agent for atk in config.attacks}) == net.node_count:
         raise ConfigurationError("every agent is attacked: no agent is cooperative")
+    check_step_stability(net, config.gains, h)
     return RescueProblem(
         net=net,
         gains=config.gains,

@@ -22,6 +22,7 @@ from resilnet.dynamics import (
     _rk4_matrices,
     _walk,
     build_edge_timeline,
+    check_step_stability,
     closed_loop_matrix,
     consensus_metrics,
     output_series,
@@ -691,3 +692,30 @@ def test_realized_disconnection_time_matches_per_segment_sum(rng):
             got = realized_disconnection_time(trace, window)
             want = _segment_realized_disconnection_time(trace, window)
             assert float(got).hex() == float(want).hex()
+
+
+def test_step_stability_check_matches_a_dense_scan(rng):
+    # the check evaluates |P(h s)| at a few points per root branch; a dense
+    # scan of lambda over [0, lambda_max] agrees with it on gains drawn
+    # across the boundary of RK4's stability region
+    net = split_edges_alternating(complete_graph(6), 0.5, 3.0, 4)
+    rk4 = np.polynomial.Polynomial([1.0, 1.0, 1 / 2, 1 / 6, 1 / 24])
+    lam = np.linspace(0.0, 6.0, 20001)  # the union is K6: lambda_max = 6
+    verdicts = set()
+    for _ in range(300):
+        gains = Gains(10 ** rng.uniform(-1.0, 7.0), 10 ** rng.uniform(-2.0, 4.0))
+        root = np.sqrt(gains.gamma**2 - 4.0 * gains.alpha * lam + 0j)
+        s = np.concatenate([-gains.gamma + root, -gains.gamma - root]) / 2.0
+        # the consensus mode, s = 0 at lambda = 0, is the one on |P| = 1
+        worst = np.abs(rk4(1e-3 * s[s != 0])).max()
+        if abs(worst - 1.0) < 1e-6:
+            continue
+        try:
+            check_step_stability(net, gains, 1e-3)
+            stable = True
+        except ConfigurationError as exc:
+            assert "stability region" in str(exc)
+            stable = False
+        assert stable == (worst <= 1.0), (gains, worst)
+        verdicts.add(stable)
+    assert verdicts == {True, False}

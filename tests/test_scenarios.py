@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -37,7 +38,6 @@ def test_config_roundtrip_example1():
     text = json.dumps(config_to_dict(config))
     assert config_from_dict(json.loads(text)) == config
     # inline modes, explicit initial state and fixed DoS edges
-    from dataclasses import replace
     from resilnet.scenarios import InitialSpec, NetworkSpec
 
     net = build_network(config.network)
@@ -103,12 +103,13 @@ class _Overrun(Exception):
     """Raised by the alarm; neither the CLI nor the decoder catches it."""
 
 
-def _mutation_sweep(run):
-    """Run ``run(doc)`` on every field of a 1 s example1 document dropped,
-    nulled, retyped, made NaN, inf or 0, negated, or scaled (ints by 10**9,
-    floats by 1e9 and by 1e-9, a 0 replaced by the factor); return (path,
-    value, exception) of each case that raised or took longer than the 2 s
-    alarm."""
+def _mutation_sweep(*runs):
+    """Run each of ``runs`` on every field of a 1 s example1 document
+    dropped, nulled, retyped, made NaN, inf or 0, negated, or scaled (ints
+    by 10**9, floats by 1e9 and by 1e-9, a 0 replaced by the factor).
+    Return (path, value, exception) of each run that raised or took longer
+    than the 2 s alarm, and (path, value, what each run returned) of each
+    document."""
     base = config_to_dict(generate_example1(0))
     base["network"]["horizon"] = 1.0
     base["dos"]["intervals"][0]["duration"] = 1.0
@@ -116,7 +117,7 @@ def _mutation_sweep(run):
     def on_alarm(signum, frame):
         raise _Overrun("no return within the bound")
 
-    escaped = []
+    escaped, outcomes = [], []
     previous = signal.signal(signal.SIGALRM, on_alarm)
     try:
         for path in list(_field_paths(base)):
@@ -130,16 +131,20 @@ def _mutation_sweep(run):
                 values += [original * 1e9 or 1e9, original * 1e-9 or 1e-9]
             for value in values:
                 d = _mutated(base, path, value)
-                signal.alarm(2)
-                try:
-                    run(d)
-                except Exception as exc:
-                    escaped.append((path, value, repr(exc)))
-                finally:
-                    signal.alarm(0)
+                results = []
+                for run in runs:
+                    signal.alarm(2)
+                    try:
+                        results.append(run(d))
+                    except Exception as exc:
+                        escaped.append((path, value, repr(exc)))
+                        results.append(None)
+                    finally:
+                        signal.alarm(0)
+                outcomes.append((path, value, results))
     finally:
         signal.signal(signal.SIGALRM, previous)
-    return escaped
+    return escaped, outcomes
 
 
 def test_config_mutation_sweep():
@@ -151,7 +156,8 @@ def test_config_mutation_sweep():
         except (ConfigurationError, ValueError):
             pass
 
-    assert not _mutation_sweep(decode)
+    escaped, _ = _mutation_sweep(decode)
+    assert not escaped
 
 
 def _strict_json(text):
@@ -161,27 +167,48 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-@pytest.mark.parametrize("verb", ["rescue", "simulate", "analyze-graph", "dp-msr"])
-def test_cli_mutation_sweep(verb, tmp_path, capsys):
-    # the verb in-process on every mutated document: exit 0 with a JSON
-    # report or exit 2 with a categorized JSON error, no traceback
+_VERBS = ("rescue", "simulate", "analyze-graph", "dp-msr")
+# mutations on which one verb may end differently from the others: that
+# verb and its outcome
+_ONE_VERB_DIFFERS = {
+    # only dp-msr runs the dp_msr section, so only it needs one
+    (("dp_msr",), None): ("dp-msr", (2, "configuration")),
+    (("dp_msr",), _DROP): ("dp-msr", (2, "configuration")),
+}
+
+
+def test_cli_mutation_sweep(tmp_path, capsys):
+    # every verb in-process on every mutated document: exit 0 with a JSON
+    # report or exit 2 with a categorized JSON error, no traceback; and
+    # every verb gives the same (exit code, category), as each one checks
+    # the document through materialize before anything else
     config, out = tmp_path / "scenario.json", tmp_path / "out"
-    codes = []
 
-    def run(d):
-        config.write_text(json.dumps(d))
-        code = main([verb, "--config", str(config), "--out", str(out)])
-        captured = capsys.readouterr()
-        codes.append(code)
-        if code == 0:
-            assert isinstance(_strict_json(captured.out), dict)
-        else:
+    def verb_run(verb):
+        def run(d):
+            config.write_text(json.dumps(d))
+            code = main([verb, "--config", str(config), "--out", str(out)])
+            captured = capsys.readouterr()
+            if code == 0:
+                assert isinstance(_strict_json(captured.out), dict)
+                return code, None
             error = _strict_json(captured.err)
-            assert code == 2 and error["error"] and "message" in error, (code, captured.err)
+            assert code == 2 and error["error"] and "message" in error, (verb, captured.err)
+            return code, error["error"]
 
-    assert not _mutation_sweep(run)
-    # both outcomes occur
-    assert set(codes) == {0, 2}
+        return run
+
+    escaped, outcomes = _mutation_sweep(*map(verb_run, _VERBS))
+    assert not escaped
+    for k, verb in enumerate(_VERBS):
+        # both outcomes occur under every verb
+        assert {results[k][0] for *_, results in outcomes} == {0, 2}, verb
+    for path, value, results in outcomes:
+        by_verb = dict(zip(_VERBS, results))
+        if (path, value) in _ONE_VERB_DIFFERS:
+            verb, outcome = _ONE_VERB_DIFFERS[path, value]
+            assert by_verb.pop(verb) == outcome, (path, value)
+        assert len(set(by_verb.values())) == 1, (path, value, by_verb)
 
 
 def test_example1_network_properties():
@@ -214,7 +241,6 @@ def test_generated_seeds_differ():
 
 def test_materialize_rejects_bad_attack_agent():
     config = generate_example1(0)
-    from dataclasses import replace
     from resilnet.dynamics import AttackSignal, DeceptionAttack
 
     bad = replace(
@@ -223,6 +249,16 @@ def test_materialize_rejects_bad_attack_agent():
     )
     with pytest.raises(ConfigurationError):
         materialize(bad)
+
+
+def test_materialize_grid_checks_take_any_quotient():
+    # a split_period of 1e318 steps is a quotient no int holds: the grid
+    # checks decide it without overflow, and the period outlasts the run
+    d = config_to_dict(generate_example1(0))
+    d["network"]["horizon"] = d["detector"]["pe_window"] = 2e-12
+    d["step_h"] = 1e-18
+    d["network"]["generator"]["split_period"] = 1e300
+    assert materialize(config_from_dict(d)).net.schedule == ((0.0, 0),)
 
 
 def test_blinking_split_union(rng):
@@ -391,7 +427,7 @@ def test_cli_no_cooperative_agent(tmp_path, capsys):
     d["attacks"] = [dict(d["attacks"][k % 2], agent=k) for k in range(8)]
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps(d))
-    for verb in ("rescue", "simulate", "dp-msr"):
+    for verb in ("rescue", "simulate", "dp-msr", "example1"):
         code = main([verb, "--config", str(config), "--out", str(tmp_path / verb)])
         error = json.loads(capsys.readouterr().err)
         assert code == 2, verb
@@ -415,16 +451,22 @@ def _short_example1(tmp_path, attacked):
 def test_cli_too_few_cooperative_agents(tmp_path, capsys):
     # six of eight agents attacked leaves two cooperative agents: the verbs
     # that report graph metrics reject the document before writing anything;
-    # the plant-only verbs still run it
+    # the plant-only verbs still run it.  Eight attacked agents leave none,
+    # which materialize rejects under every verb
     six = _short_example1(tmp_path, range(6))
     eight = _short_example1(tmp_path, range(8))
-    for verb, config in (("rescue", six), ("analyze-graph", six), ("analyze-graph", eight)):
+    cases = (
+        ("rescue", six, "fewer than 3 cooperative agents"),
+        ("analyze-graph", six, "fewer than 3 cooperative agents"),
+        ("analyze-graph", eight, "no agent is cooperative"),
+    )
+    for verb, config, fragment in cases:
         out = tmp_path / f"{verb}_{config.stem}"
         code = main([verb, "--config", str(config), "--out", str(out)])
         error = json.loads(capsys.readouterr().err)
         assert code == 2, verb
         assert error["error"] == "configuration"
-        assert "fewer than 3 cooperative agents" in error["message"]
+        assert fragment in error["message"]
         assert not out.exists()
     for verb in ("simulate", "dp-msr"):
         out = tmp_path / verb
@@ -455,12 +497,14 @@ def test_cli_example_config_takes_seed(tmp_path, capsys):
 
 
 def test_step_count_cap_allocates_nothing():
-    # 3e10 steps of 8 agents: every run rejects the document before any
-    # array of the grid's size exists
+    # 3e10 steps of 8 agents: materialize rejects the document, and every
+    # run rejects such a problem before any array of the grid's size exists
     d = config_to_dict(generate_example1(0))
     d["step_h"] = 1e-9
     config = config_from_dict(d)
-    problem = materialize(config)
+    with pytest.raises(ConfigurationError, match="trace limit"):
+        materialize(config)
+    problem = replace(materialize(generate_example1(0)), step_h=1e-9)
     runs = (
         lambda: simulate(problem.net, problem.gains, problem.initial, step_h=problem.step_h),
         lambda: run_rescue(problem),
