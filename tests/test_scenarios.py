@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import functools
+import io
 import json
 import math
 import operator
@@ -107,9 +109,9 @@ def _mutation_sweep(*runs):
     """Run each of ``runs`` on every field of a 1 s example1 document
     dropped, nulled, retyped, made NaN, inf or 0, negated, or scaled (ints
     by 10**9, floats by 1e9 and by 1e-9, a 0 replaced by the factor).
-    Return (path, value, exception) of each run that raised or took longer
-    than the 2 s alarm, and (path, value, what each run returned) of each
-    document."""
+    Return (path, value, index of the run, exception) of each run that
+    raised or took longer than the 2 s alarm, and (path, value, what each
+    run returned) of each document."""
     base = config_to_dict(generate_example1(0))
     base["network"]["horizon"] = 1.0
     base["dos"]["intervals"][0]["duration"] = 1.0
@@ -132,12 +134,12 @@ def _mutation_sweep(*runs):
             for value in values:
                 d = _mutated(base, path, value)
                 results = []
-                for run in runs:
+                for k, run in enumerate(runs):
                     signal.alarm(2)
                     try:
                         results.append(run(d))
                     except Exception as exc:
-                        escaped.append((path, value, repr(exc)))
+                        escaped.append((path, value, k, repr(exc)))
                         results.append(None)
                     finally:
                         signal.alarm(0)
@@ -177,38 +179,51 @@ _ONE_VERB_DIFFERS = {
 }
 
 
-def test_cli_mutation_sweep(tmp_path, capsys):
-    # every verb in-process on every mutated document: exit 0 with a JSON
-    # report or exit 2 with a categorized JSON error, no traceback; and
-    # every verb gives the same (exit code, category), as each one checks
-    # the document through materialize before anything else
-    config, out = tmp_path / "scenario.json", tmp_path / "out"
+@pytest.fixture(scope="module")
+def cli_sweep(tmp_path_factory):
+    # every verb in-process on every mutated document, once for the
+    # per-verb tests below: (exceptions, outcomes) of _mutation_sweep
+    tmp = tmp_path_factory.mktemp("cli_sweep")
+    config, out = tmp / "scenario.json", tmp / "out"
 
     def verb_run(verb):
         def run(d):
             config.write_text(json.dumps(d))
-            code = main([verb, "--config", str(config), "--out", str(out)])
-            captured = capsys.readouterr()
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main([verb, "--config", str(config), "--out", str(out)])
             if code == 0:
-                assert isinstance(_strict_json(captured.out), dict)
+                assert isinstance(_strict_json(stdout.getvalue()), dict)
                 return code, None
-            error = _strict_json(captured.err)
-            assert code == 2 and error["error"] and "message" in error, (verb, captured.err)
+            error = _strict_json(stderr.getvalue())
+            assert code == 2 and error["error"] and "message" in error, (verb, stderr.getvalue())
             return code, error["error"]
 
         return run
 
-    escaped, outcomes = _mutation_sweep(*map(verb_run, _VERBS))
-    assert not escaped
-    for k, verb in enumerate(_VERBS):
-        # both outcomes occur under every verb
-        assert {results[k][0] for *_, results in outcomes} == {0, 2}, verb
+    return _mutation_sweep(*map(verb_run, _VERBS))
+
+
+@pytest.mark.parametrize("verb", _VERBS)
+def test_cli_mutation_sweep(verb, cli_sweep):
+    # the verb on every mutated document: exit 0 with a JSON report or exit
+    # 2 with a categorized JSON error, no traceback; and the same (exit
+    # code, category) as every other verb, as each one checks the document
+    # through materialize before anything else
+    escaped, outcomes = cli_sweep
+    k = _VERBS.index(verb)
+    assert not [e for e in escaped if e[2] == k]
+    # both outcomes occur
+    assert {results[k][0] for *_, results in outcomes if results[k]} == {0, 2}
     for path, value, results in outcomes:
         by_verb = dict(zip(_VERBS, results))
-        if (path, value) in _ONE_VERB_DIFFERS:
-            verb, outcome = _ONE_VERB_DIFFERS[path, value]
-            assert by_verb.pop(verb) == outcome, (path, value)
-        assert len(set(by_verb.values())) == 1, (path, value, by_verb)
+        differs = _ONE_VERB_DIFFERS.get((path, value))
+        if differs:
+            one, outcome = differs
+            assert by_verb.pop(one) == outcome, (path, value)
+            if one == verb:
+                continue
+        assert all(r == by_verb[verb] for r in by_verb.values()), (path, value, by_verb)
 
 
 def test_example1_network_properties():
