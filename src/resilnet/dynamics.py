@@ -576,6 +576,36 @@ def _walk(
     )
 
 
+def _edge_set_cache(build):
+    """``on_timeline`` and ``on_edges`` callbacks of ``_walk`` for a caller
+    that removes no edge: ``build(edges)`` runs when the walk first enters an
+    edge set, and its result is released when the walk enters that edge set
+    for the last time.  A DoS blink or a schedule that returns to a mode
+    realizes an earlier edge set again, and with nothing removed the
+    timeline says in full which edge sets recur."""
+    built = {}
+    entries = {}
+
+    def on_timeline(timeline):
+        # one on_edges call per run of entries with equal edges
+        current = None
+        for *_, edges, _ in timeline:
+            if edges is not current and edges != current:
+                current = edges
+                entries[edges] = entries.get(edges, 0) + 1
+
+    def on_edges(edges, t, x):
+        value = built.pop(edges, None)
+        if value is None:
+            value = build(edges)
+        entries[edges] -= 1
+        if entries[edges]:
+            built[edges] = value
+        return value
+
+    return on_timeline, on_edges
+
+
 def simulate(
     net: SwitchingNetwork,
     gains: Gains,
@@ -590,34 +620,13 @@ def simulate(
     The active mode (with DoS-nullified edges) is constant within each step;
     deception inputs are evaluated at the RK4 stage times.  The step
     matrices of an edge set are built once, when the walk first enters it,
-    and released when it enters it for the last time: a plant-only run
-    removes no edge, so its timeline says in full which edge sets recur.
+    and released when it enters it for the last time (``_edge_set_cache``).
     """
     n = net.node_count
     agents = _attackers(attacks)
-    # step matrices by effective edge set, kept while the walk still has to
-    # enter it again: a DoS blink or a schedule that returns to a mode
-    # realizes an earlier edge set again
-    plants = {}
-    entries = {}
-
-    def on_timeline(timeline):
-        # one on_edges call per run of entries with equal edges
-        current = None
-        for *_, edges, _ in timeline:
-            if edges is not current and edges != current:
-                current = edges
-                entries[edges] = entries.get(edges, 0) + 1
-
-    def on_edges(edges, t, x):
-        plant = plants.pop(edges, None)
-        if plant is None:
-            plant = _plant_matrices(Graph(n, tuple(edges)), gains, agents, step_h)
-        entries[edges] -= 1
-        if entries[edges]:
-            plants[edges] = plant
-        return plant
-
+    on_timeline, on_edges = _edge_set_cache(
+        lambda edges: _plant_matrices(Graph(n, tuple(edges)), gains, agents, step_h)
+    )
     return _walk(
         net,
         initial,

@@ -36,6 +36,7 @@ a new bank is built from their rows.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,7 @@ from .dynamics import (
     StabilityConstants,
     SystemState,
     _attackers,
+    _edge_set_cache,
     _plant_matrices,
     _plant_rows,
     _rk4_matrices,
@@ -514,18 +516,88 @@ class DPMSRConfig:
             raise ValueError("f_max must be >= 0")
 
 
-def _trimmed_control(p, v, nbrs, i: int, f: int, gains: Gains):
-    """MSR control of agent ``i``: its relative positions to ``nbrs`` sorted,
-    the ``f`` largest and ``f`` smallest dropped, the rest added left to
-    right.  Equal values are interchangeable, so sorting by value alone keeps
-    the kept sum.  The explicit ``+=`` matters: from Python 3.12 builtin
-    ``sum`` compensates rounding on floats."""
-    pi = p[i]
-    diffs = sorted([pi - p[j] for j in nbrs])
-    total = 0.0
-    for d in diffs[f : len(diffs) - f]:
-        total += d
-    return -gains.alpha * total - gains.gamma * v[i]
+# terms added per statement of a compiled DP-MSR block: a chain of binary
+# operators nests one level in the compiler per term, so a long sum is split
+# into statements and any degree compiles
+_CHAIN = 32
+
+
+def _sum_lines(terms) -> list:
+    """Statements that set ``s`` to 0.0 plus ``terms`` added left to right."""
+    lines, acc = [], "0.0"
+    for k in range(0, len(terms), _CHAIN):
+        lines.append(f"s = {' + '.join([acc, *terms[k : k + _CHAIN]])}")
+        acc = "s"
+    return lines or ["s = 0.0"]
+
+
+def _dp_msr_block(nbrs_of, columns, f: int):
+    """Compile the DP-MSR step of one edge set into straight-line Python.
+
+    ``block(x, steps, na, g, ts, half)`` steps the state list ``x`` once per
+    row ``inj`` of ``steps`` and returns the new states as tuples.  Every
+    p_i, v_i and u_i is a local.  A cooperative agent (``columns[i]`` None)
+    sorts its relative positions to ``nbrs_of[i]``, unpacks them, drops the
+    ``f`` largest and ``f`` smallest and adds the rest left to right from
+    0.0; equal values are interchangeable, so sorting by value alone keeps
+    the kept sum.  An attacker adds every relative position the same way,
+    then ``inj[c]``.  The control is u_i = na * s - g * v_i and the hold
+    p_i + ts * v_i + half * u_i, v_i + ts * u_i: per step, the float
+    operations of a loop over agents and neighbors, in its order.  Builtin
+    ``sum`` is never used, as it compensates rounding on floats from
+    Python 3.12.  The source holds integer indices and fixed names only."""
+    n = len(columns)
+    state = ", ".join([f"p{i}" for i in range(n)] + [f"v{i}" for i in range(n)])
+    body = []
+    for i, (nbrs, c) in enumerate(zip(nbrs_of, columns)):
+        diffs = [f"p{i} - p{j}" for j in nbrs]
+        if c is None:
+            kept = range(f, len(diffs) - f)
+            if kept:
+                names = [f"d{k}" if k in kept else "_" for k in range(len(diffs))]
+                body.append(f"{', '.join(names)}, = sorted([{', '.join(diffs)}])")
+            terms = [f"d{k}" for k in kept]
+        else:
+            terms = [f"({d})" for d in diffs]
+        body += _sum_lines(terms)
+        inj = "" if c is None else f" + inj[{c}]"
+        body.append(f"u{i} = na * s - g * v{i}{inj}")
+    # exact zero-order hold of the double integrator
+    hold = [f"p{i} + ts * v{i} + half * u{i}" for i in range(n)]
+    hold += [f"v{i} + ts * u{i}" for i in range(n)]
+    body += [f"x = ({', '.join(hold)})", "append(x)", f"{state} = x"]
+    source = "\n".join(
+        [
+            "def block(x, steps, na, g, ts, half):",
+            f"    {state} = x",
+            "    rows = []",
+            "    append = rows.append",
+            "    for inj in steps:",
+            *[f"        {line}" for line in body],
+            "    return rows",
+        ]
+    )
+    namespace = {}
+    exec(compile(source, "<dp_msr block>", "exec"), namespace)
+    # popped, so that the block and its namespace form no reference cycle
+    # and a released block is freed at once
+    block = namespace.pop("block")
+    block.__code__ = _without_positions(block.__code__)
+    return block
+
+
+def _without_positions(code):
+    """``code`` whose instructions have no source position.  A compiled
+    block's column positions would take half of its memory, and a traceback
+    through it needs none.  From Python 3.11 the line table is a run of
+    "no location" entries of up to 8 code units each (byte 0b1111_1lll,
+    lll the length less one); Python 3.10 reads an empty table as no
+    lines."""
+    if sys.version_info < (3, 11):
+        return code.replace(co_linetable=b"")
+    whole, rest = divmod(len(code.co_code) // 2, 8)
+    table = b"\xff" * whole + (bytes([0xF8 | (rest - 1)]) if rest else b"")
+    return code.replace(co_linetable=table)
 
 
 def dp_msr_run(problem: RescueProblem, cfg: DPMSRConfig) -> SimulationTrace:
@@ -535,44 +607,31 @@ def dp_msr_run(problem: RescueProblem, cfg: DPMSRConfig) -> SimulationTrace:
     to the remainder.  Malicious agents run the untrimmed protocol plus their
     injection.  The hold lasts the problem's ``step_h`` and the control uses
     its ``gains``, so the run sees the network, attacks and realized DoS of
-    ``simulate`` and ``run_rescue`` on the same problem.  A block of steps
-    runs on Python floats: one ``tolist()`` of its first state and one of its
+    ``simulate`` and ``run_rescue`` on the same problem.
+
+    Each effective edge set's step is compiled once into straight-line
+    Python (``_dp_msr_block``), when the walk first enters the edge set,
+    and released after its last timeline entry, as ``simulate`` keeps its
+    step matrices (``dynamics._edge_set_cache``).  A block of steps runs on
+    Python floats: one ``tolist()`` of its first state and one of its
     injections, and its rows written back at once."""
     n = problem.net.node_count
     # inj[columns[i]] is attacker i's injection at the sample time, the first
     # of the three instants the walker samples per step; None for the others
     column = {agent: c for c, agent in enumerate(_attackers(problem.attacks))}
     columns = [column.get(i) for i in range(n)]
-    f, gains, ts = cfg.f_max, problem.gains, problem.step_h
-    alpha, gamma = gains.alpha, gains.gamma
+    ts, gains = problem.step_h, problem.gains
+    consts = (-gains.alpha, gains.gamma, ts, 0.5 * ts * ts)
 
-    def neighbor_lists(edges, t, x):
-        g = Graph(n, tuple(sorted(edges)))
-        return [g.neighbors(i) for i in range(n)]
+    def build(edges):
+        g = Graph(n, tuple(edges))
+        return _dp_msr_block([g.neighbors(i) for i in range(n)], columns, cfg.f_max)
 
-    half = 0.5 * ts * ts
-
-    def advance(nbrs_of, X, k0, k1, U):
-        x = X[k0].tolist()
-        rows = []
-        for inj in U.tolist():
-            p, v = x[:n], x[n:]
-            u = []
-            for i, c in enumerate(columns):
-                if c is None:
-                    u.append(_trimmed_control(p, v, nbrs_of[i], i, f, gains))
-                    continue
-                pi, total = p[i], 0.0
-                for j in nbrs_of[i]:
-                    total += pi - p[j]
-                u.append(-alpha * total - gamma * v[i] + inj[c])
-            # exact ZOH update of the double integrator
-            x = [pk + ts * vk + half * uk for pk, vk, uk in zip(p, v, u)]
-            x += [vk + ts * uk for vk, uk in zip(v, u)]
-            rows.append(x)
-        X[k0 + 1 : k1 + 1] = rows
+    def advance(block, X, k0, k1, U):
+        X[k0 + 1 : k1 + 1] = block(X[k0].tolist(), U.tolist(), *consts)
         return k1
 
+    on_timeline, on_edges = _edge_set_cache(build)
     return _walk(
         problem.net,
         problem.initial,
@@ -580,6 +639,7 @@ def dp_msr_run(problem: RescueProblem, cfg: DPMSRConfig) -> SimulationTrace:
         problem.dos,
         problem.horizon,
         ts,
-        neighbor_lists,
+        on_edges,
         advance,
+        on_timeline=on_timeline,
     )

@@ -99,8 +99,10 @@ class NetworkSpec:
     generator: GeneratorSpec | None = None
 
     def __post_init__(self):
-        inline = self.modes is not None and self.schedule is not None
-        if inline == (self.generator is not None):
+        if self.generator is not None:
+            if self.modes is not None or self.schedule is not None:
+                raise ConfigurationError("a generated network takes no inline modes or schedule")
+        elif self.modes is None or self.schedule is None:
             raise ConfigurationError(
                 "network needs either inline modes+schedule or a generator"
             )

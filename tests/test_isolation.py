@@ -1,3 +1,5 @@
+import traceback
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -28,8 +30,8 @@ from resilnet.isolation import (
     RescueProblem,
     _ObserverBank,
     _auto_w_budget,
+    _dp_msr_block,
     _observer_step_matrices,
-    _trimmed_control,
     dp_msr_run,
     isolation_complete,
     post_isolation_connectivity,
@@ -598,21 +600,42 @@ def test_dp_msr_attack_free_consensus(rng):
     assert metrics.max_position_gap[-1] < 0.05
 
 
+def _hub_velocity(p, v, nbrs, f):
+    """v_0 + u_0 after one step of the compiled DP-MSR block with ts = 1,
+    agent 0 cooperative with neighbors ``nbrs``: the add of agent 0's
+    control to its velocity, whose other rounding is none."""
+    n = len(p)
+    block = _dp_msr_block([tuple(nbrs)] + [()] * (n - 1), [None] * n, f)
+    (row,) = block(list(p) + list(v), [()], -GAINS.alpha, GAINS.gamma, 1.0, 0.5)
+    return row[n]
+
+
 def test_dp_msr_trimming_drops_extremes():
     # star hub with 4 neighbors: values sorted, extremes removed
     p = np.array([0.0, 5.0, -4.0, 1.0, -1.0])
     v = np.zeros(5)
     for pv in ((p, v), (p.tolist(), v.tolist())):
-        u = _trimmed_control(*pv, (1, 2, 3, 4), 0, 1, GAINS)
+        u = _hub_velocity(*pv, (1, 2, 3, 4), 1)
         # diffs: p0-pj = -5, 4, -1, 1; trim -5 and 4; keep -1, 1 -> sum 0
         assert u == pytest.approx(0.0)
-        u2 = _trimmed_control(*pv, (1, 2), 0, 1, GAINS)
+        u2 = _hub_velocity(*pv, (1, 2), 1)
         assert u2 == pytest.approx(0.0)  # fewer than 2f+1 neighbors: all trimmed
     # ties at the trim boundary keep equal values, whichever copy is dropped
     p = [0.0, 0.1, -0.3, 0.1, 0.2, -0.3]
     v = [0.5, 0.0, 0.0, 0.0, 0.0, 0.0]
     # diffs sorted: -0.2, -0.1, -0.1, 0.3, 0.3; kept and added left to right
-    assert _trimmed_control(p, v, (1, 2, 3, 4, 5), 0, 1, GAINS) == -1.0 * (-0.1 + -0.1 + 0.3) - 3.0 * 0.5
+    assert _hub_velocity(p, v, (1, 2, 3, 4, 5), 1) == 0.5 + 1.0 * (
+        -1.0 * (-0.1 + -0.1 + 0.3) - 3.0 * 0.5
+    )
+
+
+def test_dp_msr_block_traceback():
+    # a compiled block keeps no source positions, and a traceback through
+    # it still formats: here agent 1's injection column is past the row
+    block = _dp_msr_block([(1,), (0,)], [None, 0], 0)
+    with pytest.raises(IndexError) as info:
+        block([0.0, 1.0, 0.0, 0.0], [[]], -1.0, 3.0, 1e-3, 5e-7)
+    assert '"<dp_msr block>"' in "".join(traceback.format_exception(info.value))
 
 
 def _reference_dp_msr(problem, cfg):
@@ -683,6 +706,17 @@ def _dp_msr_cases():
     short = replace(small, horizon=0.3)
     assert round(short.horizon / 1e-3) % _STEP_BLOCK != 0
     yield "short_last_block", short, DPMSRConfig(f_max=1)
+    # a hub of 260 neighbors, past the compiler's limit of 200 nested
+    # parentheses, with a leaf and then the hub attacked
+    star = RescueProblem(
+        net=static_network(Graph(261, tuple((0, j) for j in range(1, 261))), 0.05),
+        gains=GAINS,
+        initial=SystemState(rng.uniform(-5, 5, 261), rng.uniform(-1, 1, 261)),
+        attacks=(DeceptionAttack(1, 0.0, AttackSignal("ramp", slope=0.5)),),
+    )
+    yield "star260", star, DPMSRConfig(f_max=1)
+    hub = replace(star, attacks=(DeceptionAttack(0, 0.0, AttackSignal("ramp", slope=0.5)),))
+    yield "star260_attacked_hub", hub, DPMSRConfig(f_max=1)
 
 
 @pytest.mark.parametrize("case", list(_dp_msr_cases()), ids=lambda c: c[0])
@@ -693,6 +727,37 @@ def test_dp_msr_matches_numpy_scalar_step(case):
     assert got.p_tilde.tobytes() == want.p_tilde.tobytes()
     assert got.v.tobytes() == want.v.tobytes()
     assert got.segments == want.segments
+
+
+def test_dp_msr_compiles_each_edge_set_once(monkeypatch):
+    """Each distinct edge set's block is compiled once, when the walk first
+    enters it, and freed after the walk's last entry into it."""
+    config = generate_example1(0)
+    # example1's DoS barrage covers [0, 10) and returns to earlier edge sets
+    problem = replace(materialize(config), horizon=12.0)
+    compile_block = isolation._dp_msr_block
+    built = []  # (edge set, weak reference to its block)
+    alive_at_build = []
+
+    def counted(nbrs_of, columns, f):
+        alive_at_build.append({edges for edges, ref in built if ref() is not None})
+        block = compile_block(nbrs_of, columns, f)
+        edges = frozenset((i, j) for i, nbrs in enumerate(nbrs_of) for j in nbrs if i < j)
+        built.append((edges, weakref.ref(block)))
+        return block
+
+    monkeypatch.setattr(isolation, "_dp_msr_block", counted)
+    trace = dp_msr_run(problem, config.dp_msr)
+    runs = [seg[3] for seg in trace.segments]
+    assert len(set(runs)) < len(runs)
+    assert [edges for edges, _ in built] == list(dict.fromkeys(runs))
+    # while a new edge set compiles, the walk still holds the block it
+    # leaves; every other live block belongs to an edge set entered again
+    for (edges, _), alive in zip(built, alive_at_build):
+        s = runs.index(edges)
+        assert alive <= {runs[s - 1]} | set(runs[s + 1 :])
+    assert any(len(alive) > 1 for alive in alive_at_build)
+    assert all(ref() is None for _, ref in built)
 
 
 def test_dp_msr_fails_against_two_total():

@@ -451,6 +451,23 @@ def test_cli_no_cooperative_agent(tmp_path, capsys):
         assert not (tmp_path / verb).exists()
 
 
+def test_cli_generated_network_rejects_inline_fields(tmp_path, capsys):
+    # a generated network carries no inline schedule or modes beside its
+    # generator: every verb rejects the document rather than run the
+    # generator's schedule and ignore the written one
+    d = config_to_dict(generate_example1(0))
+    d["network"]["schedule"] = [[0.0, 0], [0.25, 1]]
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(d))
+    for verb in ("rescue", "simulate", "analyze-graph", "dp-msr", "example1", "example2"):
+        code = main([verb, "--config", str(config), "--out", str(tmp_path / verb)])
+        error = json.loads(capsys.readouterr().err)
+        assert code == 2, verb
+        assert error["error"] == "configuration"
+        assert "no inline modes or schedule" in error["message"]
+        assert not (tmp_path / verb).exists()
+
+
 def _short_example1(tmp_path, attacked):
     """example1 seed 0's document on a 2 s horizon, written to a file, with
     ``attacked`` agents attacked (all with seed 0's attack signals)."""
