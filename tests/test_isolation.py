@@ -601,9 +601,9 @@ def test_dp_msr_attack_free_consensus(rng):
 
 
 def _hub_velocity(p, v, nbrs, f):
-    """v_0 + u_0 after one step of the compiled DP-MSR block with ts = 1,
-    agent 0 cooperative with neighbors ``nbrs``: the add of agent 0's
-    control to its velocity, whose other rounding is none."""
+    """v_0 + 1.0 * u_0, agent 0's velocity after one step of the compiled
+    DP-MSR block with ts = 1, agent 0 cooperative with neighbors ``nbrs``;
+    from v_0 = 0 it is agent 0's control u_0."""
     n = len(p)
     block = _dp_msr_block([tuple(nbrs)] + [()] * (n - 1), [None] * n, f)
     (row,) = block(list(p) + list(v), [()], -GAINS.alpha, GAINS.gamma, 1.0, 0.5)
