@@ -578,18 +578,21 @@ def _walk(
 
 def _edge_set_cache(build):
     """``on_timeline`` and ``on_edges`` callbacks of ``_walk`` for a caller
-    that removes no edge: ``build(edges)`` runs when the walk first enters an
-    edge set, and its result is released when the walk enters that edge set
-    for the last time.  A DoS blink or a schedule that returns to a mode
-    realizes an earlier edge set again, and with nothing removed the
+    that removes no edge: ``build(edges, steps)`` runs when the walk first
+    enters an edge set, ``steps`` being the timeline steps that the edge set
+    covers in all, and its result is released when the walk enters that
+    edge set for the last time.  A DoS blink or a schedule that returns to
+    a mode realizes an earlier edge set again, and with nothing removed the
     timeline says in full which edge sets recur."""
     built = {}
     entries = {}
+    steps = {}
 
     def on_timeline(timeline):
         # one on_edges call per run of entries with equal edges
         current = None
-        for *_, edges, _ in timeline:
+        for k0, k1, _, edges, _ in timeline:
+            steps[edges] = steps.get(edges, 0) + k1 - k0
             if edges is not current and edges != current:
                 current = edges
                 entries[edges] = entries.get(edges, 0) + 1
@@ -597,7 +600,7 @@ def _edge_set_cache(build):
     def on_edges(edges, t, x):
         value = built.pop(edges, None)
         if value is None:
-            value = build(edges)
+            value = build(edges, steps[edges])
         entries[edges] -= 1
         if entries[edges]:
             built[edges] = value
@@ -625,7 +628,7 @@ def simulate(
     n = net.node_count
     agents = _attackers(attacks)
     on_timeline, on_edges = _edge_set_cache(
-        lambda edges: _plant_matrices(Graph(n, tuple(edges)), gains, agents, step_h)
+        lambda edges, steps: _plant_matrices(Graph(n, tuple(edges)), gains, agents, step_h)
     )
     return _walk(
         net,

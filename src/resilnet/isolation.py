@@ -36,7 +36,6 @@ a new bank is built from their rows.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -581,23 +580,46 @@ def _dp_msr_block(nbrs_of, columns, f: int):
     exec(compile(source, "<dp_msr block>", "exec"), namespace)
     # popped, so that the block and its namespace form no reference cycle
     # and a released block is freed at once
-    block = namespace.pop("block")
-    block.__code__ = _without_positions(block.__code__)
+    return namespace.pop("block")
+
+
+def _dp_msr_loop(nbrs_of, columns, f: int):
+    """The block function of ``_dp_msr_block`` as a loop over agents and
+    neighbors, with no compile: the same float operations in the same
+    order, so either steps an edge set to the same bits."""
+    n = len(columns)
+    agents = list(zip(range(n), nbrs_of, columns))
+
+    def block(x, steps, na, g, ts, half):
+        rows = []
+        for inj in steps:
+            p, v = x[:n], x[n:]
+            u = []
+            for i, nbrs, c in agents:
+                pi = p[i]
+                d = [pi - p[j] for j in nbrs]
+                if c is None:
+                    d.sort()
+                    d = d[f : len(d) - f]
+                s = 0.0
+                for dk in d:
+                    s += dk
+                u.append(na * s - g * v[i] if c is None else na * s - g * v[i] + inj[c])
+            # exact zero-order hold of the double integrator
+            x = [pk + ts * vk + half * uk for pk, vk, uk in zip(p, v, u)]
+            x += [vk + ts * uk for vk, uk in zip(v, u)]
+            rows.append(x)
+        return rows
+
     return block
 
 
-def _without_positions(code):
-    """``code`` whose instructions have no source position.  A compiled
-    block's column positions would take half of its memory, and a traceback
-    through it needs none.  From Python 3.11 the line table is a run of
-    "no location" entries of up to 8 code units each (byte 0b1111_1lll,
-    lll the length less one); Python 3.10 reads an empty table as no
-    lines."""
-    if sys.version_info < (3, 11):
-        return code.replace(co_linetable=b"")
-    whole, rest = divmod(len(code.co_code) // 2, 8)
-    table = b"\xff" * whole + (bytes([0xF8 | (rest - 1)]) if rest else b"")
-    return code.replace(co_linetable=table)
+# timeline steps from which an edge set's DP-MSR step is compiled.  A
+# compiled block pays for its compile after about 60-100 steps (8 to 261
+# agents, CPython 3.11 on x86-64: 0.75 ms against 8 us saved per step for
+# 8 agents, 7 ms against 86 us for 84); an edge set held for fewer steps,
+# as under one-step DoS trials, runs the loop instead
+_COMPILE_STEPS = 80
 
 
 def dp_msr_run(problem: RescueProblem, cfg: DPMSRConfig) -> SimulationTrace:
@@ -609,12 +631,15 @@ def dp_msr_run(problem: RescueProblem, cfg: DPMSRConfig) -> SimulationTrace:
     its ``gains``, so the run sees the network, attacks and realized DoS of
     ``simulate`` and ``run_rescue`` on the same problem.
 
-    Each effective edge set's step is compiled once into straight-line
-    Python (``_dp_msr_block``), when the walk first enters the edge set,
-    and released after its last timeline entry, as ``simulate`` keeps its
-    step matrices (``dynamics._edge_set_cache``).  A block of steps runs on
-    Python floats: one ``tolist()`` of its first state and one of its
-    injections, and its rows written back at once."""
+    Each effective edge set's step is built once, when the walk first
+    enters the edge set, and released after its last timeline entry, as
+    ``simulate`` keeps its step matrices (``dynamics._edge_set_cache``).
+    An edge set that the timeline holds for at least ``_COMPILE_STEPS``
+    steps in all is compiled into straight-line Python (``_dp_msr_block``);
+    a shorter-lived one runs the same operations as a loop
+    (``_dp_msr_loop``).  A block of steps runs on Python floats: one
+    ``tolist()`` of its first state and one of its injections, and its
+    rows written back at once."""
     n = problem.net.node_count
     # inj[columns[i]] is attacker i's injection at the sample time, the first
     # of the three instants the walker samples per step; None for the others
@@ -623,9 +648,10 @@ def dp_msr_run(problem: RescueProblem, cfg: DPMSRConfig) -> SimulationTrace:
     ts, gains = problem.step_h, problem.gains
     consts = (-gains.alpha, gains.gamma, ts, 0.5 * ts * ts)
 
-    def build(edges):
+    def build(edges, steps):
         g = Graph(n, tuple(edges))
-        return _dp_msr_block([g.neighbors(i) for i in range(n)], columns, cfg.f_max)
+        make = _dp_msr_block if steps >= _COMPILE_STEPS else _dp_msr_loop
+        return make([g.neighbors(i) for i in range(n)], columns, cfg.f_max)
 
     def advance(block, X, k0, k1, U):
         X[k0 + 1 : k1 + 1] = block(X[k0].tolist(), U.tolist(), *consts)

@@ -1,4 +1,3 @@
-import traceback
 import weakref
 from dataclasses import replace
 
@@ -29,8 +28,10 @@ from resilnet.isolation import (
     IsolationEvent,
     RescueProblem,
     _ObserverBank,
+    _COMPILE_STEPS,
     _auto_w_budget,
     _dp_msr_block,
+    _dp_msr_loop,
     _observer_step_matrices,
     dp_msr_run,
     isolation_complete,
@@ -601,13 +602,20 @@ def test_dp_msr_attack_free_consensus(rng):
 
 
 def _hub_velocity(p, v, nbrs, f):
-    """v_0 + 1.0 * u_0, agent 0's velocity after one step of the compiled
-    DP-MSR block with ts = 1, agent 0 cooperative with neighbors ``nbrs``;
-    from v_0 = 0 it is agent 0's control u_0."""
+    """v_0 + 1.0 * u_0, agent 0's velocity after one step of the DP-MSR
+    block with ts = 1, agent 0 cooperative with neighbors ``nbrs``; from
+    v_0 = 0 it is agent 0's control u_0.  The compiled block and the loop
+    must give the same bits."""
     n = len(p)
-    block = _dp_msr_block([tuple(nbrs)] + [()] * (n - 1), [None] * n, f)
-    (row,) = block(list(p) + list(v), [()], -GAINS.alpha, GAINS.gamma, 1.0, 0.5)
-    return row[n]
+    rows = [
+        make([tuple(nbrs)] + [()] * (n - 1), [None] * n, f)(
+            list(p) + list(v), [()], -GAINS.alpha, GAINS.gamma, 1.0, 0.5
+        )
+        for make in (_dp_msr_block, _dp_msr_loop)
+    ]
+    (compiled,), (looped,) = rows
+    assert np.array(compiled).tobytes() == np.array(looped).tobytes()
+    return compiled[n]
 
 
 def test_dp_msr_trimming_drops_extremes():
@@ -627,15 +635,6 @@ def test_dp_msr_trimming_drops_extremes():
     assert _hub_velocity(p, v, (1, 2, 3, 4, 5), 1) == 0.5 + 1.0 * (
         -1.0 * (-0.1 + -0.1 + 0.3) - 3.0 * 0.5
     )
-
-
-def test_dp_msr_block_traceback():
-    # a compiled block keeps no source positions, and a traceback through
-    # it still formats: here agent 1's injection column is past the row
-    block = _dp_msr_block([(1,), (0,)], [None, 0], 0)
-    with pytest.raises(IndexError) as info:
-        block([0.0, 1.0, 0.0, 0.0], [[]], -1.0, 3.0, 1e-3, 5e-7)
-    assert '"<dp_msr block>"' in "".join(traceback.format_exception(info.value))
 
 
 def _reference_dp_msr(problem, cfg):
@@ -706,10 +705,21 @@ def _dp_msr_cases():
     short = replace(small, horizon=0.3)
     assert round(short.horizon / 1e-3) % _STEP_BLOCK != 0
     yield "short_last_block", short, DPMSRConfig(f_max=1)
+    # one-step DoS trials: each edge set with a dropped edge is held for too
+    # few steps to compile and runs the loop, between steps of the
+    # compiled full edge set
+    blinking = replace(
+        short,
+        dos=DoSSchedule((DoSInterval(0.0, 0.3, random=DoSRandomSpec(300, 0.3, 5)),)),
+    )
+    for f in (0, 1, 2):
+        yield f"one_step_dos_f_max{f}", blinking, DPMSRConfig(f_max=f)
     # a hub of 260 neighbors, past the compiler's limit of 200 nested
-    # parentheses, with a leaf and then the hub attacked
+    # parentheses, with a leaf and then the hub attacked; held long enough
+    # to compile
+    assert 100 >= _COMPILE_STEPS
     star = RescueProblem(
-        net=static_network(Graph(261, tuple((0, j) for j in range(1, 261))), 0.05),
+        net=static_network(Graph(261, tuple((0, j) for j in range(1, 261))), 0.1),
         gains=GAINS,
         initial=SystemState(rng.uniform(-5, 5, 261), rng.uniform(-1, 1, 261)),
         attacks=(DeceptionAttack(1, 0.0, AttackSignal("ramp", slope=0.5)),),
@@ -730,34 +740,52 @@ def test_dp_msr_matches_numpy_scalar_step(case):
 
 
 def test_dp_msr_compiles_each_edge_set_once(monkeypatch):
-    """Each distinct edge set's block is compiled once, when the walk first
-    enters it, and freed after the walk's last entry into it."""
+    """Each distinct edge set's block is built once, when the walk first
+    enters it, and freed after the walk's last entry into it.  It is
+    compiled if the timeline holds the edge set for at least
+    ``_COMPILE_STEPS`` steps in all, else it is the loop."""
     config = generate_example1(0)
-    # example1's DoS barrage covers [0, 10) and returns to earlier edge sets
-    problem = replace(materialize(config), horizon=12.0)
-    compile_block = isolation._dp_msr_block
-    built = []  # (edge set, weak reference to its block)
+    problem = materialize(config)
+    # example1's barrage of 0.1 s DoS trials covers [0, 10) and returns to
+    # earlier edge sets; 0.01 s trials over the first second add edge sets
+    # held for too few steps to compile
+    (barrage,) = problem.dos.intervals
+    short = DoSInterval(0.0, 1.0, random=replace(barrage.random, trials=100))
+    barrage = replace(barrage, start=1.0, duration=9.0, random=replace(barrage.random, trials=90))
+    problem = replace(problem, horizon=12.0, dos=DoSSchedule((short, barrage)))
+    built = []  # (edge set, compiled, weak reference to its block)
     alive_at_build = []
 
-    def counted(nbrs_of, columns, f):
-        alive_at_build.append({edges for edges, ref in built if ref() is not None})
-        block = compile_block(nbrs_of, columns, f)
-        edges = frozenset((i, j) for i, nbrs in enumerate(nbrs_of) for j in nbrs if i < j)
-        built.append((edges, weakref.ref(block)))
-        return block
+    def counting(make):
+        def counted(nbrs_of, columns, f):
+            alive_at_build.append({edges for edges, _, ref in built if ref() is not None})
+            block = make(nbrs_of, columns, f)
+            edges = frozenset((i, j) for i, nbrs in enumerate(nbrs_of) for j in nbrs if i < j)
+            built.append((edges, make is compile_block, weakref.ref(block)))
+            return block
 
-    monkeypatch.setattr(isolation, "_dp_msr_block", counted)
+        return counted
+
+    compile_block = isolation._dp_msr_block
+    monkeypatch.setattr(isolation, "_dp_msr_block", counting(compile_block))
+    monkeypatch.setattr(isolation, "_dp_msr_loop", counting(isolation._dp_msr_loop))
     trace = dp_msr_run(problem, config.dp_msr)
     runs = [seg[3] for seg in trace.segments]
     assert len(set(runs)) < len(runs)
-    assert [edges for edges, _ in built] == list(dict.fromkeys(runs))
-    # while a new edge set compiles, the walk still holds the block it
-    # leaves; every other live block belongs to an edge set entered again
-    for (edges, _), alive in zip(built, alive_at_build):
+    assert [edges for edges, _, _ in built] == list(dict.fromkeys(runs))
+    steps = dict.fromkeys(runs, 0)
+    for t0, t1, _, edges, _ in trace.segments:
+        steps[edges] += round((t1 - t0) / problem.step_h)
+    compiled = [c for _, c, _ in built]
+    assert compiled == [steps[edges] >= _COMPILE_STEPS for edges, _, _ in built]
+    assert any(compiled) and not all(compiled)
+    # while a new edge set builds, the walk still holds the block it leaves;
+    # every other live block belongs to an edge set entered again
+    for (edges, _, _), alive in zip(built, alive_at_build):
         s = runs.index(edges)
         assert alive <= {runs[s - 1]} | set(runs[s + 1 :])
     assert any(len(alive) > 1 for alive in alive_at_build)
-    assert all(ref() is None for _, ref in built)
+    assert all(ref() is None for _, _, ref in built)
 
 
 def test_dp_msr_fails_against_two_total():
