@@ -12,11 +12,15 @@ snapped to it.
 
 Between two edge-set changes the closed loop is linear time-invariant, so one
 RK4 step is a matrix: x+ = R x + G0 b(t) + Gm b(t + h/2) + G1 b(t + h), with R
-RK4's stability polynomial in hA.  ``simulate`` builds R and the attacker
-columns of G0, Gm, G1 once per distinct edge set of a run and releases them
-after the last timeline entry that uses that edge set; the attack waveforms
-are sampled as arrays on the half-step grid.  The method is RK4
-either way; only rounding differs from the stage form.  A step costs one
+RK4's stability polynomial in hA.  With E = -alpha h L and c = -gamma h,
+hA = [[0, hI], [E, cI]], so every block of R, G0, Gm and G1 is a
+polynomial in E of degree at most 2: ``_plant_matrices`` builds them from
+E and the one n x n product E^2, not from powers of the 2n x 2n hA.
+``simulate`` builds R and the attacker columns of G0, Gm, G1 once per
+distinct edge set of a run and releases them after the last timeline entry
+that uses that edge set; the attack waveforms are sampled as arrays on the
+half-step grid.  The method is RK4 either way; only rounding differs from
+the stage form and from the dense polynomial.  A step costs one
 BLAS matrix-vector product; a block of steps whose forcing is +0.0
 throughout (every block of an attack-free run) adds it once, after its last
 step, which gives the same bits as adding it every step.
@@ -374,14 +378,15 @@ def build_edge_timeline(
     return tuple(timeline)
 
 
-def _rk4_matrices(a_mat: np.ndarray, h: float, cols=slice(None)) -> tuple:
+def _rk4_matrices(a_mat: np.ndarray, h: float) -> tuple:
     """RK4 on x' = A x + b(t) as x+ = R x + G0 b(t) + Gm b(t + h/2) + G1 b(t + h).
 
     Returns (R, G0, Gm); G1 = h/6 I.  With a = hA, R = I + a + a^2/2 + a^3/6
     + a^4/24 (RK4's stability polynomial), G0 = h/6 (I + a + a^2/2 + a^3/4)
-    and Gm = h/6 (4I + 2a + a^2/2) gather the two midpoint stages.  G0 and
-    Gm are formed on the columns ``cols`` only: elementwise sums commute
-    with column slices, so they are bitwise those columns of the whole.
+    and Gm = h/6 (4I + 2a + a^2/2) gather the two midpoint stages.  This is
+    the dense build of any A, three products of A's size: the observers'
+    step matrices.  The plant's have a block structure that
+    ``_plant_matrices`` builds from one product of half the size.
     """
     eye = np.eye(a_mat.shape[0])
     a = h * a_mat
@@ -389,8 +394,8 @@ def _rk4_matrices(a_mat: np.ndarray, h: float, cols=slice(None)) -> tuple:
     a3 = a2 @ a
     s = eye + a + a2 / 2.0
     r = s + a3 / 6.0 + (a2 @ a2) / 24.0
-    g0 = (h / 6.0) * (s[:, cols] + a3[:, cols] / 4.0)
-    gm = (h / 6.0) * (4.0 * eye[:, cols] + 2.0 * a[:, cols] + a2[:, cols] / 2.0)
+    g0 = (h / 6.0) * (s + a3 / 4.0)
+    gm = (h / 6.0) * (4.0 * eye + 2.0 * a + a2 / 2.0)
     return r, g0, gm
 
 
@@ -438,13 +443,58 @@ def check_step_stability(net: SwitchingNetwork, gains: Gains, step_h: float) -> 
 
 def _plant_matrices(g: Graph, gains: Gains, agents: tuple, h: float) -> tuple:
     """R and [G0 | Gm | G1] of the closed loop on ``g``, the forcing blocks
-    cut to the velocity columns of ``agents``."""
-    n = g.node_count
-    cols = [n + i for i in agents]
-    r, g0, gm = _rk4_matrices(closed_loop_matrix(g, gains), h, cols)
-    g1 = np.zeros((2 * n, len(cols)))
-    g1[cols, np.arange(len(cols))] = h / 6.0
-    return r, np.hstack([g0, gm, g1])
+    cut to the velocity columns of ``agents``: ``_rk4_matrices`` of
+    ``closed_loop_matrix(g, gains)`` up to rounding, from one n x n product.
+
+    With E = -alpha h L and c = -gamma h, hA = [[0, hI], [E, cI]], so every
+    power of hA is a 2 x 2 block matrix whose blocks are polynomials in E:
+
+        R11 = I + (h/2 + hc/6 + hc^2/24) E + (h^2/24) E^2
+        R12 = (h + hc/2 + hc^2/6 + hc^3/24) I + (h^2/6 + h^2 c/12) E
+        R21 = (1 + c/2 + c^2/6 + c^3/24) E + (h/6 + hc/12) E^2
+        R22 = (1 + c + c^2/2 + c^3/6 + c^4/24) I + (h/2 + hc/3 + hc^2/8) E
+              + (h^2/24) E^2
+
+    The forcing enters the velocities, so [G0 | Gm | G1] is the velocity
+    block column of the dense forms, cut to the columns of ``agents``:
+
+        G0 = h/6 [(h + hc/2 + hc^2/4) I + (h^2/4) E;
+                  (1 + c + c^2/2 + c^3/4) I + ((h + hc)/2) E]
+        Gm = h/6 [(2h + hc/2) I; (4 + 2c + c^2/2) I + (h/2) E]
+        G1 = h/6 [0; I]"""
+    n, m = g.node_count, len(agents)
+    a_mat = closed_loop_matrix(g, gains)
+    e = h * a_mat[n:, :n]
+    c = -gains.gamma * h
+    hc = h * c
+    # block (p, q) of R is [p, :, q, :] of a 4-d view: every block takes its
+    # E and E^2 terms at once, then its identity term on its diagonal
+    r = np.empty((2 * n, 2 * n))
+    blocks = r.reshape(2, n, 2, n)
+    r_e = [[h / 2 + hc / 6 + hc * c / 24, h * h / 6 + h * hc / 12],
+           [1 + c / 2 + c * c / 6 + c**3 / 24, h / 2 + hc / 3 + hc * c / 8]]
+    r_e2 = [[h * h / 24, 0.0], [h / 6 + hc / 12, h * h / 24]]
+    np.multiply(np.array(r_e)[:, None, :, None], e[None, :, None, :], out=blocks)
+    blocks += np.array(r_e2)[:, None, :, None] * (e @ e)[None, :, None, :]
+    diagonal = 2 * n + 1  # the stride of a block's diagonal in R's flat view
+    flat = r.reshape(-1)
+    flat[: 2 * n * n : diagonal] += 1.0
+    flat[n : 2 * n * n : diagonal] += h + hc / 2 + hc * c / 6 + hc * c * c / 24
+    flat[2 * n * n + n :: diagonal] += 1 + c + c * c / 2 + c**3 / 6 + c**4 / 24
+    # row half p of forcing block q is [p, :, q, :] of a 4-d view, its E
+    # term plus its I term; a zero coefficient's E term is +-0.0 and the I
+    # term's zeros are +0.0, so G1 comes out bitwise h/6 [0; I]
+    forcing = np.empty((2 * n, 3 * m))
+    cols = forcing.reshape(2, n, 3, m)
+    w = h / 6.0
+    g_e = [[h * h / 4, 0.0, 0.0], [(h + hc) / 2, h / 2, 0.0]]
+    g_i = [[h + hc / 2 + hc * c / 4, 2 * h + hc / 2, 0.0],
+           [1 + c + c * c / 2 + c**3 / 4, 4 + 2 * c + c * c / 2, 1.0]]
+    e_cols = np.take(e, agents, axis=1)[None, :, None, :]
+    i_cols = (np.arange(n)[:, None] == agents)[None, :, None, :]
+    np.multiply(w * np.array(g_e)[:, None, :, None], e_cols, out=cols)
+    cols += w * np.array(g_i)[:, None, :, None] * i_cols
+    return r, forcing
 
 
 def _plant_rows(plant: tuple, X: np.ndarray, k0: int, k1: int, U: np.ndarray) -> int:

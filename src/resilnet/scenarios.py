@@ -283,7 +283,8 @@ def materialize(config: ScenarioConfig) -> RescueProblem:
         period = gen.split_period
         if not (period > h / 2 and _on_grid(period, h)):
             raise ConfigurationError(f"split_period {period} is not a multiple of step {h}")
-    for k, iv in enumerate(config.dos.intervals if config.dos is not None else ()):
+    intervals = config.dos.intervals if config.dos is not None else ()
+    for k, iv in enumerate(intervals):
         if iv.random is not None and not iv.duration / iv.random.trials >= h:
             raise ConfigurationError(
                 f"the {iv.random.trials} trials of DoS interval {k} are shorter "
@@ -292,6 +293,11 @@ def materialize(config: ScenarioConfig) -> RescueProblem:
     if spec.horizon - config.detector.pe_window < -1e-12:
         raise ConfigurationError("horizon shorter than the PE window")
     net = build_network(spec)
+    random_dos = any(iv.random is not None for iv in intervals)
+    if random_dos and not any(g.edges for g in net.modes):
+        raise ConfigurationError(
+            "a random DoS interval draws links to drop, but no mode of the network has an edge"
+        )
     initial = build_initial(config.initial, net.node_count)
     for atk in config.attacks:
         if not 0 <= atk.agent < net.node_count:

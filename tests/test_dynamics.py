@@ -271,22 +271,31 @@ def test_simulate_builds_step_matrices_once_per_edge_set(monkeypatch):
     assert trace.segments == ref.segments
 
 
-@pytest.mark.parametrize("agents", [(), (2,), (0, 3, 5)], ids=["0", "1", "3"])
-def test_plant_matrices_are_column_slices_of_rk4_matrices(rng, agents):
+@pytest.mark.parametrize("agents", [(), (1,), (0, 3, 5), "all"], ids=["0", "1", "3", "all"])
+def test_plant_matrices_match_dense_rk4(rng, agents):
+    # the block-polynomial build against the dense RK4 polynomial in hA: a
+    # few ulp of the largest entry apart, and G1 = h/6 I bit for bit
     gains = Gains(1.3, 2.7)
     h = 1e-3
-    for _ in range(4):
-        n = int(rng.integers(6, 12))
-        g = random_connected_graph(rng, n, 0.4)
-        r, g_cols = _plant_matrices(g, gains, agents, h)
+    tol = 8 * np.finfo(float).eps
+    graphs = [Graph(2, ())]
+    graphs += [random_connected_graph(rng, int(rng.integers(6, 13)), 0.4) for _ in range(4)]
+    for g in graphs:
+        n = g.node_count
+        picked = tuple(range(n)) if agents == "all" else tuple(i for i in agents if i < n)
+        r, g_cols = _plant_matrices(g, gains, picked, h)
         r_ref, g0, gm = _rk4_matrices(closed_loop_matrix(g, gains), h)
-        cols = [n + i for i in agents]
+        cols = [n + i for i in picked]
         g1 = np.zeros((2 * n, len(cols)))
         g1[cols, np.arange(len(cols))] = h / 6.0
         want = np.hstack([g0[:, cols], gm[:, cols], g1])
-        assert r.tobytes() == r_ref.tobytes()
+        assert r.shape == r_ref.shape
         assert g_cols.shape == want.shape
-        assert g_cols.tobytes() == want.tobytes()
+        assert np.max(np.abs(r - r_ref)) <= tol * max(1.0, np.max(np.abs(r_ref)))
+        assert np.max(np.abs(g_cols - want), initial=0.0) <= tol * max(
+            1.0, np.max(np.abs(want), initial=0.0)
+        )
+        assert g_cols[:, 2 * len(cols) :].tobytes() == g1.tobytes()
 
 
 def _per_step_rows(plant, x0, U):

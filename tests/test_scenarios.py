@@ -468,6 +468,32 @@ def test_cli_generated_network_rejects_inline_fields(tmp_path, capsys):
         assert not (tmp_path / verb).exists()
 
 
+def test_cli_random_dos_on_edgeless_network(tmp_path, capsys):
+    # a random DoS trial draws one of the modes' links: on a network whose
+    # modes have no edge there is none, and every verb rejects the document
+    d = config_to_dict(generate_example1(0))
+    d["network"] = {
+        "horizon": 2.0,
+        "modes": [{"node_count": 8, "edges": []}],
+        "schedule": [[0.0, 0]],
+        "generator": None,
+    }
+    d["dos"]["intervals"][0]["duration"] = 1.0
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(d))
+    for verb in ("rescue", "simulate", "analyze-graph", "dp-msr"):
+        code = main([verb, "--config", str(config), "--out", str(tmp_path / verb)])
+        error = json.loads(capsys.readouterr().err)
+        assert code == 2, verb
+        assert error["error"] == "configuration"
+        assert "no mode of the network has an edge" in error["message"]
+        assert not (tmp_path / verb).exists()
+    # the same network without the random DoS runs
+    d["dos"] = None
+    config.write_text(json.dumps(d))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "free")]) == 0
+
+
 def _short_example1(tmp_path, attacked):
     """example1 seed 0's document on a 2 s horizon, written to a file, with
     ``attacked`` agents attacked (all with seed 0's attack signals)."""
