@@ -72,11 +72,11 @@ class Gains:
 
 @dataclass(frozen=True, eq=False)
 class SystemState:
-    """Stacked relative-position errors and velocities at time t."""
+    """Stacked relative-position errors and velocities; a run starts from it
+    at t = 0."""
 
     p_tilde: np.ndarray
     v: np.ndarray
-    t: float = 0.0
 
     def __post_init__(self):
         p = np.asarray(self.p_tilde, dtype=float)

@@ -59,7 +59,8 @@ class GeneratorSpec:
     (5 and 6) whose link sets alternate between the modes while the core
     stays mostly shared, keeping every core agent's 2-hop membership
     identical across modes.  It draws from ``seed`` alone and rejects a
-    ``split_seed`` or ``blink_fraction``, which would change nothing.
+    ``max_degree``, ``split_seed`` or ``blink_fraction``, which would change
+    nothing.
     """
 
     kind: str
@@ -79,7 +80,7 @@ class GeneratorSpec:
         if self.kind == "clique_pendant":
             if self.n != 8 or self.r != 3:
                 raise ConfigurationError("clique_pendant overlay is defined for n=8, r=3")
-            for name in ("split_seed", "blink_fraction"):
+            for name in ("max_degree", "split_seed", "blink_fraction"):
                 if getattr(self, name) is not None:
                     raise ConfigurationError(f"{name} has no effect on a clique_pendant overlay")
             return
@@ -122,6 +123,9 @@ class InitialSpec:
             raise ConfigurationError(f"unknown initial-state kind {self.kind!r}")
         if self.kind == "explicit" and (self.p_tilde is None or self.v is None):
             raise ConfigurationError("explicit initial state needs p_tilde and v")
+        for name in ("p_tilde", "v"):
+            if self.kind == "uniform" and getattr(self, name) is not None:
+                raise ConfigurationError(f"{name} has no effect on a uniform initial state")
 
 
 @dataclass(frozen=True)
@@ -260,9 +264,9 @@ def build_initial(spec: InitialSpec, n: int) -> SystemState:
         v = np.asarray(spec.v, dtype=float)
         if p.size != n or v.size != n:
             raise ConfigurationError("explicit initial state has wrong length")
-        return SystemState(p, v, 0.0)
+        return SystemState(p, v)
     rng = np.random.default_rng(spec.seed)
-    return SystemState(rng.uniform(spec.low, spec.high, n), np.zeros(n), 0.0)
+    return SystemState(rng.uniform(spec.low, spec.high, n), np.zeros(n))
 
 
 def materialize(config: ScenarioConfig) -> RescueProblem:

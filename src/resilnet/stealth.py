@@ -26,33 +26,37 @@ def collective_measurement_matrix(g: Graph, malicious) -> np.ndarray:
     coordinates col(p~, v): each cooperative agent contributes the positions
     of its 2-hop members plus its own velocity."""
     n = g.node_count
-    malicious = set(malicious)
-    rows = []
-    for i in sorted(set(range(n)) - malicious):
-        for j in view_members(g, i):
-            row = np.zeros(2 * n)
-            row[j] = 1.0
-            rows.append(row)
-        row = np.zeros(2 * n)
-        row[n + i] = 1.0
-        rows.append(row)
-    return np.array(rows)
+    cooperative = sorted(set(range(n)) - set(malicious))
+    cols = [j for i in cooperative for j in (*view_members(g, i), n + i)]
+    c = np.zeros((len(cols), 2 * n))
+    c[np.arange(len(cols)), cols] = 1.0
+    return c
+
+
+def _pencil(g: Graph, suspected, gains: Gains) -> tuple:
+    """The pair (E, G) with lambda E - G = [[lambda I - A, -B], [C, 0]]: the
+    one place the pencil is laid out, built once per mode and reused at
+    every lambda."""
+    n = g.node_count
+    b = malicious_velocity_span(n, suspected)
+    c = collective_measurement_matrix(g, suspected)
+    g_mat = np.block([[closed_loop_matrix(g, gains), b], [-c, np.zeros((len(c), b.shape[1]))]])
+    e = np.zeros_like(g_mat)
+    e[: 2 * n, : 2 * n] = np.eye(2 * n)
+    return e, g_mat
 
 
 def pencil_matrix(g: Graph, suspected, gains: Gains, lam: complex) -> np.ndarray:
     """Single-mode pencil [[lambda I - A, -B], [C, 0]]."""
-    n = g.node_count
-    a = closed_loop_matrix(g, gains)
-    b = malicious_velocity_span(n, suspected)
-    c = collective_measurement_matrix(g, suspected)
-    top = np.hstack([lam * np.eye(2 * n) - a, -b])
-    bottom = np.hstack([c, np.zeros((c.shape[0], b.shape[1]))])
-    return np.vstack([top.astype(complex), bottom.astype(complex)])
+    e, g_mat = _pencil(g, suspected, gains)
+    return complex(lam) * e - g_mat
 
 
 def kernel_basis(mat: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Orthonormal nullspace basis from the SVD (columns; empty when trivial)."""
-    u, sv, vh = np.linalg.svd(mat, full_matrices=True)
+    """Orthonormal nullspace basis from the SVD (columns; empty when trivial).
+    A matrix with at least as many rows as columns gets the thin SVD, whose
+    V is already complete; U is never used."""
+    _, sv, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
     if sv.size == 0:
         return np.eye(mat.shape[1])
     tol = max(mat.shape) * sv[0] * rtol
@@ -105,14 +109,10 @@ def stealth_pencil_kernel(
     modes = tuple(modes)
     if lambdas is None:
         lambdas = sample_lambdas(modes, gains, n_samples, seed)
-    dims, bases = [], []
-    for lam in lambdas:
-        stacked = np.vstack([pencil_matrix(g, suspected, gains, lam) for g in modes])
-        basis = kernel_basis(stacked)
-        dims.append(basis.shape[1])
-        bases.append(basis)
+    e, g_mat = map(np.vstack, zip(*(_pencil(g, suspected, gains) for g in modes)))
+    bases = tuple(kernel_basis(complex(lam) * e - g_mat) for lam in lambdas)
     return PencilKernelReport(
-        lambdas=tuple(lambdas), kernel_dims=tuple(dims), bases=tuple(bases)
+        lambdas=tuple(lambdas), kernel_dims=tuple(b.shape[1] for b in bases), bases=bases
     )
 
 
@@ -126,8 +126,9 @@ class ZeroDynamics:
     residual: float
 
 
-def _verify_zero(g, suspected, gains, lam) -> ZeroDynamics | None:
-    p = pencil_matrix(g, suspected, gains, lam)
+def _verify_zero(e, g_mat, lam, n2) -> ZeroDynamics | None:
+    # n2 = 2N, where the state part of a kernel vector ends
+    p = lam * e - g_mat
     basis = kernel_basis(p)
     if basis.shape[1] == 0:
         return None
@@ -136,7 +137,6 @@ def _verify_zero(g, suspected, gains, lam) -> ZeroDynamics | None:
     residual = float(np.linalg.norm(p @ vec))
     if residual > PENCIL_RESIDUAL_TOL:
         return None
-    n2 = p.shape[1] - len(tuple(suspected))
     return ZeroDynamics(lam=lam, x0=vec[:n2], u0=vec[n2:], residual=residual)
 
 
@@ -156,38 +156,29 @@ def zero_dynamics_search(
     suspected = tuple(sorted(set(suspected)))
     if not suspected:
         raise ValueError("suspected set must be nonempty")
+    e, g_mat = _pencil(g, suspected, gains)
+    n2 = 2 * g.node_count
     rng = np.random.default_rng(seed)
     for _ in range(n_probes):
         lam = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
-        found = _verify_zero(g, suspected, gains, lam)
+        found = _verify_zero(e, g_mat, lam, n2)
         if found is not None:
             return found
-    n = g.node_count
-    a = closed_loop_matrix(g, gains)
-    candidates = [complex(z) for z in np.linalg.eigvals(a)]
+    candidates = [complex(z) for z in np.linalg.eigvals(g_mat[:n2, :n2])]
     # random square projection of the rectangular pencil lam*E - G; spurious
     # eigenvalues are weeded out by verifying against the full pencil
-    b = malicious_velocity_span(n, suspected)
-    c = collective_measurement_matrix(g, suspected)
-    rows = 2 * n + c.shape[0]
-    cols = 2 * n + b.shape[1]
-    e_mat = np.zeros((rows, cols))
-    e_mat[: 2 * n, : 2 * n] = np.eye(2 * n)
-    g_mat = np.zeros((rows, cols))
-    g_mat[: 2 * n, : 2 * n] = a
-    g_mat[: 2 * n, 2 * n :] = b
-    g_mat[2 * n :, : 2 * n] = -c
+    rows, cols = g_mat.shape
     import scipy.linalg  # generalized eig; loaded only by this analysis
 
     for _ in range(3):
         w = rng.standard_normal((cols, rows))
         try:
-            vals = scipy.linalg.eig(w @ g_mat, w @ e_mat, right=False)
+            vals = scipy.linalg.eig(w @ g_mat, w @ e, right=False)
         except (np.linalg.LinAlgError, ValueError):
             continue
         candidates.extend(complex(z) for z in vals if np.isfinite(z))
     for lam in candidates:
-        found = _verify_zero(g, suspected, gains, lam)
+        found = _verify_zero(e, g_mat, lam, n2)
         if found is not None:
             return found
     return None

@@ -451,6 +451,29 @@ def test_cli_no_cooperative_agent(tmp_path, capsys):
         assert not (tmp_path / verb).exists()
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("initial", "p_tilde"), [100.0] * 8),
+        (("initial", "v"), [1.0] * 8),
+        (("network", "generator", "max_degree"), 3),
+    ],
+)
+def test_cli_rejects_fields_that_change_nothing(tmp_path, capsys, path, value):
+    # a uniform initial state draws from its seed and a clique_pendant
+    # overlay from its seed alone: a field that neither reads is an error on
+    # every document verb, not a run that ignores it
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(_mutated(config_to_dict(generate_example1(0)), path, value)))
+    for verb in _VERBS:
+        code = main([verb, "--config", str(config), "--out", str(tmp_path / verb)])
+        error = json.loads(capsys.readouterr().err)
+        assert code == 2, verb
+        assert error["error"] == "configuration"
+        assert f"{path[-1]} has no effect" in error["message"]
+        assert not (tmp_path / verb).exists()
+
+
 def test_cli_generated_network_rejects_inline_fields(tmp_path, capsys):
     # a generated network carries no inline schedule or modes beside its
     # generator: every verb rejects the document rather than run the

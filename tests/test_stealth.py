@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from resilnet.dynamics import Gains
-from resilnet.graphs import Graph, complete_graph, path_graph, star_graph
+from resilnet.dynamics import Gains, closed_loop_matrix
+from resilnet.graphs import RANK_RTOL, Graph, complete_graph, path_graph, star_graph
 from resilnet.scenarios import random_connected_graph, split_edges_alternating
 from resilnet.stealth import (
     collective_measurement_matrix,
@@ -11,6 +11,7 @@ from resilnet.stealth import (
     malicious_velocity_span,
     measurement_kernel,
     pencil_matrix,
+    sample_lambdas,
     stealth_pencil_kernel,
     subspace_distance,
     view_coupling,
@@ -111,6 +112,61 @@ def test_kernel_basis_tolerances():
     basis = kernel_basis(mat)
     assert basis.shape[1] == 1
     assert abs(basis[1, 0]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("trial", range(6))
+def test_pencil_matrix_is_the_block_pencil(trial):
+    # lam E - G from the one pencil builder, entry by entry against the
+    # blocks [[lam I - A, -B], [C, 0]] from their own builders
+    rng = np.random.default_rng(300 + trial)
+    n = int(rng.integers(4, 9))
+    g = random_connected_graph(rng, n, 0.5)
+    suspected = tuple(int(x) for x in rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+    a = closed_loop_matrix(g, GAINS)
+    b = malicious_velocity_span(n, suspected)
+    c = collective_measurement_matrix(g, suspected)
+    eig = complex(np.linalg.eigvals(a)[int(rng.integers(0, 2 * n))])
+    for lam in (float(rng.uniform(-5, 5)), complex(*rng.uniform(-5, 5, 2)), eig):
+        want = np.block([[lam * np.eye(2 * n) - a, -b], [c, np.zeros((len(c), len(suspected)))]])
+        np.testing.assert_array_equal(pencil_matrix(g, suspected, GAINS, lam), want)
+
+
+def _full_svd_kernel(mat):
+    _, sv, vh = np.linalg.svd(mat, full_matrices=True)
+    rank = int(np.sum(sv > max(mat.shape) * sv[0] * RANK_RTOL))
+    return vh[rank:].conj().T
+
+
+@pytest.mark.parametrize("rows, cols, rank", [(12, 5, 3), (9, 9, 6), (4, 7, 2), (6, 6, 6)])
+def test_kernel_basis_matches_full_svd(rows, cols, rank):
+    # the thin SVD of a tall or square matrix gives the nullspace of the
+    # full one, real or complex
+    rng = np.random.default_rng(rows * cols + rank)
+    real = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+    for mat in (real, real + 1j * (rng.standard_normal((rows, rank)) @ real[:rank])):
+        basis, want = kernel_basis(mat), _full_svd_kernel(mat)
+        assert basis.shape == want.shape == (cols, cols - np.linalg.matrix_rank(mat))
+        assert subspace_distance(basis, want) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["random", "chain", "chain_star"])
+def test_pencil_kernel_matches_per_lambda_stack(case):
+    # the stacked (E, G) pair built once per call against stacking each
+    # mode's pencil_matrix afresh at every lambda
+    if case == "random":
+        rng = np.random.default_rng(41)
+        net = split_edges_alternating(random_connected_graph(rng, 7, 0.5), 0.5, 2.0, 6)
+        modes, suspected = net.modes, (2, 5)
+    else:
+        modes = (CHAIN,) if case == "chain" else (CHAIN, STAR_MODE)
+        suspected = CHAIN_MALICIOUS
+    report = stealth_pencil_kernel(modes, suspected, GAINS, seed=4)
+    assert report.lambdas == sample_lambdas(modes, GAINS, seed=4)
+    for lam, dim, basis in zip(report.lambdas, report.kernel_dims, report.bases):
+        want = kernel_basis(np.vstack([pencil_matrix(g, suspected, GAINS, lam) for g in modes]))
+        assert dim == basis.shape[1] == want.shape[1]
+        assert subspace_distance(basis, want) <= 1e-9
+    assert report.all_empty == (case != "chain")
 
 
 def test_coupling_bound_shapes():
