@@ -38,7 +38,7 @@ from .graphs import (
     Graph,
     SwitchingNetwork,
     _lambda2_stack,
-    _laplacian,
+    _laplacian_timeline,
     _window_pieces,
     laplacian,
     projection_matrix,
@@ -808,17 +808,6 @@ def consensus_metrics(trace: SimulationTrace, cooperative=None) -> ConsensusMetr
     return ConsensusMetrics(t=trace.t, max_position_gap=gap, max_speed=speed)
 
 
-def _segment_laplacians(trace: SimulationTrace) -> tuple:
-    """The bounds of the trace's segments, the index of each one's edge set
-    among the distinct ones, and one Laplacian per distinct edge set."""
-    index = {}
-    keys = [index.setdefault(edges, len(index)) for *_, edges, _ in trace.segments]
-    laps = np.stack([_laplacian(trace.node_count, edges) for edges in index])
-    begins = [seg[0] for seg in trace.segments]
-    ends = [seg[1] for seg in trace.segments]
-    return begins, ends, keys, laps
-
-
 def realized_disconnection_time(trace: SimulationTrace, window: float) -> float:
     """Worst-case time per window during which the realized instantaneous
     graph was disconnected (the measurable form of the DoS budget).  The
@@ -828,7 +817,9 @@ def realized_disconnection_time(trace: SimulationTrace, window: float) -> float:
     to the next disconnected start (or horizon - T) and does not rise from
     a disconnected t back to its segment's start.  Each distinct edge set is
     classified once."""
-    begins, ends, keys, laps = _segment_laplacians(trace)
+    begins, ends, keys, laps = _laplacian_timeline(
+        trace.node_count, ((a, b, edges) for a, b, _, edges, _ in trace.segments)
+    )
     cut = (_lambda2_stack(laps) <= 0.0).tolist()
     off = [k for k, key in enumerate(keys) if cut[key]]
     if not off:

@@ -5,22 +5,25 @@ finite mode libraries with piecewise-constant switching schedules,
 connectivity in the integral ("persistently exciting") sense, and exact
 r-robustness and vertex-connectivity computation.
 
-Every window [t0, t1] is cut into pieces by ``_window_pieces``: the
-intervals of a sorted, disjoint list that overlap it are a bisect slice,
-each clipped to the window.  The PE margin cuts the schedule this way, and
-``reports.lambda2_series`` and ``dynamics.realized_disconnection_time`` cut
-a trace's realized segments.
+Every integral-connectivity metric takes its Laplacians from one builder,
+``_laplacian_timeline``: it turns sorted ``(t0, t1, edges)`` intervals into
+their bounds, a key per interval and one Laplacian per distinct edge set.
+``pe_margin`` feeds it the switching schedule, ``reports.lambda2_series``
+and ``dynamics.realized_disconnection_time`` a trace's realized segments.
+Every window is cut into pieces by ``_window_pieces``: the intervals that
+overlap it are a bisect slice, each clipped to the window.  The metrics of
+window means, the PE margin and the lambda_2 series, share one window loop,
+``_window_map``: it cuts each start's window, builds the mean of each
+distinct piece list once, in stacks of at most ``_WINDOW_WORK`` matrix
+entries summed one piece position after another, and maps a caller's
+function of those means back to every start.  Each mean gets the
+arithmetic of a single-window call, so a metric whose function solves each
+matrix on its own (one batched LAPACK call per stack) is bitwise that of a
+window-by-window loop.
 
 The PE margin evaluates the windows that start at 0, at horizon - T and at
 every breakpoint b and b - T in between: the window mean is affine in the
 start between those, so the minima over all starts are attained there.
-Starts whose windows cut the schedule into the same ``(duration, mode)``
-pieces share one mean, so the means are built for the distinct piece lists
-only, as a stack of at most ``_WINDOW_WORK`` matrix entries at a time,
-summed one piece position after another, with the eigenvalue problems solved
-by one batched LAPACK call per block.  Each slice gets the same arithmetic
-as a single-window call, so the margin is bitwise that of a window-by-window
-loop over the same starts.
 """
 
 from __future__ import annotations
@@ -41,10 +44,10 @@ ZERO_TOL = 1e-9
 RANK_RTOL = 1e-12
 
 R_ROBUSTNESS_EXACT_CAP = 16
-# matrix entries of the window means stacked at once by pe_margin and
-# reports.lambda2_series, n^2 per window (256 KB of float64): 512 windows
-# of 8 nodes, 4 of 84.  Every window of a stack is padded to its longest
-# piece list, and a stack of thousands ran slower than one of 32
+# matrix entries of the window means stacked at once by _window_map, n^2
+# per window (256 KB of float64): 512 windows of 8 nodes, 4 of 84.  Every
+# window of a stack is padded to its longest piece list, and a stack of
+# thousands ran slower than one of 32
 _WINDOW_WORK = 2**15
 
 
@@ -232,6 +235,27 @@ def algebraic_connectivity(lap: np.ndarray) -> float:
     return float(_lambda2_stack(lap[None])[0])
 
 
+def _laplacian_timeline(n: int, intervals) -> tuple:
+    """``(begins, ends, keys, laps)`` of sorted, disjoint ``(t0, t1, edges)``
+    intervals on nodes 0..n-1: their bounds, the index of each one's edge
+    set among the distinct ones, and one Laplacian per distinct edge set."""
+    begins, ends, edge_sets = zip(*intervals)
+    index = {}
+    keys = [index.setdefault(edges, len(index)) for edges in edge_sets]
+    return begins, ends, keys, np.stack([_laplacian(n, edges) for edges in index])
+
+
+def _window_pieces(begins, ends, index, t0: float, t1: float) -> tuple:
+    """``(duration, index[k])`` of every interval [begins[k], ends[k]) of a
+    sorted, disjoint list that overlaps the window [t0, t1], clipped to it,
+    in order.  Those that end after t0 and begin before t1 are a slice, and
+    each of them overlaps the window by a positive duration."""
+    lo, hi = bisect_right(ends, t0), bisect_left(begins, t1)
+    return tuple(
+        (min(t1, ends[k]) - max(t0, begins[k]), index[k]) for k in range(lo, hi)
+    )
+
+
 def _window_means(mats: np.ndarray, pieces, window: float) -> np.ndarray:
     """Duration-weighted means (1/T) sum_k d_k mats[m_k], one per window.
 
@@ -251,15 +275,26 @@ def _window_means(mats: np.ndarray, pieces, window: float) -> np.ndarray:
     return acc / window
 
 
-def _window_pieces(begins, ends, index, t0: float, t1: float) -> tuple:
-    """``(duration, index[k])`` of every interval [begins[k], ends[k]) of a
-    sorted, disjoint list that overlaps the window [t0, t1], clipped to it,
-    in order.  Those that end after t0 and begin before t1 are a slice, and
-    each of them overlaps the window by a positive duration."""
-    lo, hi = bisect_right(ends, t0), bisect_left(begins, t1)
-    return tuple(
-        (min(t1, ends[k]) - max(t0, begins[k]), index[k]) for k in range(lo, hi)
-    )
+def _window_map(timeline, starts, window: float, measure) -> list:
+    """``measure``'s value on the mean Laplacian of the window
+    [t, t + window] of every start t, over a ``_laplacian_timeline``.
+
+    Equal piece lists give bitwise-equal means, so the mean of each
+    distinct list is built once, in stacks of at most ``_WINDOW_WORK``
+    matrix entries; ``measure`` maps a stack to a list of one value per
+    mean.  Every mean gets the arithmetic of a one-window stack, so a value
+    does not depend on the starts beside it, as long as ``measure`` solves
+    each matrix on its own.
+    """
+    begins, ends, keys, laps = timeline
+    pieces = [_window_pieces(begins, ends, keys, t, t + window) for t in starts]
+    distinct = list(dict.fromkeys(pieces))
+    block = max(1, _WINDOW_WORK // laps[0].size)
+    values = []
+    for lo in range(0, len(distinct), block):
+        values += measure(_window_means(laps, distinct[lo : lo + block], window))
+    value = dict(zip(distinct, values))
+    return [value[key] for key in pieces]
 
 
 def _window_starts(net: SwitchingNetwork, window: float):
@@ -314,9 +349,9 @@ def pe_margin(net: SwitchingNetwork, window: float) -> PEReport:
 
     Records the spectral equivalence gap |lambda_min(Q Lbar Q^T) -
     lambda_2(Lbar)| over every evaluated window.  The window means and their
-    eigenvalues are computed once per distinct ``(duration, mode)`` piece
-    list, ``_WINDOW_WORK`` entries at a time; the min and gap fold over the
-    window starts in order.  The least mean adjacency is
+    eigenvalues are computed once per distinct ``(duration, edge set)``
+    piece list (``_window_map``); the min and gap fold over the window
+    starts in order.  The least mean adjacency is
     -max Lbar: off the diagonal the Laplacian mean is exactly the negated
     adjacency mean, and the diagonal, never positive, keeps no edge.
     """
@@ -324,32 +359,23 @@ def pe_margin(net: SwitchingNetwork, window: float) -> PEReport:
         raise ValueError("window must be positive")
     n = net.node_count
     q = projection_matrix(n)
-    laps = np.stack([laplacian(g) for g in net.modes])
-    begins = [t for t, _ in net.schedule]
     # the last mode lasts: a window that ends an ulp past the horizon keeps
     # its whole last piece
-    ends = [*begins[1:], math.inf]
-    modes = [m for _, m in net.schedule]
-    # equal piece lists give bitwise-equal means: key each start by its own
-    keys = [
-        _window_pieces(begins, ends, modes, t, t + window)
-        for t in _window_starts(net, window)
-    ]
-    distinct = list(dict.fromkeys(keys))
-    lam_mins, lam2s = [], []
+    ends = [t for t, _ in net.schedule[1:]] + [math.inf]
+    timeline = _laplacian_timeline(
+        n, ((t, end, net.modes[m].edges) for (t, m), end in zip(net.schedule, ends))
+    )
     min_weights = np.full((n, n), math.inf)
-    block = max(1, _WINDOW_WORK // (n * n))
-    for lo in range(0, len(distinct), block):
-        lbar = _window_means(laps, distinct[lo : lo + block], window)
-        lam_mins += np.linalg.eigvalsh(q @ lbar @ q.T)[:, 0].tolist()
-        lam2s += _lambda2_stack(lbar).tolist()
-        min_weights = np.minimum(min_weights, -lbar.max(axis=0))
-    index = {key: k for k, key in enumerate(distinct)}
+
+    def measure(lbar):
+        np.minimum(min_weights, -lbar.max(axis=0), out=min_weights)
+        lam_mins = np.linalg.eigvalsh(q @ lbar @ q.T)[:, 0]
+        return list(zip(lam_mins.tolist(), _lambda2_stack(lbar).tolist()))
+
     mu = math.inf
     lam2_at_min = math.inf
     gap = 0.0
-    for key in keys:
-        lam_min, lam2 = lam_mins[index[key]], lam2s[index[key]]
+    for lam_min, lam2 in _window_map(timeline, _window_starts(net, window), window, measure):
         gap = max(gap, abs(max(lam_min, 0.0) - lam2))
         if lam_min < mu:
             mu = lam_min

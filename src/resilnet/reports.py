@@ -30,16 +30,14 @@ from .dynamics import (
     SimulationTrace,
     _columns,
     _gap_and_speed,
-    _segment_laplacians,
     realized_disconnection_time,
     simulate,
 )
 from .errors import ConfigurationError
 from .graphs import (
-    _WINDOW_WORK,
     _lambda2_stack,
-    _window_means,
-    _window_pieces,
+    _laplacian_timeline,
+    _window_map,
     adversary_classification,
     check_bound_chain,
     pe_margin,
@@ -53,6 +51,8 @@ from .scenarios import ScenarioConfig, materialize
 # a block of rows holds at most 16 _BLOCK cells: bounds the Python floats,
 # the argument tuple and the block's bytes alive at once
 _BLOCK = 512
+# window starts of the sliding lambda_2 series in plot_data.csv
+_LAMBDA2_POINTS = 200
 
 
 def fmt(x) -> str:
@@ -179,28 +179,22 @@ def write_residuals_csv(path, residual_log):
                 _write_timed_rows(fh, e.t, lines, cells, 3 * len(e.pairs), lo, hi)
 
 
-def lambda2_series(trace: SimulationTrace, window: float, points: int = 200):
+def lambda2_series(trace: SimulationTrace, window: float):
     """lambda_2 of the realized integral Laplacian over a sliding window,
-    evaluated on a uniform grid (matches the run's actual edge timeline,
-    DoS drops and isolations included)."""
+    evaluated at ``_LAMBDA2_POINTS`` uniformly spaced starts (matches the
+    run's actual edge timeline, DoS drops and isolations included)."""
     horizon = float(trace.t[-1])
     if horizon < window:
         return np.array([]), np.array([])
-    n = trace.node_count
-    begins, ends, keys, laps = _segment_laplacians(trace)
-    starts = np.linspace(0.0, horizon - window, points)
-    out = np.empty(points)
-    block = max(1, _WINDOW_WORK // (n * n))
-    for first in range(0, points, block):
-        pieces = [
-            _window_pieces(begins, ends, keys, t0, t0 + window)
-            for t0 in starts[first : first + block].tolist()
-        ]
-        out[first : first + block] = _lambda2_stack(_window_means(laps, pieces, window))
-    return starts, out
+    timeline = _laplacian_timeline(
+        trace.node_count, ((a, b, edges) for a, b, _, edges, _ in trace.segments)
+    )
+    starts = np.linspace(0.0, horizon - window, _LAMBDA2_POINTS)
+    lam2 = _window_map(timeline, starts.tolist(), window, lambda m: _lambda2_stack(m).tolist())
+    return starts, np.array(lam2)
 
 
-def write_long_csv(path, trace: SimulationTrace, residual_log=None, window: float | None = None):
+def write_long_csv(path, trace: SimulationTrace, residual_log=None, *, window: float):
     """Plot-ready long format: consensus trajectories, residual/threshold
     pairs, and the sliding lambda_2 series.  The time of a sampled step or
     log step is formatted once for all its lines, and a fixed threshold once
@@ -230,11 +224,10 @@ def write_long_csv(path, trace: SimulationTrace, residual_log=None, window: floa
                 return _slot_cells(np.abs(e.res[a:b]), e.eps[a:b], keep)
 
             _write_timed_rows(fh, e.t, lines, cells, 4 * len(e.pairs), 0, len(e.t))
-        if window is not None:
-            ts, lam = lambda2_series(trace, window)
-            _write_timed_rows(
-                fh, ts, [",lambda2_window,%.12g\n"], lambda a, b: lam[a:b], 2, 0, len(ts)
-            )
+        ts, lam = lambda2_series(trace, window)
+        _write_timed_rows(
+            fh, ts, [",lambda2_window,%.12g\n"], lambda a, b: lam[a:b], 2, 0, len(ts)
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -127,7 +127,12 @@ class ZeroDynamics:
 
 
 def _verify_zero(e, g_mat, lam, n2) -> ZeroDynamics | None:
-    # n2 = 2N, where the state part of a kernel vector ends
+    """The unit kernel vector of the pencil at ``lam`` if its residual is at
+    most ``PENCIL_RESIDUAL_TOL`` times the norm of its state part.  Measured
+    against the unit vector alone, a zero at infinity would pass: near
+    |lam| ~ 1e6 an almost pure-input vector, with ||x0|| ~ 1/|lam|, leaves a
+    residual far below the tolerance.  n2 = 2N, where the state part of a
+    kernel vector ends."""
     p = lam * e - g_mat
     basis = kernel_basis(p)
     if basis.shape[1] == 0:
@@ -135,7 +140,7 @@ def _verify_zero(e, g_mat, lam, n2) -> ZeroDynamics | None:
     vec = basis[:, 0]
     vec = vec / np.linalg.norm(vec)
     residual = float(np.linalg.norm(p @ vec))
-    if residual > PENCIL_RESIDUAL_TOL:
+    if residual > PENCIL_RESIDUAL_TOL * np.linalg.norm(vec[:n2]):
         return None
     return ZeroDynamics(lam=lam, x0=vec[:n2], u0=vec[n2:], residual=residual)
 

@@ -3,10 +3,12 @@ the stacked lambda_2 series against a per-window loop, and the columnar
 residual log against a record-by-record log: the bytes of every file must
 be equal."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from resilnet import reports
+from resilnet import graphs, reports
 from resilnet.dynamics import (
     AttackSignal,
     DeceptionAttack,
@@ -18,7 +20,14 @@ from resilnet.dynamics import (
     SystemState,
     simulate,
 )
-from resilnet.graphs import ZERO_TOL, Graph, _lambda2_stack, _window_means, laplacian
+from resilnet.graphs import (
+    ZERO_TOL,
+    Graph,
+    _lambda2_stack,
+    _window_means,
+    laplacian,
+    pe_margin,
+)
 from resilnet.isolation import (
     DetectorSettings,
     IsolationEvent,
@@ -28,7 +37,13 @@ from resilnet.isolation import (
     run_rescue,
 )
 from resilnet.observers import ThresholdRule, make_record
-from resilnet.scenarios import random_connected_graph, split_edges_alternating
+from resilnet.scenarios import (
+    generate_example1,
+    generate_example2,
+    materialize,
+    random_connected_graph,
+    split_edges_alternating,
+)
 from stepwise import stepwise_rescue
 
 
@@ -368,8 +383,25 @@ def test_lambda2_series_matches_segment_scan(monkeypatch):
     assert sum(d for *_, d in trace.segments) > 20
     for trace in (trace, run_rescue(_rescue_problem()).trace):
         for windows in (200, 32, 1):
-            monkeypatch.setattr(reports, "_WINDOW_WORK", windows * trace.node_count**2)
+            monkeypatch.setattr(graphs, "_WINDOW_WORK", windows * trace.node_count**2)
             for window in (1.0, 0.37):
                 got = reports.lambda2_series(trace, window)
                 want = _scan_lambda2_series(trace, window)
                 assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@pytest.mark.parametrize("example, seed", [(1, 0), (1, 1), (1, 2), (2, 0)])
+def test_lambda2_series_never_below_pe_margin_without_dos(example, seed):
+    # without DoS a plant run realizes the nominal schedule, so the series'
+    # windows are some of the windows pe_margin minimizes over: the two ends
+    # of the shared window path, trace segments and schedule, must agree
+    config = (generate_example1, generate_example2)[example - 1](seed)
+    if example == 2:
+        config = replace(config, network=replace(config.network, horizon=5.0))
+    problem = materialize(replace(config, dos=None))
+    trace = simulate(
+        problem.net, problem.gains, problem.initial, problem.attacks, None, problem.step_h
+    )
+    _, lam = reports.lambda2_series(trace, 1.0)
+    assert lam.size == 200
+    assert lam.min() >= pe_margin(problem.net, 1.0).mu - 1e-12

@@ -3,7 +3,12 @@ import pytest
 
 from resilnet.dynamics import Gains, closed_loop_matrix
 from resilnet.graphs import RANK_RTOL, Graph, complete_graph, path_graph, star_graph
-from resilnet.scenarios import random_connected_graph, split_edges_alternating
+from resilnet.scenarios import (
+    build_network,
+    generate_example1,
+    random_connected_graph,
+    split_edges_alternating,
+)
 from resilnet.stealth import (
     collective_measurement_matrix,
     coupling_bound,
@@ -98,6 +103,17 @@ def test_zero_dynamics_direction_hides_far_agent():
 def test_zero_dynamics_absent_for_well_measured():
     g = complete_graph(5)
     assert zero_dynamics_search(g, (3,), GAINS, seed=1, n_probes=10) is None
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_zero_dynamics_rejects_zeros_at_infinity(seed):
+    # the projected eigenproblem of example1's modes yields candidates near
+    # |lambda| ~ 1e6 whose kernel vector is almost all input (||x0|| ~ 1e-6)
+    # and whose unit residual is ~1e-10: no zero of the pencil, as a
+    # residual measured against ||x0|| shows
+    config = generate_example1(seed)
+    for g in build_network(config.network).modes:
+        assert zero_dynamics_search(g, (5, 6), config.gains, seed=0) is None
 
 
 def test_switching_empties_stealth_kernel():
