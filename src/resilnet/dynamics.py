@@ -37,8 +37,7 @@ from .errors import ConfigurationError
 from .graphs import (
     Graph,
     SwitchingNetwork,
-    _lambda2_stack,
-    _laplacian_timeline,
+    _connected,
     _window_pieces,
     laplacian,
     projection_matrix,
@@ -816,19 +815,17 @@ def realized_disconnection_time(trace: SimulationTrace, window: float) -> float:
     1[t + T off] - 1[t off] in t, so it does not fall from a connected t up
     to the next disconnected start (or horizon - T) and does not rise from
     a disconnected t back to its segment's start.  Each distinct edge set is
-    classified once."""
-    begins, ends, keys, laps = _laplacian_timeline(
-        trace.node_count, ((a, b, edges) for a, b, _, edges, _ in trace.segments)
-    )
-    cut = (_lambda2_stack(laps) <= 0.0).tolist()
-    off = [k for k, key in enumerate(keys) if cut[key]]
+    classified once, by a union-find (``graphs._connected``)."""
+    n = trace.node_count
+    cut = {edges: not _connected(n, edges) for edges in {seg[3] for seg in trace.segments}}
+    off = [(a, b) for a, b, _, edges, _ in trace.segments if cut[edges]]
     if not off:
         return 0.0
-    begins, ends = [begins[k] for k in off], [ends[k] for k in off]
+    begins, ends = zip(*off)
     last = max(trace.t[-1] - window, 0.0)
     worst = 0.0
     for t in begins:
         t = min(t, last)
-        pieces = _window_pieces(begins, ends, off, t, t + window)
+        pieces = _window_pieces(begins, ends, range(len(off)), t, t + window)
         worst = max(worst, sum(d for d, _ in pieces))
     return worst

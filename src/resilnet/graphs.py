@@ -9,7 +9,8 @@ Every integral-connectivity metric takes its Laplacians from one builder,
 ``_laplacian_timeline``: it turns sorted ``(t0, t1, edges)`` intervals into
 their bounds, a key per interval and one Laplacian per distinct edge set.
 ``pe_margin`` feeds it the switching schedule, ``reports.lambda2_series``
-and ``dynamics.realized_disconnection_time`` a trace's realized segments.
+a trace's realized segments.  ``dynamics.realized_disconnection_time``
+needs no Laplacian: it tells a disconnected edge set by ``_connected``.
 Every window is cut into pieces by ``_window_pieces``: the intervals that
 overlap it are a bisect slice, each clipped to the window.  The metrics of
 window means, the PE margin and the lambda_2 series, share one window loop,
@@ -233,6 +234,25 @@ def algebraic_connectivity(lap: np.ndarray) -> float:
     if lap.shape[0] != lap.shape[1] or not np.allclose(lap, lap.T, atol=1e-12):
         raise ValueError("input must be a symmetric matrix")
     return float(_lambda2_stack(lap[None])[0])
+
+
+def _connected(n: int, edges) -> bool:
+    """Whether ``edges`` join all of nodes 0..n-1, by a union-find with path
+    halving: n - 1 merges of two roots leave one tree."""
+    parent = list(range(n))
+
+    def root(u):
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        return u
+
+    merges = 0
+    for a, b in edges:
+        ra, rb = root(a), root(b)
+        if ra != rb:
+            parent[ra] = rb
+            merges += 1
+    return merges == n - 1
 
 
 def _laplacian_timeline(n: int, intervals) -> tuple:

@@ -14,8 +14,10 @@ F0 y_start + F1 y_end.  The bank is built from one row per detector: its
 observer, (R_o, F0, F1), its neighbors and its threshold terms, and stacks
 [R_o | F0 | F1] in a zero-padded batch.  A view is a function of the owner's
 local edge set (``observers._view_key``), so a run keeps one cache of
-(view, gain, step matrices) under that key and builds each entry once, also
-for edge sets it returns to.
+views under that key and builds each once, also for edge sets it returns
+to.  A gain and its step matrices are functions of the view's model
+(a_model, c_meas) alone, so they are built once per distinct model, which
+views of other detectors or edge sets may share.
 
 Up to its first verdict, a run on one edge set is a fixed function of the
 trajectory, so the loop goes in blocks of steps: the plant's rows first,
@@ -205,6 +207,21 @@ def _observer_step_matrices(view: TwoHopView, gain: ObserverGain, h: float) -> t
 # numpy calls cost a few percent of that, and a bank as large as example2's
 # (75 rows) repeats at most one step past a verdict
 _CHUNK_WORK = 2**20
+# numpy >= 2.2's batched matrix-vector product; None on older numpy
+_MATVEC = getattr(np, "matvec", None)
+
+
+def _step_bank(step_mat: np.ndarray, z: np.ndarray, est: int):
+    """z[k + 1, :, :est] = step_mat z[k] for every step k of ``z``: one
+    batched product per step, one BLAS gemv per row.  ``np.matvec`` calls
+    the gemv with less overhead than ``np.matmul`` on column vectors, which
+    runs the same gemv and so gives the same bits."""
+    if _MATVEC is None:
+        for z_now, z_next in zip(z[..., None], z[1:, :, :est, None]):
+            np.matmul(step_mat, z_now, out=z_next)
+    else:
+        for z_now, z_next in zip(z, z[1:, :, :est]):
+            _MATVEC(step_mat, z_now, out=z_next)
 
 
 class _ObserverBank:
@@ -226,13 +243,13 @@ class _ObserverBank:
         est, meas = 2 * size, size + 1
         self.est = est
         self.step_mat = np.zeros((len(rows), est, est + 2 * meas))
-        self.x_hat = np.zeros((len(rows), est, 1))
+        self.x_hat = np.zeros((len(rows), est))
         # a chunk's z of every step, kept for the next chunk
-        self.z = np.empty((0, len(rows), est + 2 * meas, 1))
+        self.z = np.empty((0, len(rows), est + 2 * meas))
         # index into col(x_start, x_end) of every measurement: member
         # positions, then the owner's velocity; padded entries read p~_0
         # into zero columns
-        self.gather = np.zeros((len(rows), 2 * meas, 1), dtype=int)
+        self.gather = np.zeros((len(rows), 2 * meas), dtype=int)
         self.pairs = []
         self.groups = []  # (detector, neighbors, first slot, end slot)
         slot_row, slot_state = [], []
@@ -241,10 +258,10 @@ class _ObserverBank:
             self.step_mat[k, : 2 * m, : 2 * m] = r
             self.step_mat[k, : 2 * m, est : est + m + 1] = f0
             self.step_mat[k, : 2 * m, est + meas : est + meas + m + 1] = f1
-            self.x_hat[k, : 2 * m, 0] = obs.x_hat
+            self.x_hat[k, : 2 * m] = obs.x_hat
             measured = np.array([*obs.view.members, n + i])
-            self.gather[k, : m + 1, 0] = measured
-            self.gather[k, meas : meas + m + 1, 0] = 2 * n + measured
+            self.gather[k, : m + 1] = measured
+            self.gather[k, meas : meas + m + 1] = 2 * n + measured
             if nbrs:
                 self.groups.append((i, nbrs, len(self.pairs), len(self.pairs) + len(nbrs)))
             for j in nbrs:
@@ -330,9 +347,7 @@ class _ObserverBank:
         z[:length, :, est:] = np.concatenate((X[k0:k1], X[k0 + 1 : k1 + 1]), axis=1)[
             :, self.gather
         ]
-        step_mat = self.step_mat
-        for z_now, z_next in zip(z, z[1:, :, :est]):
-            np.matmul(step_mat, z_now, out=z_next)
+        _step_bank(self.step_mat, z, est)
         # a neighbor's residual is its measured position minus its estimate
         res = X[k0 + 1 : k1 + 1, self.slot_meas] - z[1:].reshape(length, -1)[:, self.slot_state]
         t = np.arange(k0 + 1, k1 + 1) * self.h
@@ -368,7 +383,7 @@ class _ObserverBank:
         """Return the estimates to their owners and append the log, with the
         slots' verdict times, to ``epochs``."""
         for k, obs in enumerate(self.observers):
-            obs.x_hat = self.x_hat[k, : 2 * obs.view.size, 0].copy()
+            obs.x_hat = self.x_hat[k, : 2 * obs.view.size].copy()
         if self.logged and self.pairs:
             t, res, eps = (np.concatenate(part) for part in zip(*self.logged))
             epochs.append(
@@ -404,22 +419,29 @@ def run_rescue(problem: RescueProblem) -> RescueResult:
     observers: dict[int, ObserverState] = {}
     bank: _ObserverBank | None = None
     views: dict = {}  # (owner, local edge set) -> (view, gain, step matrices)
+    models: dict = {}  # (a_model, c_meas) bytes -> (gain, step matrices)
     events: list[IsolationEvent] = []
     epochs: list[LogEpoch] = []
     agents = _attackers(problem.attacks)
 
     def local_view(g, i) -> tuple:
-        """Detector ``i``'s view of ``g``, its gain and its step matrices,
-        built the first time the run meets ``i``'s local edge set."""
+        """Detector ``i``'s view of ``g``, its gain and its step matrices:
+        the view built the first time the run meets ``i``'s local edge set,
+        the gain and step matrices the first time it meets the view's
+        model, of which they are functions alone."""
         key = _view_key(g, i)
         entry = views.get(key)
         if entry is None:
             view = two_hop_view(g, i, gains)
-            if certified:
-                gain = design_gain(view)
-            else:
-                gain = ObserverGain(gain_matrix(view, STRUCTURED_K1), None, None, None)
-            entry = views[key] = (view, gain, _observer_step_matrices(view, gain, h))
+            model = (view.a_model.tobytes(), view.c_meas.tobytes())
+            design = models.get(model)
+            if design is None:
+                if certified:
+                    gain = design_gain(view)
+                else:
+                    gain = ObserverGain(gain_matrix(view, STRUCTURED_K1), None, None, None)
+                design = models[model] = (gain, _observer_step_matrices(view, gain, h))
+            entry = views[key] = (view, *design)
         return entry
 
     def on_edges(edges, t, x):

@@ -50,10 +50,11 @@ def plant_step(plant, x, u):
 
 
 def _bank_step(bank, z, x_start, x_end):
-    """The bank's observer step across one plant step, on ``z`` holding the
-    estimates and then the measurements; returns every slot's residual."""
+    """The bank's observer step across one plant step, on the column vectors
+    ``z`` holding the estimates and then the measurements, by ``np.matmul``;
+    returns every slot's residual."""
     est = bank.est
-    z[:, est:] = np.concatenate((x_start, x_end))[bank.gather]
+    z[:, est:, 0] = np.concatenate((x_start, x_end))[bank.gather]
     z[:, :est] = bank.step_mat @ z
     return x_end[bank.slot_meas] - z.ravel()[bank.slot_state]
 
@@ -91,7 +92,7 @@ def stepwise_rescue(problem, keep=None):
         plant, U = pending["plant"], pending["U"]
         rows, _, width = bank.step_mat.shape
         z = np.zeros((rows, width, 1))
-        z[:, : bank.est] = bank.x_hat
+        z[:, : bank.est, 0] = bank.x_hat
         verdicts = ()
         for k in range(k0, k1):
             X[k + 1] = plant_step(plant, X[k], U[k - k0])
@@ -107,7 +108,7 @@ def stepwise_rescue(problem, keep=None):
                 verdicts = [(s, float(res[s]), float(eps[s])) for s in hits]
                 bank.flag_t[hits] = t
                 break
-        bank.x_hat = z[:, : bank.est].copy()
+        bank.x_hat = z[:, : bank.est, 0].copy()
         return k + 1, verdicts
 
     with pytest.MonkeyPatch.context() as patch:

@@ -39,6 +39,22 @@ from resilnet.scenarios import (
 )
 
 
+def test_connected_matches_the_eigensolve(rng):
+    # the union-find tells the graphs whose clamped lambda_2 is positive, on
+    # random graphs from edgeless to dense, the sparse ones mostly
+    # disconnected and with isolated nodes
+    verdicts = set()
+    for _ in range(400):
+        n = int(rng.integers(2, 13))
+        pairs = list(itertools.combinations(range(n), 2))
+        keep = rng.random(len(pairs)) < rng.uniform(0.0, 0.6)
+        edges = tuple(pair for pair, k in zip(pairs, keep) if k)
+        want = algebraic_connectivity(laplacian(Graph(n, edges))) > 0.0
+        assert graphs._connected(n, edges) == want, (n, edges)
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
 def test_graph_rejects_self_loops_and_duplicates():
     with pytest.raises(ValueError):
         Graph(3, ((0, 0),))

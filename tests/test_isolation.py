@@ -366,20 +366,53 @@ VIEW_CACHE_CASES = list(_view_cache_cases())
 @pytest.mark.parametrize("case", VIEW_CACHE_CASES, ids=[name for name, _ in VIEW_CACHE_CASES])
 def test_view_cache_matches_rebuild_all(case, monkeypatch):
     # views looked up by local edge set give the run of views rebuilt on
-    # every edge-set change, and no (owner, local edge set) is built twice
+    # every edge-set change, no (owner, local edge set) is built twice, and
+    # no model (a_model, c_meas) reaches the gain design or the step
+    # matrices twice: each distinct model of the built views once
     _, problem = case
     want = rebuild_all_rescue(problem)
-    built = []
+    built, models, designed, stepped = [], set(), [], []
+
+    def model(view):
+        return view.a_model.tobytes(), view.c_meas.tobytes()
 
     def counted(g, owner, gains):
         built.append(_view_key(g, owner))
-        return two_hop_view(g, owner, gains)
+        view = two_hop_view(g, owner, gains)
+        models.add(model(view))
+        return view
+
+    def counted_design(view):
+        designed.append(model(view))
+        return design_gain(view)
+
+    def counted_steps(view, gain, h):
+        stepped.append(model(view))
+        return _observer_step_matrices(view, gain, h)
 
     monkeypatch.setattr(isolation, "two_hop_view", counted)
+    monkeypatch.setattr(isolation, "design_gain", counted_design)
+    monkeypatch.setattr(isolation, "_observer_step_matrices", counted_steps)
     got = run_rescue(problem)
     assert _meta(got) == _meta(want)
     assert _fields(got) == _fields(want)
     assert len(set(built)) == len(built) < len(got.trace.segments) * len(problem.cooperative)
+    assert len(set(stepped)) == len(stepped) == len(models)
+    assert set(stepped) == models
+    certified = problem.detector.threshold.kind == "analytic"
+    assert sorted(designed) == (sorted(stepped) if certified else [])
+
+
+@pytest.mark.parametrize("case", PIN_CASES, ids=[name for name, _ in PIN_CASES])
+def test_bank_matmul_path_matches_matvec(case, monkeypatch):
+    # numpy < 2.2 has no np.matvec and steps the bank by np.matmul on
+    # column vectors, the same gemv: the same run, bit for bit
+    _, problem = case
+    want = run_rescue(problem)
+    monkeypatch.setattr(isolation, "_MATVEC", None)
+    got = run_rescue(problem)
+    assert _meta(got) == _meta(want)
+    assert _fields(got) == _fields(want)
 
 
 K4 = complete_graph(4)

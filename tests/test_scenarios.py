@@ -102,7 +102,8 @@ def _mutated(d, path, value):
 
 
 class _Overrun(Exception):
-    """Raised by the alarm; neither the CLI nor the decoder catches it."""
+    """Raised by the CPU-time alarm; neither the CLI nor the decoder catches
+    it."""
 
 
 def _mutation_sweep(*runs):
@@ -110,8 +111,10 @@ def _mutation_sweep(*runs):
     dropped, nulled, retyped, made NaN, inf or 0, negated, or scaled (ints
     by 10**9, floats by 1e9 and by 1e-9, a 0 replaced by the factor).
     Return (path, value, index of the run, exception) of each run that
-    raised or took longer than the 2 s alarm, and (path, value, what each
-    run returned) of each document."""
+    raised or used more than the alarm's 2 s of CPU time, and (path, value,
+    what each run returned) of each document.  The alarm counts the
+    process's CPU time (``ITIMER_PROF``), not wall time, so a hang trips it
+    and a busy host does not."""
     base = config_to_dict(generate_example1(0))
     base["network"]["horizon"] = 1.0
     base["dos"]["intervals"][0]["duration"] = 1.0
@@ -120,7 +123,7 @@ def _mutation_sweep(*runs):
         raise _Overrun("no return within the bound")
 
     escaped, outcomes = [], []
-    previous = signal.signal(signal.SIGALRM, on_alarm)
+    previous = signal.signal(signal.SIGPROF, on_alarm)
     try:
         for path in list(_field_paths(base)):
             original = functools.reduce(operator.getitem, path, base)
@@ -135,17 +138,17 @@ def _mutation_sweep(*runs):
                 d = _mutated(base, path, value)
                 results = []
                 for k, run in enumerate(runs):
-                    signal.alarm(2)
+                    signal.setitimer(signal.ITIMER_PROF, 2.0)
                     try:
                         results.append(run(d))
                     except Exception as exc:
                         escaped.append((path, value, k, repr(exc)))
                         results.append(None)
                     finally:
-                        signal.alarm(0)
+                        signal.setitimer(signal.ITIMER_PROF, 0.0)
                 outcomes.append((path, value, results))
     finally:
-        signal.signal(signal.SIGALRM, previous)
+        signal.signal(signal.SIGPROF, previous)
     return escaped, outcomes
 
 
