@@ -397,10 +397,9 @@ def test_view_cache_matches_rebuild_all(case, monkeypatch):
     assert _meta(got) == _meta(want)
     assert _fields(got) == _fields(want)
     assert len(set(built)) == len(built) < len(got.trace.segments) * len(problem.cooperative)
-    assert len(set(stepped)) == len(stepped) == len(models)
-    assert set(stepped) == models
+    assert sorted(stepped) == sorted(models)
     certified = problem.detector.threshold.kind == "analytic"
-    assert sorted(designed) == (sorted(stepped) if certified else [])
+    assert sorted(designed) == (sorted(models) if certified else [])
 
 
 @pytest.mark.parametrize("case", PIN_CASES, ids=[name for name, _ in PIN_CASES])

@@ -113,8 +113,8 @@ def _mutation_sweep(*runs):
     Return (path, value, index of the run, exception) of each run that
     raised or used more than the alarm's 2 s of CPU time, and (path, value,
     what each run returned) of each document.  The alarm counts the
-    process's CPU time (``ITIMER_PROF``), not wall time, so a hang trips it
-    and a busy host does not."""
+    process's CPU time (``ITIMER_PROF``), not wall time, so a run that spins
+    trips it and a busy host does not."""
     base = config_to_dict(generate_example1(0))
     base["network"]["horizon"] = 1.0
     base["dos"]["intervals"][0]["duration"] = 1.0
